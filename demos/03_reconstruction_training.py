@@ -45,12 +45,13 @@ print("\nobserved entries untouched:",
 # --- structure recovered without labels ---------------------------------------
 # The decoded soft adjacency should rate same-block pairs above cross-block
 # pairs even though the blocks were never revealed.
+decoded_adj = gc.decode_structure(state.imputed).value
 same = clean.labels[:, None] == clean.labels[None, :]
 off_diag = ~np.eye(clean.n, dtype=bool)
 print(f"\ndecoded affinity within blocks:  "
-      f"{state.decoded_adj[same & off_diag].mean():.3f}")
+      f"{decoded_adj[same & off_diag].mean():.3f}")
 print(f"decoded affinity across blocks:  "
-      f"{state.decoded_adj[~same].mean():.3f}")
+      f"{decoded_adj[~same].mean():.3f}")
 
 # Sharper question: do the edges we deleted score above pairs that were
 # never edges?  That is unsupervised edge recovery.
@@ -64,8 +65,8 @@ while len(non_edges) < len(dropped):
     if i < j and (i, j) not in all_clean:
         non_edges.append((i, j))
 
-dropped_scores = np.array([state.decoded_adj[i, j] for i, j in dropped])
-absent_scores = np.array([state.decoded_adj[i, j] for i, j in non_edges])
+dropped_scores = np.array([decoded_adj[i, j] for i, j in dropped])
+absent_scores = np.array([decoded_adj[i, j] for i, j in non_edges])
 ranked = np.mean(dropped_scores[:, None] > absent_scores[None, :])
 print(f"\n{len(dropped)} deleted edges score {dropped_scores.mean():.3f}, "
       f"true non-edges {absent_scores.mean():.3f}")

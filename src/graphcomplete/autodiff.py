@@ -18,7 +18,6 @@ Conventions:
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse as _sp
 
 
 class ShapeError(ValueError):
@@ -142,11 +141,13 @@ def relu(a: Tensor) -> Tensor:
     return _node(np.where(pos, a.value, 0.0), [(a, lambda g: g * pos)])
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) as exp(min(x, 0)) / (1 + exp(-|x|)), so no exp overflows."""
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # piecewise form avoids overflow in exp for large |x|
-    x = a.value
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = logistic(a.value)
     return _node(out, [(a, lambda g: g * out * (1.0 - out))])
 
 
@@ -174,20 +175,6 @@ def propagate(M, x: Tensor) -> Tensor:
     return _node(np.asarray(M @ x.value), [(x, lambda g: np.asarray(Mt @ g))])
 
 
-def right_matmul_t(x: Tensor, M) -> Tensor:
-    """x @ Mᵀ with M a gradient-free matrix (dense or sparse)."""
-    if M.shape[1] != x.value.shape[1]:
-        raise ShapeError(f"right_matmul_t: {x.value.shape} vs {M.shape}")
-    if _sp.issparse(M):
-        value = np.asarray((M @ x.value.T).T)
-        Mt = M.T
-        vjp = lambda g: np.asarray((Mt @ g.T).T)
-    else:
-        value = x.value @ M.T
-        vjp = lambda g: g @ M
-    return _node(value, [(x, vjp)])
-
-
 def transpose(a: Tensor) -> Tensor:
     return _node(a.value.T, [(a, lambda g: g.T)])
 
@@ -196,18 +183,26 @@ def transpose(a: Tensor) -> Tensor:
 # row reductions and structural ops
 
 
-def row_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
-    """Scale each row to unit L2 norm, flooring the denominator at eps."""
-    norms = np.linalg.norm(a.value, axis=1, keepdims=True)
+def unit_rows(x: np.ndarray, eps: float = 1e-12):
+    """Rows of x scaled to unit L2 norm, denominator floored at eps; returns (out, vjp)."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
     nu = np.maximum(norms, eps)
-    out = a.value / nu
+    out = x / nu
     big = norms > eps
 
     def vjp(g):
         # unit-sphere projection where the norm is live, plain 1/eps otherwise
-        proj = (g - out * (g * out).sum(axis=1, keepdims=True)) / nu
-        return np.where(big, proj, g / eps)
+        proj = out * (g * out).sum(axis=1, keepdims=True)
+        np.subtract(g, proj, out=proj)
+        proj /= nu
+        return proj if big.all() else np.where(big, proj, g / eps)
 
+    return out, vjp
+
+
+def row_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
+    """Scale each row to unit L2 norm, flooring the denominator at eps."""
+    out, vjp = unit_rows(a.value, eps)
     return _node(out, [(a, vjp)])
 
 
@@ -232,21 +227,6 @@ def row_logsumexp(a: Tensor) -> Tensor:
         return g * np.exp(av - lse)   # g times row softmax
 
     return _node(lse, [(a, vjp)])
-
-
-def diag_part(a: Tensor) -> Tensor:
-    """Main diagonal of a square matrix as an n×1 column."""
-    n, m = a.value.shape
-    if n != m:
-        raise ShapeError(f"diag_part: matrix is {a.value.shape}")
-    out = np.diagonal(a.value).reshape(n, 1)
-
-    def vjp(g):
-        full = np.zeros((n, n))
-        np.fill_diagonal(full, g[:, 0])
-        return full
-
-    return _node(out, [(a, vjp)])
 
 
 def where_mask(mask: np.ndarray, a, b) -> Tensor:
@@ -293,3 +273,12 @@ def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
     shape = a.value.shape
     return _node(a.value.sum(), [(a, lambda g: g * np.ones(shape))])
+
+
+def fused_scalar(value, grads) -> Tensor:
+    """One node for a scalar computed with its gradients, grads = [(input, dvalue/dinput)].
+
+    The vjp scales each stored gradient by the upstream scalar; non-Tensor inputs are skipped.
+    """
+    return _node(np.float64(value), [(x, lambda g, d=d: g * d) for x, d in grads
+                                     if isinstance(x, Tensor)])

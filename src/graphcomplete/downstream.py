@@ -33,7 +33,8 @@ from .autodiff import (
     sum_all,
 )
 from .data import GraphDataset, Splits
-from .feature_path import decode_structure, impute_features
+# decode_structure is unused here but stays bound: perfbench/layers.py wraps it
+from .feature_path import decode_structure, impute_features  # noqa: F401
 from .fusion import attention_fuse, init_fusion
 from .nn import (
     OptimConfig,
@@ -91,9 +92,8 @@ class DownstreamConfig:
 class ReconState:
     """Final products of the reconstruction phase.
 
-    imputed: (n, d) completed features, observed entries bit-equal to input.
-    decoded_adj: (n, n) soft adjacency from the feature path.
-    diffusion: (n, n) dense diffusion before sparsification.
+    imputed: (n, d) completed features, observed entries bit-equal to input;
+        decode_structure(imputed) gives the feature path's soft adjacency.
     diffusion_topk: sparse (n, n) top-k diffusion, the propagation operator.
     pos_encoding: (n, h) learned positional embeddings.
     propagated: (n, d) structure-path node representations.
@@ -101,8 +101,6 @@ class ReconState:
     """
 
     imputed: np.ndarray
-    decoded_adj: np.ndarray
-    diffusion: np.ndarray
     diffusion_topk: sp.csr_array
     pos_encoding: np.ndarray
     propagated: np.ndarray
@@ -142,8 +140,8 @@ def run_reconstruction(ds: GraphDataset, cfg: ReconTrainConfig, seed: int) -> Re
     trained parameters.  With epochs=0 this is the initial-parameter state.
     """
     n, d = ds.features.shape
-    diffusion, topk = build_diffusion(ds.edges, n, cfg.ppr)
-    topk_sparse = sp.csr_array(topk)
+    # the dense diffusion and its dense top-k copy are released right here
+    topk = sp.csr_array(build_diffusion(ds.edges, n, cfg.ppr)[1])
 
     init_rng = make_rng(seed, STREAM_INIT)
     drop_rng = make_rng(seed, STREAM_DROPOUT)
@@ -159,12 +157,10 @@ def run_reconstruction(ds: GraphDataset, cfg: ReconTrainConfig, seed: int) -> Re
     for epoch in range(cfg.epochs):
         completed = impute_features(ds.features, ds.feature_mask, store,
                                     dropout=cfg.dropout, rng=drop_rng)
-        decoded = decode_structure(completed)
         pos_enc = positional_features(n, store)
-        propagated = ppnp_forward(topk_sparse, pos_enc, store,
+        propagated = ppnp_forward(topk, pos_enc, store,
                                   dropout=cfg.dropout, rng=drop_rng)
-        total, l_f, l_s = total_contrastive_loss(completed, propagated, decoded,
-                                                 topk_sparse,
+        total, l_f, l_s = total_contrastive_loss(completed, propagated, topk,
                                                  cfg.contrastive)
         if not np.isfinite(total.value):
             raise FloatingPointError(f"non-finite reconstruction loss at epoch {epoch}")
@@ -173,14 +169,11 @@ def run_reconstruction(ds: GraphDataset, cfg: ReconTrainConfig, seed: int) -> Re
         optim.step()
 
     completed = impute_features(ds.features, ds.feature_mask, store)
-    decoded = decode_structure(completed)
     pos_enc = positional_features(n, store)
-    propagated = ppnp_forward(topk_sparse, pos_enc, store)
+    propagated = ppnp_forward(topk, pos_enc, store)
     return ReconState(
         imputed=completed.value,
-        decoded_adj=decoded.value,
-        diffusion=diffusion,
-        diffusion_topk=topk_sparse,
+        diffusion_topk=topk,
         pos_encoding=pos_enc.value,
         propagated=propagated.value,
         loss_history=history,

@@ -69,15 +69,22 @@ def normalize_adjacency(edges: np.ndarray, n: int, sparse: bool = False):
 def ppr_closed_form(a_norm: np.ndarray, alpha: float) -> np.ndarray:
     """Exact diffusion: alpha * (I - (1-alpha) * a_norm)^{-1}.
 
-    The system is nonsingular whenever alpha > 0 and a_norm has spectral
-    radius at most 1, which normalize_adjacency guarantees.
+    With a_norm symmetric of spectrum in [-1, 1] (normalize_adjacency) the system
+    is positive definite, eigenvalues in [alpha, 2 - alpha], so it is inverted
+    through a Cholesky factor of its upper triangle and mirrored exactly symmetric.
     """
+    from scipy.linalg import lapack  # imported on first use: it adds ~0.1 s to package import
     a_norm = np.asarray(a_norm, dtype=np.float64)
     n = a_norm.shape[0]
     system = np.eye(n) - (1.0 - alpha) * a_norm
-    out = np.linalg.solve(system, alpha * np.eye(n))
+    factor, info = lapack.dpotrf(system, overwrite_a=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"PPR system is not positive definite (potrf info={info}); "
+                                    "a_norm must be a symmetric normalized adjacency")
+    out = alpha * np.triu(lapack.dpotri(factor, overwrite_c=True)[0])
+    out += np.triu(out, 1).T
     # the series expansion is nonnegative; clip roundoff dust
-    return np.maximum(out, 0.0)
+    return np.maximum(out, 0.0, out=out)
 
 
 def ppr_power_iteration(a_norm: np.ndarray, alpha: float,
@@ -108,20 +115,18 @@ def knn_sparsify(matrix: np.ndarray, k: int) -> np.ndarray:
     self column competes like any other.  k of at least n keeps everything.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    n, m = matrix.shape
+    m = matrix.shape[1]
     if k < 1:
         raise ValueError(f"k {k} must be at least 1")
     if k >= m:
         if k > m:
             warnings.warn(f"k={k} exceeds {m} columns; keeping all")
         return matrix.copy()
-    # stable argsort on the negated row keeps smaller indices first among ties
-    order = np.argsort(-matrix, axis=1, kind="stable")
-    keep = order[:, :k]
-    out = np.zeros_like(matrix)
-    rows = np.repeat(np.arange(n), k)
-    out[rows, keep.ravel()] = matrix[rows, keep.ravel()]
-    return out
+    # entries above the row's k-th largest value stay; ties with it fill the rest in column order
+    kth = -np.partition(-matrix, k - 1, axis=1)[:, k - 1:k]
+    above, tied = matrix > kth, matrix == kth
+    slots = k - above.sum(axis=1, keepdims=True)
+    return np.where(above | (tied & (np.cumsum(tied, axis=1) <= slots)), matrix, 0.0)
 
 
 def positional_features(n: int, store: ParamStore, prefix: str = "pos") -> Tensor:

@@ -78,11 +78,9 @@ def test_acceptance_1_gradient_soundness(capsys):
 
     def loss(s):
         completed = gc.impute_features(ds.features, ds.feature_mask, s)
-        decoded = gc.decode_structure(completed)
         pos = gc.positional_features(n, s)
         propagated = ppnp_forward(topk, pos, s)
-        total, _, _ = gc.total_contrastive_loss(completed, propagated,
-                                                decoded, topk,
+        total, _, _ = gc.total_contrastive_loss(completed, propagated, topk,
                                                 gc.ContrastiveConfig(0.5))
         return total
 

@@ -84,10 +84,6 @@ class TestShapeChecks:
         with pytest.raises(ad.ShapeError):
             ad.mul_colvec(a, c)
 
-    def test_diag_part_requires_square(self):
-        with pytest.raises(ad.ShapeError):
-            ad.diag_part(ad.constant(np.ones((2, 3))))
-
     def test_slice_cols_bounds(self):
         a = ad.constant(np.ones((2, 3)))
         with pytest.raises(ad.ShapeError):
@@ -138,13 +134,6 @@ class TestForwardValues:
         sparse = ad.propagate(sp.csr_array(M), ad.constant(x)).value
         np.testing.assert_allclose(dense, M @ x, rtol=1e-12)
         np.testing.assert_allclose(sparse, M @ x, rtol=1e-12)
-
-    def test_right_matmul_t_matches_dense(self):
-        rng = np.random.default_rng(5)
-        M = rng.normal(size=(4, 5))
-        x = rng.normal(size=(3, 5))
-        out = ad.right_matmul_t(ad.constant(x), sp.csr_array(M))
-        np.testing.assert_allclose(out.value, x @ M.T, rtol=1e-12)
 
 
 class TestGradients:
@@ -210,13 +199,6 @@ class TestGradients:
             gradcheck(lambda s, c=carrier: ad.sum_all(
                 ad.sigmoid(ad.propagate(c, s["x"]))), store)
 
-    def test_right_matmul_t_sparse(self):
-        rng = np.random.default_rng(19)
-        M = sp.csr_array(rng.normal(size=(5, 4)))
-        store = store_with(rng, x=(3, 4))
-        gradcheck(lambda s: ad.sum_all(
-            ad.sigmoid(ad.right_matmul_t(s["x"], M))), store)
-
     def test_transpose(self):
         rng = np.random.default_rng(20)
         store = store_with(rng, a=(2, 5))
@@ -250,13 +232,6 @@ class TestGradients:
         rng = np.random.default_rng(23)
         store = store_with(rng, a=(4, 5))
         gradcheck(lambda s: ad.sum_all(ad.row_logsumexp(s["a"])), store)
-
-    def test_diag_part(self):
-        rng = np.random.default_rng(24)
-        store = store_with(rng, a=(4, 4))
-        gradcheck(lambda s: ad.sum_all(
-            ad.mul(ad.diag_part(ad.matmul(s["a"], s["a"])),
-                   ad.constant(np.arange(1.0, 5.0).reshape(4, 1)))), store)
 
     def test_where_mask_gradient_respects_mask(self):
         rng = np.random.default_rng(25)

@@ -117,6 +117,21 @@ class TestPPR:
         exact = ppr_closed_form(a_norm, alpha)
         assert np.abs(series - exact).max() < 1e-6
 
+    def test_cholesky_matches_lu_and_is_exactly_symmetric(self):
+        rng = np.random.default_rng(7)
+        for n, alpha in ((1, 0.3), (6, 0.05), (40, 0.1), (120, 0.9)):
+            a_norm = normalize_adjacency(random_graph(rng, n, p=0.1), n)
+            lu = np.maximum(np.linalg.solve(np.eye(n) - (1.0 - alpha) * a_norm,
+                                            alpha * np.eye(n)), 0.0)
+            out = ppr_closed_form(a_norm, alpha)
+            assert np.abs(out - lu).max() <= 1e-12
+            np.testing.assert_array_equal(out, out.T)
+
+    def test_indefinite_system_raises(self):
+        # off-diagonal weight 5 puts an eigenvalue of a_norm far above 1
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            ppr_closed_form(np.array([[0.0, 5.0], [5.0, 0.0]]), 0.1)
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="alpha"):
             PPRConfig(alpha=0.0)
@@ -163,6 +178,29 @@ class TestKnnSparsify:
         a = rng.random((10, 10))
         out = knn_sparsify(a, 4)
         np.testing.assert_array_equal((out != 0).sum(axis=1), 4)
+
+    def test_bit_identical_to_stable_argsort(self):
+        def argsort_reference(matrix, k):
+            order = np.argsort(-matrix, axis=1, kind="stable")[:, :k]
+            out = np.zeros_like(matrix)
+            rows = np.repeat(np.arange(matrix.shape[0]), k)
+            out[rows, order.ravel()] = matrix[rows, order.ravel()]
+            return out
+
+        rng = np.random.default_rng(9)
+        for trial in range(300):
+            n, m = rng.integers(1, 12), rng.integers(2, 12)
+            kind = trial % 3
+            if kind == 0:     # integer values: many ties at the k-th value
+                a = rng.integers(-2, 3, size=(n, m)).astype(np.float64)
+            elif kind == 1:   # signed zeros among a few distinct values
+                a = rng.choice([-0.0, 0.0, 0.5, -0.5, 1.0], size=(n, m))
+            else:
+                a = rng.random((n, m))
+            for k in sorted({1, int(rng.integers(1, m)), m - 2, m - 1} - {0, -1}):
+                out = knn_sparsify(a, k)
+                ref = argsort_reference(a, k)
+                np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
 
 
 class TestPositionalFeatures:
