@@ -15,6 +15,7 @@ computed only afterwards, from frozen logits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import sparse as sp
@@ -26,8 +27,6 @@ from .autodiff import (
     constant,
     matmul,
     mul,
-    propagate,
-    relu,
     row_logsumexp,
     scale,
     sum_all,
@@ -40,10 +39,8 @@ from .nn import (
     OptimConfig,
     Optimizer,
     ParamStore,
-    dropout_mask,
     glorot,
     init_mlp2,
-    mlp2_forward,
 )
 from .objective import ContrastiveConfig, total_contrastive_loss
 from .rng import (
@@ -62,6 +59,16 @@ from .structure_path import (
 )
 
 
+def _check_ranges(cfg, widths: tuple[str, ...]) -> None:
+    """Dropout must lie in [0, 1) and every layer width be at least 1."""
+    where = type(cfg).__name__
+    if not (0.0 <= cfg.dropout < 1.0):
+        raise ValueError(f"{where}.dropout {cfg.dropout} outside [0, 1)")
+    for name in widths:
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{where}.{name} {getattr(cfg, name)} must be at least 1")
+
+
 @dataclass(frozen=True)
 class ReconTrainConfig:
     """Settings for the self-supervised reconstruction phase."""
@@ -75,6 +82,9 @@ class ReconTrainConfig:
     dropout: float = 0.0
     epochs: int = 200
 
+    def __post_init__(self):
+        _check_ranges(self, ("imputer_hidden", "pe_hidden", "ppnp_hidden"))
+
 
 @dataclass(frozen=True)
 class DownstreamConfig:
@@ -87,6 +97,9 @@ class DownstreamConfig:
     max_epochs: int = 500
     patience: int = 100
 
+    def __post_init__(self):
+        _check_ranges(self, ("gcn_hidden", "attention_dim"))
+
 
 @dataclass(frozen=True)
 class ReconState:
@@ -95,14 +108,12 @@ class ReconState:
     imputed: (n, d) completed features, observed entries bit-equal to input;
         decode_structure(imputed) gives the feature path's soft adjacency.
     diffusion_topk: sparse (n, n) top-k diffusion, the propagation operator.
-    pos_encoding: (n, h) learned positional embeddings.
     propagated: (n, d) structure-path node representations.
     loss_history: (epochs, 3) feature term, structure term, total per epoch.
     """
 
     imputed: np.ndarray
     diffusion_topk: sp.csr_array
-    pos_encoding: np.ndarray
     propagated: np.ndarray
     loss_history: np.ndarray
     params: ParamStore = field(repr=False)
@@ -169,12 +180,10 @@ def run_reconstruction(ds: GraphDataset, cfg: ReconTrainConfig, seed: int) -> Re
         optim.step()
 
     completed = impute_features(ds.features, ds.feature_mask, store)
-    pos_enc = positional_features(n, store)
-    propagated = ppnp_forward(topk, pos_enc, store)
+    propagated = ppnp_forward(topk, positional_features(n, store), store)
     return ReconState(
         imputed=completed.value,
         diffusion_topk=topk,
-        pos_encoding=pos_enc.value,
         propagated=propagated.value,
         loss_history=history,
         params=store,
@@ -185,16 +194,8 @@ def run_reconstruction(ds: GraphDataset, cfg: ReconTrainConfig, seed: int) -> Re
 # classifier
 
 
-def gcn_forward(a_norm, features, store: ParamStore, prefix: str = "gcn",
-                dropout: float = 0.0, rng=None) -> Tensor:
-    """Two-layer graph convolution: A · ReLU(A · X · Wa) · Wb."""
-    x = features if isinstance(features, Tensor) else constant(np.asarray(features, dtype=np.float64))
-    h = relu(propagate(a_norm, matmul(x, store[f"{prefix}.Wa"])))
-    if dropout > 0.0:
-        if rng is None:
-            raise ValueError("dropout requires a generator")
-        h = mul(h, constant(dropout_mask(h.value.shape, dropout, rng)))
-    return propagate(a_norm, matmul(h, store[f"{prefix}.Wb"]))
+# the classifier is the structure path's net over its own operator and weights
+gcn_forward = partial(ppnp_forward, prefix="gcn")
 
 
 def cross_entropy_loss(logits: Tensor, labels: np.ndarray, idx: np.ndarray,
@@ -259,18 +260,17 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
 
     store = ParamStore()
     # classifier params first: a fusion-free baseline draws identical values
-    store.add("gcn.Wa", glorot(init_rng, d, cfg.gcn_hidden))
-    store.add("gcn.Wb", glorot(init_rng, cfg.gcn_hidden, num_classes))
+    store.add("gcn.W0", glorot(init_rng, d, cfg.gcn_hidden))
+    store.add("gcn.W1", glorot(init_rng, cfg.gcn_hidden, num_classes))
     if use_fusion:
         init_fusion(store, d, cfg.attention_dim, init_rng)
     optim = Optimizer(store, cfg.optim)
 
+    def inputs() -> Tensor:
+        return attention_fuse(x_view, z_view, store).fused if use_fusion else constant(x_view)
+
     def eval_logits() -> np.ndarray:
-        if use_fusion:
-            x = attention_fuse(x_view, z_view, store).fused
-        else:
-            x = constant(x_view)
-        return gcn_forward(a_norm, x, store).value
+        return gcn_forward(a_norm, inputs(), store).value
 
     logits0 = eval_logits()
     best = {
@@ -282,11 +282,7 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
     curve = []
     since_best = 0
     for epoch in range(cfg.max_epochs):
-        if use_fusion:
-            x = attention_fuse(x_view, z_view, store).fused
-        else:
-            x = constant(x_view)
-        logits = gcn_forward(a_norm, x, store, dropout=cfg.dropout, rng=drop_rng)
+        logits = gcn_forward(a_norm, inputs(), store, dropout=cfg.dropout, rng=drop_rng)
         loss = cross_entropy_loss(logits, labels_trainval, train_idx, num_classes)
         if not np.isfinite(loss.value):
             raise FloatingPointError(f"non-finite classifier loss at epoch {epoch}")
@@ -310,21 +306,14 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
     return store, best, tuple(curve), weights
 
 
-def _redact(labels: np.ndarray, test_idx: np.ndarray) -> np.ndarray:
-    out = labels.copy()
-    out[test_idx] = -1
-    return out
-
-
-def train_downstream(recon: ReconState, labels: np.ndarray, num_classes: int,
-                     splits: Splits, cfg: DownstreamConfig, seed: int,
-                     config_digest: str = "") -> DownstreamResult:
-    """Supervised phase on the frozen reconstructions; reports test accuracy
-    at the best-validation checkpoint."""
-    a_norm = downstream_propagation_matrix(recon.diffusion_topk)
-    redacted = _redact(labels, splits.test)
+def _fit_and_score(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
+                   labels: np.ndarray, num_classes: int, splits: Splits,
+                   cfg: DownstreamConfig, seed: int, config_digest: str) -> DownstreamResult:
+    """Fit on test-redacted labels, then score the frozen best checkpoint."""
+    redacted = labels.copy()
+    redacted[splits.test] = -1
     store, best, curve, weights = _fit_downstream(
-        recon.imputed, recon.propagated, a_norm, redacted, num_classes,
+        x_view, z_view, a_norm, redacted, num_classes,
         splits.train, splits.val, cfg, seed)
     metrics = Metrics(
         train_accuracy=evaluate(best["logits"], redacted, splits.train),
@@ -339,23 +328,20 @@ def train_downstream(recon: ReconState, labels: np.ndarray, num_classes: int,
                             fusion_weights=weights, store=store)
 
 
+def train_downstream(recon: ReconState, labels: np.ndarray, num_classes: int,
+                     splits: Splits, cfg: DownstreamConfig, seed: int,
+                     config_digest: str = "") -> DownstreamResult:
+    """Supervised phase on the frozen reconstructions; reports test accuracy
+    at the best-validation checkpoint."""
+    return _fit_and_score(recon.imputed, recon.propagated,
+                          downstream_propagation_matrix(recon.diffusion_topk),
+                          labels, num_classes, splits, cfg, seed, config_digest)
+
+
 def train_gcn_baseline(ds: GraphDataset, splits: Splits, cfg: DownstreamConfig,
                        seed: int, config_digest: str = "") -> DownstreamResult:
     """Plain classifier on the dataset as stored: zero-filled features and
     the surviving edges.  No reconstruction, no fusion."""
-    a_norm = normalize_adjacency(ds.edges, ds.n, sparse=True)
-    redacted = _redact(ds.labels, splits.test)
-    store, best, curve, _ = _fit_downstream(
-        ds.features, None, a_norm, redacted, ds.num_classes,
-        splits.train, splits.val, cfg, seed)
-    metrics = Metrics(
-        train_accuracy=evaluate(best["logits"], redacted, splits.train),
-        val_accuracy=best["val"],
-        test_accuracy=evaluate(best["logits"], ds.labels, splits.test),
-        loss_curve=curve,
-        seed=seed,
-        config_digest=config_digest,
-        best_epoch=best["epoch"],
-    )
-    return DownstreamResult(metrics=metrics, logits=best["logits"],
-                            fusion_weights=None, store=store)
+    return _fit_and_score(ds.features, None,
+                          normalize_adjacency(ds.edges, ds.n, sparse=True),
+                          ds.labels, ds.num_classes, splits, cfg, seed, config_digest)

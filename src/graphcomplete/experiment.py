@@ -6,8 +6,9 @@ and reports split accuracies.  Cells are independent jobs; a bounded worker
 pool may execute them concurrently, but a single collector writes all files
 in submission order, so outputs are byte-identical across reruns.
 
-Configuration is a flat key=value text file; command-line flags mirror the
-keys and override the file.  Every output file embeds the config digest and
+Configuration is a flat key=value text file; each key is also a command-line
+flag (``--`` plus the key with dashes for underscores), and flags override the
+file.  Every output file embeds the config digest and
 the seed it came from.
 """
 
@@ -19,7 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,52 +41,60 @@ RECON_METHOD = "recon-gcn"
 BASELINE_METHOD = "zerofill-gcn"
 
 
+def _help(default, text: str):
+    return field(default=default, metadata={"help": text})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat experiment settings; field names double as config-file keys."""
+    """Flat experiment settings; field names double as config-file keys and,
+    with dashes, as command-line flags.  A field's default fixes its type."""
 
-    dataset: str = ""
-    out: str = "runs"
-    feature_missing: tuple = (0.3,)
-    edge_missing: tuple = (0.3,)
-    feature_mode: str = "entry"
-    seeds: tuple = (0,)
-    baseline: str = "with"          # with | only | off
-    alpha: float = 0.1
-    k: int = 20
-    ppr_method: str = "closed_form"
+    dataset: str = _help("", "dataset directory")
+    out: str = _help("runs", "output directory")
+    feature_missing: tuple = _help((0.3,), "comma list of feature missing rates")
+    edge_missing: tuple = _help((0.3,), "comma list of edge missing rates")
+    feature_mode: str = _help("entry", "hide single entries or whole rows (entry, row)")
+    seeds: tuple = _help((0,), "comma list of seeds")
+    baseline: str = _help("with", "run the zero-fill baseline alongside, alone, or not "
+                                  "at all (with, only, off)")
+    alpha: float = _help(0.1, "diffusion reset probability")
+    k: int = _help(20, "neighbors kept per diffusion row")
+    ppr_method: str = _help("closed_form", "diffusion solver (closed_form, power_iteration)")
     ppr_tol: float = 1e-8
     ppr_max_iter: int = 1000
-    temperature: float = 0.5
+    temperature: float = _help(0.5, "contrastive temperature")
     imputer_hidden: int = 256
     pe_hidden: int = 512
     ppnp_hidden: int = 256
     gcn_hidden: int = 64
     attention_dim: int = 64
-    epochs: int = 200               # reconstruction epochs
+    epochs: int = _help(200, "reconstruction epochs")
     recon_lr: float = 0.01
     recon_weight_decay: float = 0.0
-    recon_optimizer: str = "adam"
+    recon_optimizer: str = _help("adam", "adam or sgd")
     recon_dropout: float = 0.0
     down_lr: float = 0.01
     down_weight_decay: float = 5e-4
-    down_optimizer: str = "adam"
+    down_optimizer: str = _help("adam", "adam or sgd")
     down_dropout: float = 0.5
     down_max_epochs: int = 500
     down_patience: int = 100
-    dump_embeddings: bool = False
-    dump_structure: bool = False
+    dump_embeddings: bool = _help(False, "write per-cell embedding tsv files")
+    dump_structure: bool = _help(False, "write per-cell sparsified diffusion edge lists")
     workers: int = 1
 
     def __post_init__(self):
+        # any sequence is accepted; tuples keep the digest and hash independent of it
+        for name in ("feature_missing", "edge_missing", "seeds"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.dataset:
             raise ValueError("dataset path is required")
-        for rate in tuple(self.feature_missing) + tuple(self.edge_missing):
-            if not (0.0 <= rate <= 1.0):
-                raise ValueError(f"missing rate {rate} outside [0, 1]")
         nf, ne = len(self.feature_missing), len(self.edge_missing)
-        if nf != ne and 1 not in (nf, ne):
+        if not (nf and ne) or (nf != ne and 1 not in (nf, ne)):
             raise ValueError(f"cannot pair {nf} feature rates with {ne} edge rates")
+        for fr, er in self.rate_pairs():
+            MaskSpec(fr, er, self.feature_mode)
         if self.baseline not in ("with", "only", "off"):
             raise ValueError(f"baseline must be with/only/off, got {self.baseline!r}")
         if not self.seeds:
@@ -97,7 +106,7 @@ class ExperimentConfig:
         self.downstream_config()
 
     def rate_pairs(self) -> list[tuple[float, float]]:
-        fr, er = tuple(self.feature_missing), tuple(self.edge_missing)
+        fr, er = self.feature_missing, self.edge_missing
         if len(fr) == 1 and len(er) > 1:
             fr = fr * len(er)
         if len(er) == 1 and len(fr) > 1:
@@ -154,32 +163,24 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # config file and overrides
 
-_TUPLE_FLOAT = ("feature_missing", "edge_missing")
-_TUPLE_INT = ("seeds",)
-_BOOL = ("dump_embeddings", "dump_structure")
-
-
 def _coerce(name: str, raw):
-    if not isinstance(raw, str):
-        return raw
-    if name in _TUPLE_FLOAT:
-        return tuple(float(x) for x in raw.split(",") if x != "")
-    if name in _TUPLE_INT:
-        return tuple(int(x) for x in raw.split(",") if x != "")
-    if name in _BOOL:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"{name}: expected a boolean, got {raw!r}")
+    """Read a string value as the type of the field's default; other values pass."""
     if name not in ExperimentConfig.__dataclass_fields__:
         raise ValueError(f"unknown config key {name!r}")
     default = ExperimentConfig.__dataclass_fields__[name].default
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+    if not isinstance(raw, str):
+        return raw
+    if isinstance(default, bool):
+        if raw.lower() not in ("true", "1", "yes", "false", "0", "no"):
+            raise ValueError(f"{name}: expected a boolean, got {raw!r}")
+        return raw.lower() in ("true", "1", "yes")
+    kind = type(default[0]) if isinstance(default, tuple) else type(default)
+    try:
+        if isinstance(default, tuple):
+            return tuple(kind(x) for x in raw.split(",") if x != "")
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"{name}: expected {kind.__name__} values, got {raw!r}") from None
 
 
 def parse_config_file(path: str) -> dict:
@@ -321,15 +322,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                     os.makedirs(cell_dir, exist_ok=True)
                     res = results[RECON_METHOD]
                     fusion_out = attention_fuse(recon.imputed, recon.propagated, res.store)
-                    export_embeddings(fusion_out.fused.value,
-                                      os.path.join(cell_dir, "fused.tsv"),
-                                      f"{head} view=fused")
-                    export_embeddings(recon.imputed,
-                                      os.path.join(cell_dir, "imputed.tsv"),
-                                      f"{head} view=imputed")
-                    export_embeddings(recon.propagated,
-                                      os.path.join(cell_dir, "propagated.tsv"),
-                                      f"{head} view=propagated")
+                    for view, matrix in (("fused", fusion_out.fused.value),
+                                         ("imputed", recon.imputed),
+                                         ("propagated", recon.propagated)):
+                        export_embeddings(matrix, os.path.join(cell_dir, f"{view}.tsv"),
+                                          f"{head} view={view}")
                     export_fusion_weights(fusion_out,
                                           os.path.join(cell_dir, "fusion_weights.tsv"),
                                           f"{head} view=weights")
@@ -375,55 +372,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Reconstruct missing node features and edges, then "
                     "classify nodes; sweeps missing rates over seeds.")
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--dataset", help="dataset directory")
-    p.add_argument("--feature-missing", dest="feature_missing",
-                   help="comma list of feature missing rates")
-    p.add_argument("--edge-missing", dest="edge_missing",
-                   help="comma list of edge missing rates")
-    p.add_argument("--feature-mode", dest="feature_mode", choices=["entry", "row"])
-    p.add_argument("--alpha", type=float, help="diffusion reset probability")
-    p.add_argument("--k", type=int, help="neighbors kept per diffusion row")
-    p.add_argument("--temperature", type=float, help="contrastive temperature")
-    p.add_argument("--epochs", type=int, help="reconstruction epochs")
-    p.add_argument("--seeds", help="comma list of seeds")
-    p.add_argument("--baseline", choices=["with", "only", "off"],
-                   help="run the zero-fill baseline alongside, alone, or not at all")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--dump-embeddings", dest="dump_embeddings",
-                   action="store_true", default=None,
-                   help="write per-cell embedding tsv files")
-    p.add_argument("--dump-structure", dest="dump_structure",
-                   action="store_true", default=None,
-                   help="write per-cell sparsified diffusion edge lists")
-    p.add_argument("--ppr-method", dest="ppr_method",
-                   choices=["closed_form", "power_iteration"])
-    p.add_argument("--ppr-tol", dest="ppr_tol", type=float)
-    p.add_argument("--ppr-max-iter", dest="ppr_max_iter", type=int)
-    p.add_argument("--imputer-hidden", dest="imputer_hidden", type=int)
-    p.add_argument("--pe-hidden", dest="pe_hidden", type=int)
-    p.add_argument("--ppnp-hidden", dest="ppnp_hidden", type=int)
-    p.add_argument("--gcn-hidden", dest="gcn_hidden", type=int)
-    p.add_argument("--attention-dim", dest="attention_dim", type=int)
-    p.add_argument("--recon-lr", dest="recon_lr", type=float)
-    p.add_argument("--recon-weight-decay", dest="recon_weight_decay", type=float)
-    p.add_argument("--recon-optimizer", dest="recon_optimizer", choices=["sgd", "adam"])
-    p.add_argument("--recon-dropout", dest="recon_dropout", type=float)
-    p.add_argument("--down-lr", dest="down_lr", type=float)
-    p.add_argument("--down-weight-decay", dest="down_weight_decay", type=float)
-    p.add_argument("--down-optimizer", dest="down_optimizer", choices=["sgd", "adam"])
-    p.add_argument("--down-dropout", dest="down_dropout", type=float)
-    p.add_argument("--down-max-epochs", dest="down_max_epochs", type=int)
-    p.add_argument("--down-patience", dest="down_patience", type=int)
-    p.add_argument("--workers", type=int)
+    for f in fields(ExperimentConfig):
+        # every flag defaults to None, which make_config reads as "not given"
+        switch = {"action": "store_true"} if isinstance(f.default, bool) else {}
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None,
+                       help=f.metadata.get("help"), **switch)
     return p
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    overrides = vars(_build_parser().parse_args(argv))
+    config_path = overrides.pop("config")
     try:
-        file_values = parse_config_file(args.config) if args.config else {}
-        overrides = {k: v for k, v in vars(args).items()
-                     if k != "config" and v is not None}
+        file_values = parse_config_file(config_path) if config_path else {}
         cfg = make_config(file_values, overrides)
         result = run_experiment(cfg)
     except Exception as exc:

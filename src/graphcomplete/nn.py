@@ -73,13 +73,6 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_affine(store: ParamStore, prefix: str, fan_in: int, fan_out: int,
-                rng: np.random.Generator, bias: bool = True) -> None:
-    store.add(f"{prefix}.W", glorot(rng, fan_in, fan_out))
-    if bias:
-        store.add(f"{prefix}.b", np.zeros((1, fan_out)))
-
-
 def init_mlp2(store: ParamStore, prefix: str, dims: tuple[int, int, int],
               rng: np.random.Generator) -> None:
     """Two affine layers: dims = (input, hidden, output)."""
@@ -118,14 +111,17 @@ def mlp2_forward(store: ParamStore, prefix: str, X,
 # optimization
 
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class OptimConfig:
     learning_rate: float
     weight_decay: float = 0.0
     method: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -154,12 +150,12 @@ class Optimizer:
             if cfg.method == "sgd":
                 new = p.value - cfg.learning_rate * g
             else:
-                m = cfg.beta1 * self._m[name] + (1 - cfg.beta1) * g
-                v = cfg.beta2 * self._v[name] + (1 - cfg.beta2) * g * g
+                m = ADAM_BETA1 * self._m[name] + (1 - ADAM_BETA1) * g
+                v = ADAM_BETA2 * self._v[name] + (1 - ADAM_BETA2) * g * g
                 self._m[name], self._v[name] = m, v
-                m_hat = m / (1 - cfg.beta1 ** self._t)
-                v_hat = v / (1 - cfg.beta2 ** self._t)
-                new = p.value - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+                m_hat = m / (1 - ADAM_BETA1 ** self._t)
+                v_hat = v / (1 - ADAM_BETA2 ** self._t)
+                new = p.value - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             if not np.all(np.isfinite(new)):
                 raise FloatingPointError(f"non-finite update for parameter {name!r}")
             p.value = new

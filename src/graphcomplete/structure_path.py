@@ -143,7 +143,9 @@ def positional_features(n: int, store: ParamStore, prefix: str = "pos") -> Tenso
 
 def ppnp_forward(diffusion, features, store: ParamStore, prefix: str = "ppnp",
                  dropout: float = 0.0, rng=None) -> Tensor:
-    """Two propagation layers: A · ReLU(A · X · W0) · W1, no biases."""
+    """Two propagation layers: A · ReLU(A · X · W0) · W1, no biases.
+
+    The downstream classifier is this net under prefix "gcn" (gcn.W0, gcn.W1)."""
     x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=np.float64))
     h = relu(propagate(diffusion, matmul(x, store[f"{prefix}.W0"])))
     if dropout > 0.0:

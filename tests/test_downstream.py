@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from graphcomplete.downstream import (
     train_gcn_baseline,
 )
 from graphcomplete.nn import OptimConfig, ParamStore, glorot
-from graphcomplete.structure_path import normalize_adjacency
+from graphcomplete.structure_path import normalize_adjacency, ppnp_forward
 
 from conftest import gradcheck
 
@@ -26,8 +27,8 @@ from conftest import gradcheck
 def gcn_store(d, h, c, seed=0):
     rng = np.random.default_rng(seed)
     store = ParamStore()
-    store.add("gcn.Wa", glorot(rng, d, h))
-    store.add("gcn.Wb", glorot(rng, h, c))
+    store.add("gcn.W0", glorot(rng, d, h))
+    store.add("gcn.W1", glorot(rng, h, c))
     return store
 
 
@@ -49,14 +50,32 @@ def separable_dataset(seed=0):
     return gc.generate_sbm(10, 2, 0.5, 0.0, two_block_features(8), 0.0, seed=seed)
 
 
+class TestConfigRanges:
+    # out-of-range values are covered through ExperimentConfig in test_experiment
+    def test_edges_of_the_ranges_accepted(self):
+        ReconTrainConfig(dropout=0.0, imputer_hidden=1, pe_hidden=1, ppnp_hidden=1)
+        DownstreamConfig(dropout=0.99, gcn_hidden=1, attention_dim=1)
+
+
 class TestGCNForward:
+    def test_is_the_structure_path_net_under_gcn_weights(self):
+        rng = np.random.default_rng(7)
+        store = gcn_store(3, 4, 2, seed=8)
+        ppnp = ParamStore()
+        ppnp.add("ppnp.W0", store["gcn.W0"].value)
+        ppnp.add("ppnp.W1", store["gcn.W1"].value)
+        a = sp.csr_array(normalize_adjacency(np.array([[0, 1], [1, 2]]), 3))
+        X = rng.normal(size=(3, 3))
+        np.testing.assert_array_equal(gcn_forward(a, X, store).value,
+                                      ppnp_forward(a, X, ppnp).value)
+
     def test_identity_propagation_is_mlp(self):
         rng = np.random.default_rng(1)
         store = gcn_store(4, 6, 3, seed=2)
         X = rng.normal(size=(5, 4))
         out = gcn_forward(np.eye(5), X, store)
-        Wa, Wb = store["gcn.Wa"].value, store["gcn.Wb"].value
-        np.testing.assert_allclose(out.value, np.maximum(X @ Wa, 0.0) @ Wb,
+        W0, W1 = store["gcn.W0"].value, store["gcn.W1"].value
+        np.testing.assert_allclose(out.value, np.maximum(X @ W0, 0.0) @ W1,
                                    rtol=1e-12)
 
     def test_zero_features_give_zero_logits(self):
@@ -71,8 +90,8 @@ class TestGCNForward:
         store = gcn_store(3, 5, 2, seed=5)
         X = rng.normal(size=(4, 3))
         out = gcn_forward(sp.csr_array(a), X, store)
-        Wa, Wb = store["gcn.Wa"].value, store["gcn.Wb"].value
-        expected = a @ np.maximum(a @ X @ Wa, 0.0) @ Wb
+        W0, W1 = store["gcn.W0"].value, store["gcn.W1"].value
+        expected = a @ np.maximum(a @ X @ W0, 0.0) @ W1
         np.testing.assert_allclose(out.value, expected, rtol=1e-12)
 
     def test_dropout_requires_generator(self):
@@ -237,16 +256,23 @@ class TestDownstreamTraining:
     def test_test_labels_cannot_influence_training(self):
         ds = gc.apply_mask(separable_dataset(seed=1),
                            gc.MaskSpec(0.3, 0.2, "entry", 3))
-        clean, _ = self.run_pipeline(ds, seed=6)
-        poisoned, _ = self.run_pipeline(ds, seed=6, scramble_test_labels=True)
-        # identical fit: logits, curve, checkpoint epoch, train/val metrics
-        np.testing.assert_array_equal(clean.logits, poisoned.logits)
-        assert clean.metrics.loss_curve == poisoned.metrics.loss_curve
-        assert clean.metrics.best_epoch == poisoned.metrics.best_epoch
-        assert clean.metrics.val_accuracy == poisoned.metrics.val_accuracy
-        # only the after-the-fact test scoring moves
-        assert clean.metrics.test_accuracy == pytest.approx(
-            1.0 - poisoned.metrics.test_accuracy)
+        splits = gc.make_splits(ds, seed=6)
+        scrambled = ds.labels.copy()
+        scrambled[splits.test] = (scrambled[splits.test] + 1) % ds.num_classes
+        poisoned_ds = dataclasses.replace(ds, labels=scrambled)
+        baseline = [train_gcn_baseline(d, splits, quick_downstream_config(), seed=6)
+                    for d in (ds, poisoned_ds)]
+        fused = [self.run_pipeline(ds, seed=6, scramble_test_labels=s)[0]
+                 for s in (False, True)]
+        for clean, poisoned in (fused, baseline):
+            # identical fit: logits, curve, checkpoint epoch, train/val metrics
+            np.testing.assert_array_equal(clean.logits, poisoned.logits)
+            assert clean.metrics.loss_curve == poisoned.metrics.loss_curve
+            assert clean.metrics.best_epoch == poisoned.metrics.best_epoch
+            assert clean.metrics.val_accuracy == poisoned.metrics.val_accuracy
+            # only the after-the-fact test scoring moves
+            assert clean.metrics.test_accuracy == pytest.approx(
+                1.0 - poisoned.metrics.test_accuracy)
 
     def test_classifier_init_matches_baseline(self):
         # both entry points draw classifier weights first from the same
@@ -258,10 +284,10 @@ class TestDownstreamTraining:
         fused = train_downstream(recon, ds.labels, ds.num_classes, splits, cfg,
                                  seed=7)
         baseline = train_gcn_baseline(ds, splits, cfg, seed=7)
-        np.testing.assert_array_equal(fused.store["gcn.Wa"].value,
-                                      baseline.store["gcn.Wa"].value)
-        np.testing.assert_array_equal(fused.store["gcn.Wb"].value,
-                                      baseline.store["gcn.Wb"].value)
+        np.testing.assert_array_equal(fused.store["gcn.W0"].value,
+                                      baseline.store["gcn.W0"].value)
+        np.testing.assert_array_equal(fused.store["gcn.W1"].value,
+                                      baseline.store["gcn.W1"].value)
         assert baseline.fusion_weights is None
 
     def test_patience_stops_early(self):

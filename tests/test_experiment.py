@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,6 +7,7 @@ import pytest
 
 import graphcomplete as gc
 from graphcomplete.data import two_block_features
+from graphcomplete import experiment
 from graphcomplete.experiment import (
     BASELINE_METHOD,
     RECON_METHOD,
@@ -58,6 +60,35 @@ class TestConfig:
         assert lines == sorted(lines)
         assert "alpha=0.1" in lines
         assert "seeds=0,1" in lines
+
+    def test_digest_independent_of_container_type(self, dataset_dir):
+        as_lists = quick_config(dataset_dir, "out", feature_missing=[0.3],
+                                edge_missing=[0.2], seeds=[0, 1])
+        as_tuples = quick_config(dataset_dir, "out")
+        assert as_lists.canonical_text() == as_tuples.canonical_text()
+        assert as_lists.digest() == as_tuples.digest()
+        assert hash(as_lists) == hash(as_tuples)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("feature_mode", "bogus", "feature_mode"),
+        ("feature_missing", (1.5,), "feature_missing"),
+        ("edge_missing", (-0.1,), "edge_missing"),
+        ("recon_dropout", 1.5, r"ReconTrainConfig\.dropout"),
+        ("recon_dropout", -0.1, r"ReconTrainConfig\.dropout"),
+        ("down_dropout", 1.0, r"DownstreamConfig\.dropout"),
+        ("imputer_hidden", 0, "imputer_hidden"),
+        ("pe_hidden", 0, "pe_hidden"),
+        ("ppnp_hidden", 0, "ppnp_hidden"),
+        ("gcn_hidden", 0, "gcn_hidden"),
+        ("attention_dim", 0, "attention_dim"),
+    ])
+    def test_bad_value_names_its_field(self, dataset_dir, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            quick_config(dataset_dir, "out", **{key: value})
+
+    def test_empty_rate_list_rejected(self, dataset_dir):
+        with pytest.raises(ValueError, match="pair"):
+            quick_config(dataset_dir, "out", feature_missing=())
 
     def test_rate_pairs_broadcast(self, dataset_dir):
         cfg = quick_config(dataset_dir, "out",
@@ -147,6 +178,14 @@ dump_embeddings = true
     def test_int_fields_reject_floats(self, dataset_dir):
         with pytest.raises(ValueError):
             make_config({"dataset": dataset_dir, "epochs": "2.5"}, {})
+
+    @pytest.mark.parametrize("key, raw", [
+        ("epochs", "2.5"), ("alpha", "high"), ("seeds", "0,x"),
+        ("feature_missing", "0.1,a"), ("dump_embeddings", "sometimes"),
+    ])
+    def test_unreadable_value_error_names_the_key(self, dataset_dir, key, raw):
+        with pytest.raises(ValueError, match=rf"^{key}: expected"):
+            make_config({"dataset": dataset_dir}, {key: raw})
 
 
 class TestEmbeddingsIO:
@@ -321,3 +360,82 @@ down_patience = 5
         captured = capsys.readouterr()
         assert code == 1
         assert "error:" in captured.err
+
+
+# a non-default value for every config field, as it would be typed on the
+# command line; adding a field without adding it here fails the parity test
+NON_DEFAULT_FLAGS = {
+    "dataset": "data/other", "out": "elsewhere", "feature_missing": "0.1,0.5",
+    "edge_missing": "0.4", "feature_mode": "row", "seeds": "3,4",
+    "baseline": "only", "alpha": "0.2", "k": "7", "ppr_method": "power_iteration",
+    "ppr_tol": "1e-06", "ppr_max_iter": "50", "temperature": "0.7",
+    "imputer_hidden": "9", "pe_hidden": "10", "ppnp_hidden": "11",
+    "gcn_hidden": "12", "attention_dim": "13", "epochs": "3", "recon_lr": "0.02",
+    "recon_weight_decay": "0.1", "recon_optimizer": "sgd", "recon_dropout": "0.1",
+    "down_lr": "0.05", "down_weight_decay": "0.001", "down_optimizer": "sgd",
+    "down_dropout": "0.2", "down_max_epochs": "9", "down_patience": "4",
+    "dump_embeddings": True, "dump_structure": True, "workers": "2",
+}
+
+
+class TestCommandLine:
+    def test_destinations_are_the_config_fields(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        dests = {a.dest for a in experiment._build_parser()._actions} - {"help"}
+        assert dests == names | {"config"}
+        assert set(NON_DEFAULT_FLAGS) == names
+
+    def test_every_flag_reaches_the_config_typed(self, monkeypatch):
+        seen = []
+
+        def fake_run(cfg):
+            seen.append(cfg)
+            return {"summary": {"results": {}, "digest": "x"}, "paths": {"out": "x"}}
+
+        monkeypatch.setattr(experiment, "run_experiment", fake_run)
+        argv = []
+        for name, value in NON_DEFAULT_FLAGS.items():
+            argv.append("--" + name.replace("_", "-"))
+            if value is not True:
+                argv.append(value)
+        assert main(argv) == 0
+        cfg, = seen
+        default = ExperimentConfig(dataset="d")
+        for f in dataclasses.fields(ExperimentConfig):
+            value = getattr(cfg, f.name)
+            assert value != getattr(default, f.name), f.name
+            assert type(value) is type(f.default), f.name
+            if isinstance(value, tuple):
+                assert all(type(v) is type(f.default[0]) for v in value), f.name
+        assert cfg.seeds == (3, 4) and cfg.ppr_tol == 1e-6 and cfg.baseline == "only"
+
+    def test_help_shows_the_help_strings(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for f in dataclasses.fields(ExperimentConfig):
+            if "help" in f.metadata:
+                assert f.metadata["help"] in text
+        for kept in ("dataset directory", "reconstruction epochs",
+                     "comma list of seeds", "write per-cell embedding tsv files"):
+            assert kept in text
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--feature-mode", "bogus", "feature_mode"),
+        ("--down-dropout", "1.0", "DownstreamConfig.dropout"),
+        ("--recon-dropout", "1.5", "ReconTrainConfig.dropout"),
+        ("--recon-dropout", "-0.1", "ReconTrainConfig.dropout"),
+        ("--imputer-hidden", "0", "imputer_hidden"),
+        ("--recon-optimizer", "rmsprop", "rmsprop"),
+        ("--epochs", "2.5", "epochs"),
+        ("--seeds", "0,x", "seeds"),
+    ])
+    def test_bad_value_fails_before_any_work(self, dataset_dir, tmp_path, capsys,
+                                             flag, value, key):
+        out = tmp_path / "out"
+        code = main(["--dataset", dataset_dir, "--out", str(out), flag, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and key in err
+        assert not out.exists()
