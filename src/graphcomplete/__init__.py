@@ -49,9 +49,7 @@ from .nn import (
     ParamStore,
     cosine_matrix,
     finite_diff_grad,
-    load_params,
     mlp2_forward,
-    save_params,
 )
 from .objective import (
     ContrastiveConfig,

@@ -59,14 +59,16 @@ from .structure_path import (
 )
 
 
-def _check_ranges(cfg, widths: tuple[str, ...]) -> None:
-    """Dropout must lie in [0, 1) and every layer width be at least 1."""
+def _check_ranges(cfg, positive: tuple[str, ...], nonnegative: tuple[str, ...]) -> None:
+    """Dropout must lie in [0, 1), the positive fields be at least 1 and the
+    nonnegative ones at least 0; errors name the field."""
     where = type(cfg).__name__
     if not (0.0 <= cfg.dropout < 1.0):
         raise ValueError(f"{where}.dropout {cfg.dropout} outside [0, 1)")
-    for name in widths:
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"{where}.{name} {getattr(cfg, name)} must be at least 1")
+    for names, floor in ((positive, 1), (nonnegative, 0)):
+        for name in names:
+            if getattr(cfg, name) < floor:
+                raise ValueError(f"{where}.{name} {getattr(cfg, name)} must be at least {floor}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ class ReconTrainConfig:
     epochs: int = 200
 
     def __post_init__(self):
-        _check_ranges(self, ("imputer_hidden", "pe_hidden", "ppnp_hidden"))
+        _check_ranges(self, ("imputer_hidden", "pe_hidden", "ppnp_hidden"), ("epochs",))
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ class DownstreamConfig:
     patience: int = 100
 
     def __post_init__(self):
-        _check_ranges(self, ("gcn_hidden", "attention_dim"))
+        _check_ranges(self, ("gcn_hidden", "attention_dim", "patience"), ("max_epochs",))
 
 
 @dataclass(frozen=True)
@@ -151,8 +153,7 @@ def run_reconstruction(ds: GraphDataset, cfg: ReconTrainConfig, seed: int) -> Re
     trained parameters.  With epochs=0 this is the initial-parameter state.
     """
     n, d = ds.features.shape
-    # the dense diffusion and its dense top-k copy are released right here
-    topk = sp.csr_array(build_diffusion(ds.edges, n, cfg.ppr)[1])
+    topk = build_diffusion(ds.edges, n, cfg.ppr)
 
     init_rng = make_rng(seed, STREAM_INIT)
     drop_rng = make_rng(seed, STREAM_DROPOUT)

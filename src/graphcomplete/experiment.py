@@ -60,9 +60,6 @@ class ExperimentConfig:
                                   "at all (with, only, off)")
     alpha: float = _help(0.1, "diffusion reset probability")
     k: int = _help(20, "neighbors kept per diffusion row")
-    ppr_method: str = _help("closed_form", "diffusion solver (closed_form, power_iteration)")
-    ppr_tol: float = 1e-8
-    ppr_max_iter: int = 1000
     temperature: float = _help(0.5, "contrastive temperature")
     imputer_hidden: int = 256
     pe_hidden: int = 512
@@ -72,11 +69,9 @@ class ExperimentConfig:
     epochs: int = _help(200, "reconstruction epochs")
     recon_lr: float = 0.01
     recon_weight_decay: float = 0.0
-    recon_optimizer: str = _help("adam", "adam or sgd")
     recon_dropout: float = 0.0
     down_lr: float = 0.01
     down_weight_decay: float = 5e-4
-    down_optimizer: str = _help("adam", "adam or sgd")
     down_dropout: float = 0.5
     down_max_epochs: int = 500
     down_patience: int = 100
@@ -99,8 +94,12 @@ class ExperimentConfig:
             raise ValueError(f"baseline must be with/only/off, got {self.baseline!r}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        if self.epochs < 0 or self.workers < 1:
-            raise ValueError("epochs must be >= 0 and workers >= 1")
+        if self.workers < 1:
+            raise ValueError(f"workers {self.workers} must be at least 1")
+        # one OptimConfig type serves both phases, so its ranges are named by key here
+        for key in ("recon_lr", "recon_weight_decay", "down_lr", "down_weight_decay"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} {getattr(self, key)} must be nonnegative")
         # constructing the sub-configs validates their own ranges
         self.recon_config()
         self.downstream_config()
@@ -122,12 +121,10 @@ class ExperimentConfig:
 
     def recon_config(self) -> ReconTrainConfig:
         return ReconTrainConfig(
-            ppr=PPRConfig(alpha=self.alpha, k=self.k, method=self.ppr_method,
-                          tol=self.ppr_tol, max_iter=self.ppr_max_iter),
+            ppr=PPRConfig(alpha=self.alpha, k=self.k),
             contrastive=ContrastiveConfig(temperature=self.temperature),
             optim=OptimConfig(learning_rate=self.recon_lr,
-                              weight_decay=self.recon_weight_decay,
-                              method=self.recon_optimizer),
+                              weight_decay=self.recon_weight_decay),
             imputer_hidden=self.imputer_hidden,
             pe_hidden=self.pe_hidden,
             ppnp_hidden=self.ppnp_hidden,
@@ -138,8 +135,7 @@ class ExperimentConfig:
     def downstream_config(self) -> DownstreamConfig:
         return DownstreamConfig(
             optim=OptimConfig(learning_rate=self.down_lr,
-                              weight_decay=self.down_weight_decay,
-                              method=self.down_optimizer),
+                              weight_decay=self.down_weight_decay),
             gcn_hidden=self.gcn_hidden,
             attention_dim=self.attention_dim,
             dropout=self.down_dropout,

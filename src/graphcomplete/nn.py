@@ -1,4 +1,4 @@
-"""Parameter storage, initialization, optimizers, and small network blocks.
+"""Parameter storage, initialization, the Adam optimizer, and small network blocks.
 
 Parameters live in a ParamStore keyed by dotted names ("imputer.W1").  The
 same store object is threaded through forward functions, the optimizer, and
@@ -121,17 +121,16 @@ ADAM_EPS = 1e-8
 class OptimConfig:
     learning_rate: float
     weight_decay: float = 0.0
-    method: str = "adam"
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate {self.learning_rate} must be nonnegative")
-        if self.method not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer method {self.method!r}")
+        for name in ("learning_rate", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"OptimConfig.{name} {getattr(self, name)} must be nonnegative")
 
 
 class Optimizer:
-    """sgd or adam over a ParamStore; grads are zeroed after each step."""
+    """Adam over a ParamStore, weight decay added to the gradient; grads are
+    zeroed after each step."""
 
     def __init__(self, store: ParamStore, config: OptimConfig):
         self.store = store
@@ -147,15 +146,12 @@ class Optimizer:
             g = p.grad if p.grad is not None else np.zeros_like(p.value)
             if cfg.weight_decay:
                 g = g + cfg.weight_decay * p.value
-            if cfg.method == "sgd":
-                new = p.value - cfg.learning_rate * g
-            else:
-                m = ADAM_BETA1 * self._m[name] + (1 - ADAM_BETA1) * g
-                v = ADAM_BETA2 * self._v[name] + (1 - ADAM_BETA2) * g * g
-                self._m[name], self._v[name] = m, v
-                m_hat = m / (1 - ADAM_BETA1 ** self._t)
-                v_hat = v / (1 - ADAM_BETA2 ** self._t)
-                new = p.value - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            m = ADAM_BETA1 * self._m[name] + (1 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * self._v[name] + (1 - ADAM_BETA2) * g * g
+            self._m[name], self._v[name] = m, v
+            m_hat = m / (1 - ADAM_BETA1 ** self._t)
+            v_hat = v / (1 - ADAM_BETA2 ** self._t)
+            new = p.value - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             if not np.all(np.isfinite(new)):
                 raise FloatingPointError(f"non-finite update for parameter {name!r}")
             p.value = new
@@ -208,37 +204,3 @@ def cosine_matrix(U: np.ndarray, V: np.ndarray, eps: float = 1e-12) -> np.ndarra
     un = U / np.maximum(np.linalg.norm(U, axis=1, keepdims=True), eps)
     vn = V / np.maximum(np.linalg.norm(V, axis=1, keepdims=True), eps)
     return un @ vn.T
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def save_params(store: ParamStore, path: str) -> None:
-    """Write all parameters as tsv: a name/shape header line, then the rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for name, t in sorted(store.items()):
-            r, c = t.value.shape
-            fh.write(f"{name}\t{r}\t{c}\n")
-            for row in t.value:
-                fh.write("\t".join(format(v, ".17g") for v in row) + "\n")
-
-
-def load_params(path: str) -> dict[str, np.ndarray]:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    i = 0
-    while i < len(lines):
-        if not lines[i]:
-            i += 1
-            continue
-        name, r, c = lines[i].split("\t")
-        r, c = int(r), int(c)
-        rows = [list(map(float, lines[i + 1 + j].split("\t"))) for j in range(r)]
-        arr = np.asarray(rows, dtype=np.float64)
-        if arr.shape != (r, c):
-            raise ValueError(f"{path}: shape header for {name} disagrees with data")
-        out[name] = arr
-        i += 1 + r
-    return out

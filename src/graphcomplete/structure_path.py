@@ -23,23 +23,16 @@ from .nn import ParamStore, dropout_mask
 
 @dataclass(frozen=True)
 class PPRConfig:
-    """Diffusion settings: reset probability, sparsity, solver choice."""
+    """Diffusion settings: reset probability and entries kept per row."""
 
     alpha: float = 0.1
     k: int = 20
-    method: str = "closed_form"
-    tol: float = 1e-8
-    max_iter: int = 1000
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha {self.alpha} outside (0, 1)")
         if self.k < 0:
             raise ValueError(f"k {self.k} negative")
-        if self.method not in ("closed_form", "power_iteration"):
-            raise ValueError(f"unknown PPR method {self.method!r}")
-        if self.tol <= 0:
-            raise ValueError(f"tol {self.tol} must be positive")
 
 
 @dataclass(frozen=True)
@@ -91,8 +84,10 @@ def ppr_power_iteration(a_norm: np.ndarray, alpha: float,
                         tol: float = 1e-8, max_iter: int = 1000) -> PowerIterationResult:
     """Iterative diffusion: A_{t+1} = (1-alpha) * a_norm @ A_t + alpha * I from I.
 
-    Stops when the largest entry change drops below tol.  Hitting max_iter
-    first returns the current iterate flagged as unconverged.
+    Kept as the reference the closed form is checked against: every step
+    multiplies dense n x n matrices, so it is never the faster solver.  Stops
+    when the largest entry change drops below tol.  Hitting max_iter first
+    returns the current iterate flagged as unconverged.
     """
     a_norm = np.asarray(a_norm, dtype=np.float64)
     n = a_norm.shape[0]
@@ -155,15 +150,12 @@ def ppnp_forward(diffusion, features, store: ParamStore, prefix: str = "ppnp",
     return propagate(diffusion, matmul(h, store[f"{prefix}.W1"]))
 
 
-def build_diffusion(edges: np.ndarray, n: int, config: PPRConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized adjacency -> diffusion -> top-k; returns (dense, sparsified)."""
-    a_norm = normalize_adjacency(edges, n)
-    if config.method == "closed_form":
-        dense = ppr_closed_form(a_norm, config.alpha)
-    else:
-        dense = ppr_power_iteration(a_norm, config.alpha, config.tol, config.max_iter).matrix
-    k = config.k if config.k >= 1 else n   # k=0 means no sparsification
-    return dense, knn_sparsify(dense, k)
+def build_diffusion(edges: np.ndarray, n: int, config: PPRConfig) -> sp.csr_array:
+    """Normalized adjacency -> closed-form diffusion -> top-k rows, as sparse.
+
+    k=0 keeps every entry.  No dense n x n array outlives the call."""
+    dense = ppr_closed_form(normalize_adjacency(edges, n), config.alpha)
+    return sp.csr_array(knn_sparsify(dense, config.k if config.k >= 1 else n))
 
 
 def dump_structure(matrix: np.ndarray, path: str, header: str | None = None) -> None:

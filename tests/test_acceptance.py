@@ -63,7 +63,7 @@ def test_acceptance_1_gradient_soundness(capsys):
                        gc.MaskSpec(0.3, 0.2, "entry", 5))
     n, d = ds.features.shape
     cfg = gc.PPRConfig(alpha=0.1, k=3)
-    _, topk = gc.build_diffusion(ds.edges, n, cfg)
+    topk = gc.build_diffusion(ds.edges, n, cfg)
 
     rng = np.random.default_rng(0)
     store = ParamStore()

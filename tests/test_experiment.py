@@ -130,6 +130,12 @@ class TestConfig:
         assert cfg.recon_config().contrastive.temperature == 0.9
         assert cfg.downstream_config().dropout == 0.2
 
+    def test_defaults_match_the_subconfigs(self):
+        # every default is written in two modules; this ties the copies together
+        cfg = ExperimentConfig(dataset="d")
+        assert cfg.recon_config() == gc.ReconTrainConfig()
+        assert cfg.downstream_config() == gc.DownstreamConfig()
+
 
 class TestConfigFile:
     def write(self, tmp_path, text):
@@ -154,9 +160,11 @@ dump_embeddings = true
         assert values["dump_embeddings"] is True
 
     def test_unknown_key_reports_line(self, tmp_path):
-        path = self.write(tmp_path, "dataset = x\nlearning_rate = 0.1\n")
-        with pytest.raises(ValueError, match=r":2: unknown key"):
-            parse_config_file(path)
+        # ppr_method was a setting once; removed keys are unknown, not ignored
+        for key, value in (("learning_rate", "0.1"), ("ppr_method", "closed_form")):
+            path = self.write(tmp_path, f"dataset = x\n{key} = {value}\n")
+            with pytest.raises(ValueError, match=rf":2: unknown key '{key}'"):
+                parse_config_file(path)
 
     def test_missing_equals_reports_line(self, tmp_path):
         path = self.write(tmp_path, "dataset x\n")
@@ -367,13 +375,12 @@ down_patience = 5
 NON_DEFAULT_FLAGS = {
     "dataset": "data/other", "out": "elsewhere", "feature_missing": "0.1,0.5",
     "edge_missing": "0.4", "feature_mode": "row", "seeds": "3,4",
-    "baseline": "only", "alpha": "0.2", "k": "7", "ppr_method": "power_iteration",
-    "ppr_tol": "1e-06", "ppr_max_iter": "50", "temperature": "0.7",
+    "baseline": "only", "alpha": "0.2", "k": "7", "temperature": "0.7",
     "imputer_hidden": "9", "pe_hidden": "10", "ppnp_hidden": "11",
     "gcn_hidden": "12", "attention_dim": "13", "epochs": "3", "recon_lr": "0.02",
-    "recon_weight_decay": "0.1", "recon_optimizer": "sgd", "recon_dropout": "0.1",
-    "down_lr": "0.05", "down_weight_decay": "0.001", "down_optimizer": "sgd",
-    "down_dropout": "0.2", "down_max_epochs": "9", "down_patience": "4",
+    "recon_weight_decay": "0.1", "recon_dropout": "0.1", "down_lr": "0.05",
+    "down_weight_decay": "0.001", "down_dropout": "0.2", "down_max_epochs": "9",
+    "down_patience": "4",
     "dump_embeddings": True, "dump_structure": True, "workers": "2",
 }
 
@@ -407,7 +414,7 @@ class TestCommandLine:
             assert type(value) is type(f.default), f.name
             if isinstance(value, tuple):
                 assert all(type(v) is type(f.default[0]) for v in value), f.name
-        assert cfg.seeds == (3, 4) and cfg.ppr_tol == 1e-6 and cfg.baseline == "only"
+        assert cfg.seeds == (3, 4) and cfg.recon_lr == 0.02 and cfg.baseline == "only"
 
     def test_help_shows_the_help_strings(self, capsys):
         with pytest.raises(SystemExit) as stop:
@@ -421,15 +428,29 @@ class TestCommandLine:
                      "comma list of seeds", "write per-cell embedding tsv files"):
             assert kept in text
 
+    def test_removed_setting_is_an_unknown_flag(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--dataset", "d", "--ppr-method", "closed_form"])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --ppr-method" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value, key", [
         ("--feature-mode", "bogus", "feature_mode"),
         ("--down-dropout", "1.0", "DownstreamConfig.dropout"),
         ("--recon-dropout", "1.5", "ReconTrainConfig.dropout"),
         ("--recon-dropout", "-0.1", "ReconTrainConfig.dropout"),
         ("--imputer-hidden", "0", "imputer_hidden"),
-        ("--recon-optimizer", "rmsprop", "rmsprop"),
         ("--epochs", "2.5", "epochs"),
         ("--seeds", "0,x", "seeds"),
+        ("--recon-lr", "-1", "recon_lr"),
+        ("--down-lr", "-1", "down_lr"),
+        ("--recon-weight-decay", "-1", "recon_weight_decay"),
+        ("--down-weight-decay", "-1", "down_weight_decay"),
+        ("--workers", "0", "workers"),
+        ("--epochs", "-1", "ReconTrainConfig.epochs"),
+        ("--down-max-epochs", "-1", "DownstreamConfig.max_epochs"),
+        ("--down-patience", "0", "DownstreamConfig.patience"),
+        ("--down-patience", "-3", "DownstreamConfig.patience"),
     ])
     def test_bad_value_fails_before_any_work(self, dataset_dir, tmp_path, capsys,
                                              flag, value, key):

@@ -137,10 +137,6 @@ class TestPPR:
             PPRConfig(alpha=0.0)
         with pytest.raises(ValueError, match="negative"):
             PPRConfig(alpha=0.1, k=-1)
-        with pytest.raises(ValueError, match="method"):
-            PPRConfig(alpha=0.1, method="magic")
-        with pytest.raises(ValueError, match="tol"):
-            PPRConfig(alpha=0.1, tol=0.0)
 
 
 class TestKnnSparsify:
@@ -292,28 +288,27 @@ class TestPPNP:
 
 
 class TestBuildDiffusion:
+    @staticmethod
+    def assert_is_oracle(topk, edges, n, alpha, k):
+        # bit for bit: same sparsity structure and the same stored values
+        dense = ppr_closed_form(normalize_adjacency(edges, n), alpha)
+        expected = sp.csr_array(knn_sparsify(dense, k))
+        assert isinstance(topk, sp.csr_array)
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(topk, part), getattr(expected, part))
+
     def test_topk_is_sparsified_dense(self):
         rng = np.random.default_rng(19)
         edges = random_graph(rng, 9)
-        cfg = PPRConfig(alpha=0.2, k=3)
-        dense, topk = build_diffusion(edges, 9, cfg)
-        np.testing.assert_array_equal(knn_sparsify(dense, 3), topk)
-        assert np.all((topk != 0).sum(axis=1) <= 3)
+        topk = build_diffusion(edges, 9, PPRConfig(alpha=0.2, k=3))
+        self.assert_is_oracle(topk, edges, 9, 0.2, 3)
+        assert np.diff(topk.indptr).max() <= 3
 
     def test_k_zero_keeps_everything(self):
         rng = np.random.default_rng(20)
         edges = random_graph(rng, 6)
-        dense, topk = build_diffusion(edges, 6, PPRConfig(alpha=0.2, k=0))
-        np.testing.assert_array_equal(dense, topk)
-
-    def test_power_method_route(self):
-        rng = np.random.default_rng(21)
-        edges = random_graph(rng, 6)
-        d1, _ = build_diffusion(edges, 6, PPRConfig(alpha=0.3, k=0))
-        d2, _ = build_diffusion(edges, 6, PPRConfig(alpha=0.3, k=0,
-                                                    method="power_iteration",
-                                                    tol=1e-12))
-        assert np.abs(d1 - d2).max() < 1e-8
+        topk = build_diffusion(edges, 6, PPRConfig(alpha=0.2, k=0))
+        self.assert_is_oracle(topk, edges, 6, 0.2, 6)
 
 
 class TestDumpStructure:
