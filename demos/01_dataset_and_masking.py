@@ -30,10 +30,10 @@ print("first edges:\n", ds.edges[:5])
 # A dataset directory holds features.tsv / edges.tsv / labels.tsv, with an
 # optional mask.tsv for partially observed features and a meta.json sanity
 # header.  Writing and loading is lossless.
-root = tempfile.mkdtemp(prefix="graphcomplete-demo-")
-path = f"{root}/blocks"
-gc.write_dataset(ds, path)
-back = gc.load_dataset(path)
+with tempfile.TemporaryDirectory(prefix="graphcomplete-demo-") as root:
+    path = f"{root}/blocks"
+    gc.write_dataset(ds, path)
+    back = gc.load_dataset(path)
 print("\nround trip exact:",
       np.array_equal(back.features, ds.features)
       and np.array_equal(back.edges, ds.edges))

@@ -6,9 +6,11 @@ digest.  Reruns of the same config are byte-identical, so results can be
 diffed rather than trusted.
 """
 
+import atexit
 import csv
 import json
 import pathlib
+import shutil
 import tempfile
 
 import graphcomplete as gc
@@ -17,6 +19,7 @@ from graphcomplete.experiment import (BASELINE_METHOD, RECON_METHOD,
                                       ExperimentConfig, run_experiment)
 
 work = pathlib.Path(tempfile.mkdtemp(prefix="sweep-"))
+atexit.register(shutil.rmtree, work)   # the sweep's files go when the demo ends
 
 # The clean benchmark graph lives on disk like any real dataset would.
 clean = gc.generate_sbm(50, 2, 0.3, 0.02, two_block_features(16) * 0.05,

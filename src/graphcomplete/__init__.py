@@ -9,7 +9,7 @@ labels.  An attention module fuses the reconstructed views for a two-layer
 graph-convolution classifier.
 """
 
-from .autodiff import ShapeError, Tensor, backward
+from .autodiff import Operator, ShapeError, Tensor, backward
 from .data import (
     DatasetFormatError,
     GraphDataset,
@@ -55,6 +55,7 @@ from .objective import (
     ContrastiveConfig,
     feature_contrastive_loss,
     structure_contrastive_loss,
+    structure_targets,
     total_contrastive_loss,
 )
 from .rng import make_rng

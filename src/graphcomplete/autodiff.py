@@ -9,7 +9,7 @@ system is not needed, so this module implements the smallest correct one: a
 Conventions:
 
 * all values are float64 ndarrays; scalars have shape ``()``
-* constants (inputs, masks, propagation matrices) do not require grad and
+* constants (inputs, masks, propagation Operators) do not require grad and
   never accumulate one
 * gradient arrays are only ever rebound, never mutated in place, so vjps
   may safely return views
@@ -167,11 +167,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(av @ bv, [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)])
 
 
-def propagate(M, x: Tensor) -> Tensor:
-    """M @ x with M a gradient-free propagation matrix (dense or sparse)."""
+class Operator:
+    """A gradient-free propagation matrix M (dense or sparse) with its
+    transpose Mt, built once here.
+
+    A training phase wraps its matrix once and hands the Operator to every
+    propagate call, so no epoch rebuilds Mᵀ for the vjp.
+    """
+
+    __slots__ = ("M", "Mt")
+
+    def __init__(self, M):
+        self.M, self.Mt = M, M.T
+
+
+def propagate(op: Operator, x: Tensor) -> Tensor:
+    """op.M @ x; the vjp multiplies by the Operator's prebuilt op.Mt."""
+    M, Mt = op.M, op.Mt
     if M.shape[1] != x.value.shape[0]:
         raise ShapeError(f"propagate: {M.shape} vs {x.value.shape}")
-    Mt = M.T
     return _node(np.asarray(M @ x.value), [(x, lambda g: np.asarray(Mt @ g))])
 
 

@@ -14,6 +14,7 @@ computed only afterwards, from frozen logits.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -21,6 +22,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from .autodiff import (
+    Operator,
     Tensor,
     add,
     backward,
@@ -42,7 +44,7 @@ from .nn import (
     glorot,
     init_mlp2,
 )
-from .objective import ContrastiveConfig, total_contrastive_loss
+from .objective import ContrastiveConfig, structure_targets, total_contrastive_loss
 from .rng import (
     STREAM_DOWNSTREAM_DROPOUT,
     STREAM_DOWNSTREAM_INIT,
@@ -109,7 +111,7 @@ class ReconState:
 
     imputed: (n, d) completed features, observed entries bit-equal to input;
         decode_structure(imputed) gives the feature path's soft adjacency.
-    diffusion_topk: sparse (n, n) top-k diffusion, the propagation operator.
+    diffusion_topk: sparse (n, n) top-k diffusion, the propagation matrix.
     propagated: (n, d) structure-path node representations.
     loss_history: (epochs, 3) feature term, structure term, total per epoch.
     """
@@ -153,7 +155,15 @@ def run_reconstruction(ds: GraphDataset, cfg: ReconTrainConfig, seed: int) -> Re
     trained parameters.  With epochs=0 this is the initial-parameter state.
     """
     n, d = ds.features.shape
+    if not ds.feature_mask.any():
+        warnings.warn("run_reconstruction: no feature entry is observed, so the imputer "
+                      "sees all-zero input and maps every node to the same row; the "
+                      "completed features carry no node information", RuntimeWarning,
+                      stacklevel=2)
     topk = build_diffusion(ds.edges, n, cfg.ppr)
+    # constant through training: built once, shared by every epoch
+    op = Operator(topk)
+    targets = structure_targets(topk)
 
     init_rng = make_rng(seed, STREAM_INIT)
     drop_rng = make_rng(seed, STREAM_DROPOUT)
@@ -170,18 +180,20 @@ def run_reconstruction(ds: GraphDataset, cfg: ReconTrainConfig, seed: int) -> Re
         completed = impute_features(ds.features, ds.feature_mask, store,
                                     dropout=cfg.dropout, rng=drop_rng)
         pos_enc = positional_features(n, store)
-        propagated = ppnp_forward(topk, pos_enc, store,
+        propagated = ppnp_forward(op, pos_enc, store,
                                   dropout=cfg.dropout, rng=drop_rng)
-        total, l_f, l_s = total_contrastive_loss(completed, propagated, topk,
+        total, l_f, l_s = total_contrastive_loss(completed, propagated, targets,
                                                  cfg.contrastive)
         if not np.isfinite(total.value):
             raise FloatingPointError(f"non-finite reconstruction loss at epoch {epoch}")
         history[epoch] = (float(l_f.value), float(l_s.value), float(total.value))
         backward(total)
         optim.step()
+        # free this epoch's tape before the next forward builds another
+        del completed, pos_enc, propagated, total, l_f, l_s
 
     completed = impute_features(ds.features, ds.feature_mask, store)
-    propagated = ppnp_forward(topk, positional_features(n, store), store)
+    propagated = ppnp_forward(op, positional_features(n, store), store)
     return ReconState(
         imputed=completed.value,
         diffusion_topk=topk,
@@ -253,9 +265,12 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
     labels_trainval must have test entries redacted to -1; this function
     never sees a test label.  Model selection is best validation accuracy
     with the configured patience.  Returns the checkpointed best state.
+    a_norm's Operator (its transpose) is built once, for every epoch's
+    training and evaluation forwards.
     """
     n, d = x_view.shape
     use_fusion = z_view is not None
+    op = Operator(a_norm)
     init_rng = make_rng(seed, STREAM_DOWNSTREAM_INIT)
     drop_rng = make_rng(seed, STREAM_DOWNSTREAM_DROPOUT)
 
@@ -271,7 +286,7 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
         return attention_fuse(x_view, z_view, store).fused if use_fusion else constant(x_view)
 
     def eval_logits() -> np.ndarray:
-        return gcn_forward(a_norm, inputs(), store).value
+        return gcn_forward(op, inputs(), store).value
 
     logits0 = eval_logits()
     best = {
@@ -283,7 +298,7 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
     curve = []
     since_best = 0
     for epoch in range(cfg.max_epochs):
-        logits = gcn_forward(a_norm, inputs(), store, dropout=cfg.dropout, rng=drop_rng)
+        logits = gcn_forward(op, inputs(), store, dropout=cfg.dropout, rng=drop_rng)
         loss = cross_entropy_loss(logits, labels_trainval, train_idx, num_classes)
         if not np.isfinite(loss.value):
             raise FloatingPointError(f"non-finite classifier loss at epoch {epoch}")

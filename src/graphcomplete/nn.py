@@ -130,7 +130,14 @@ class OptimConfig:
 
 class Optimizer:
     """Adam over a ParamStore, weight decay added to the gradient; grads are
-    zeroed after each step."""
+    zeroed after each step.
+
+    The moments m and v are updated in place.  Each parameter's update is
+    computed in two scratch arrays allocated for that parameter and step (no
+    buffer outlives the step), in the evaluation order of the textbook
+    expression, so results are bit-identical to it; the new value is
+    checked finite before the parameter is rebound to it.
+    """
 
     def __init__(self, store: ParamStore, config: OptimConfig):
         self.store = store
@@ -142,19 +149,26 @@ class Optimizer:
     def step(self) -> None:
         cfg = self.config
         self._t += 1
+        m_corr = 1 - ADAM_BETA1 ** self._t
+        v_corr = 1 - ADAM_BETA2 ** self._t
         for name, p in self.store.items():
+            m, v = self._m[name], self._v[name]
+            a, b = np.empty_like(p.value), np.empty_like(p.value)
             g = p.grad if p.grad is not None else np.zeros_like(p.value)
             if cfg.weight_decay:
-                g = g + cfg.weight_decay * p.value
-            m = ADAM_BETA1 * self._m[name] + (1 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * self._v[name] + (1 - ADAM_BETA2) * g * g
-            self._m[name], self._v[name] = m, v
-            m_hat = m / (1 - ADAM_BETA1 ** self._t)
-            v_hat = v / (1 - ADAM_BETA2 ** self._t)
-            new = p.value - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            if not np.all(np.isfinite(new)):
+                g = np.add(g, np.multiply(cfg.weight_decay, p.value, out=b), out=b)
+            # m = β1·m + (1 − β1)·g;  v = β2·v + ((1 − β2)·g)·g
+            np.multiply(m, ADAM_BETA1, out=m)
+            m += np.multiply(1 - ADAM_BETA1, g, out=a)
+            np.multiply(v, ADAM_BETA2, out=v)
+            v += np.multiply(np.multiply(1 - ADAM_BETA2, g, out=a), g, out=a)
+            # new = p − (lr·m̂) / (√v̂ + eps), g no longer needed
+            np.multiply(cfg.learning_rate, np.divide(m, m_corr, out=a), out=a)
+            a /= np.add(np.sqrt(np.divide(v, v_corr, out=b), out=b), ADAM_EPS, out=b)
+            np.subtract(p.value, a, out=a)
+            if not np.all(np.isfinite(a)):
                 raise FloatingPointError(f"non-finite update for parameter {name!r}")
-            p.value = new
+            p.value = a
         self.store.zero_grad()
 
 

@@ -40,9 +40,13 @@ def _value(x) -> np.ndarray:
     return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _unit_rows_const(m, eps: float = NORM_EPS) -> sp.csr_array:
-    """Row-normalize a gradient-free matrix, dense or sparse, into CSR."""
-    m = sp.csr_array(m, dtype=np.float64)
+def structure_targets(diffusion, eps: float = NORM_EPS) -> sp.csr_array:
+    """The structure term's targets: the gradient-free diffusion, dense or
+    sparse, row-normalized into CSR (zero rows floored at eps).
+
+    The diffusion is constant through training, so a training phase builds
+    this once and passes it to every structure_contrastive_loss call."""
+    m = sp.csr_array(diffusion, dtype=np.float64)
     norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
     return sp.csr_array(sp.diags_array(1.0 / np.maximum(norms, eps)) @ m)
 
@@ -79,30 +83,32 @@ def feature_contrastive_loss(completed, propagated, temperature: float) -> Tenso
     return fused_scalar(rows.sum(), [(completed, u_vjp(du)), (propagated, v_vjp(dv))])
 
 
-def structure_contrastive_loss(completed, diffusion, temperature: float) -> Tensor:
+def structure_contrastive_loss(completed, targets, temperature: float) -> Tensor:
     """InfoNCE between decoded adjacency rows and sparsified diffusion rows.
 
     sigmoid(X Xᵀ) is decoded from the completed features X one row block at
-    a time.  The diffusion is a constant, row-normalized off the tape.
+    a time.  targets is structure_targets(diffusion), built once per phase;
+    its transpose is built once per call and shared by every row block.
     """
     x = _value(completed)
-    rows_const = _unit_rows_const(diffusion)
+    targets_t = targets.T
     rows = np.empty(len(x))
     dx = np.zeros_like(x)
     for r0 in range(0, len(x), BLOCK_ROWS):
         blk = slice(r0, r0 + BLOCK_ROWS)
         a = logistic(x[blk] @ x.T)
         a_hat, a_vjp = unit_rows(a, NORM_EPS)
-        rows[blk], ds = _infonce_block(np.asarray(rows_const @ a_hat.T).T, r0, temperature)
-        dg = a_vjp(np.asarray(ds @ rows_const)) * a * (1.0 - a)
+        rows[blk], ds = _infonce_block(np.asarray(targets @ a_hat.T).T, r0, temperature)
+        dg = a_vjp(np.asarray(targets_t @ ds.T).T) * a * (1.0 - a)
         dx[blk] += dg @ x
         dx += dg.T @ x[blk]
     return fused_scalar(rows.sum(), [(completed, dx)])
 
 
-def total_contrastive_loss(completed, propagated, diffusion,
+def total_contrastive_loss(completed, propagated, targets,
                            config: ContrastiveConfig) -> tuple[Tensor, Tensor, Tensor]:
-    """Sum of the two terms; returns (total, feature term, structure term)."""
+    """Sum of the two terms, targets = structure_targets(diffusion); returns
+    (total, feature term, structure term)."""
     l_f = feature_contrastive_loss(completed, propagated, config.temperature)
-    l_s = structure_contrastive_loss(completed, diffusion, config.temperature)
+    l_s = structure_contrastive_loss(completed, targets, config.temperature)
     return add(l_f, l_s), l_f, l_s

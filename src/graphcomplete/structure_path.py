@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse as sp
 
-from .autodiff import ShapeError, Tensor, add_rowvec, matmul, mul, propagate, relu
+from .autodiff import Operator, ShapeError, Tensor, add_rowvec, matmul, mul, propagate, relu
 from .nn import ParamStore, dropout_mask
 
 
@@ -136,18 +136,19 @@ def positional_features(n: int, store: ParamStore, prefix: str = "pos") -> Tenso
     return add_rowvec(w, store[f"{prefix}.b"])
 
 
-def ppnp_forward(diffusion, features, store: ParamStore, prefix: str = "ppnp",
+def ppnp_forward(op: Operator, features, store: ParamStore, prefix: str = "ppnp",
                  dropout: float = 0.0, rng=None) -> Tensor:
-    """Two propagation layers: A · ReLU(A · X · W0) · W1, no biases.
+    """Two propagation layers: A · ReLU(A · X · W0) · W1, no biases, with A
+    the matrix of the Operator op (built once per training phase).
 
     The downstream classifier is this net under prefix "gcn" (gcn.W0, gcn.W1)."""
     x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=np.float64))
-    h = relu(propagate(diffusion, matmul(x, store[f"{prefix}.W0"])))
+    h = relu(propagate(op, matmul(x, store[f"{prefix}.W0"])))
     if dropout > 0.0:
         if rng is None:
             raise ValueError("dropout requires a generator")
         h = mul(h, Tensor(dropout_mask(h.value.shape, dropout, rng)))
-    return propagate(diffusion, matmul(h, store[f"{prefix}.W1"]))
+    return propagate(op, matmul(h, store[f"{prefix}.W1"]))
 
 
 def build_diffusion(edges: np.ndarray, n: int, config: PPRConfig) -> sp.csr_array:

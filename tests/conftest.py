@@ -5,7 +5,7 @@ import pytest
 
 import graphcomplete as gc
 from graphcomplete import autodiff as ad
-from graphcomplete.nn import ParamStore, finite_diff_grad
+from graphcomplete.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ParamStore, finite_diff_grad
 
 # gradient acceptance rule used throughout: relative error below 1e-4,
 # falling back to absolute error below 1e-7 where the analytic gradient
@@ -39,6 +39,41 @@ def gradcheck(build_loss, store: ParamStore):
     store.zero_grad()
     numeric = finite_diff_grad(lambda: build_loss(store).value, store, eps=FD_EPS)
     assert_grads_match(analytic, numeric)
+
+
+class ReferenceAdam:
+    """The textbook per-tensor Adam step, written with fresh arrays: the oracle
+    nn.Optimizer's in-place step must match bit for bit."""
+
+    def __init__(self, store: ParamStore, config):
+        self.store = store
+        self.config = config
+        self._m = {name: np.zeros_like(t.value) for name, t in store.items()}
+        self._v = {name: np.zeros_like(t.value) for name, t in store.items()}
+        self._t = 0
+
+    def step(self) -> None:
+        cfg = self.config
+        self._t += 1
+        for name, p in self.store.items():
+            g = p.grad if p.grad is not None else np.zeros_like(p.value)
+            if cfg.weight_decay:
+                g = g + cfg.weight_decay * p.value
+            m = ADAM_BETA1 * self._m[name] + (1 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * self._v[name] + (1 - ADAM_BETA2) * g * g
+            self._m[name], self._v[name] = m, v
+            m_hat = m / (1 - ADAM_BETA1 ** self._t)
+            v_hat = v / (1 - ADAM_BETA2 ** self._t)
+            new = p.value - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            if not np.all(np.isfinite(new)):
+                raise FloatingPointError(f"non-finite update for parameter {name!r}")
+            p.value = new
+        self.store.zero_grad()
+
+
+def bits(a) -> np.ndarray:
+    """The float64 array's bit patterns, for exact comparison (-0.0 != 0.0)."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
 @pytest.fixture

@@ -79,8 +79,9 @@ def test_acceptance_1_gradient_soundness(capsys):
     def loss(s):
         completed = gc.impute_features(ds.features, ds.feature_mask, s)
         pos = gc.positional_features(n, s)
-        propagated = ppnp_forward(topk, pos, s)
-        total, _, _ = gc.total_contrastive_loss(completed, propagated, topk,
+        propagated = ppnp_forward(gc.Operator(topk), pos, s)
+        total, _, _ = gc.total_contrastive_loss(completed, propagated,
+                                                gc.structure_targets(topk),
                                                 gc.ContrastiveConfig(0.5))
         return total
 
@@ -178,8 +179,8 @@ def test_acceptance_3_invariants(capsys):
     pstore.add("ppnp.W0", glorot(rng, 4, 5))
     pstore.add("ppnp.W1", glorot(rng, 5, 3))
     P = np.eye(n)[rng.permutation(n)]
-    base = ppnp_forward(a, X, pstore).value
-    permuted = ppnp_forward(P @ a @ P.T, P @ X, pstore).value
+    base = ppnp_forward(gc.Operator(a), X, pstore).value
+    permuted = ppnp_forward(gc.Operator(P @ a @ P.T), P @ X, pstore).value
     checks["propagation permutation equivariance"] = bool(
         np.allclose(permuted, P @ base, atol=1e-10))
 

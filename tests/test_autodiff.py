@@ -130,8 +130,8 @@ class TestForwardValues:
         rng = np.random.default_rng(4)
         M = rng.normal(size=(4, 4))
         x = rng.normal(size=(4, 3))
-        dense = ad.propagate(M, ad.constant(x)).value
-        sparse = ad.propagate(sp.csr_array(M), ad.constant(x)).value
+        dense = ad.propagate(ad.Operator(M), ad.constant(x)).value
+        sparse = ad.propagate(ad.Operator(sp.csr_array(M)), ad.constant(x)).value
         np.testing.assert_allclose(dense, M @ x, rtol=1e-12)
         np.testing.assert_allclose(sparse, M @ x, rtol=1e-12)
 
@@ -197,7 +197,7 @@ class TestGradients:
         for carrier in (M, sp.csr_array(M)):
             store = store_with(rng, x=(4, 3))
             gradcheck(lambda s, c=carrier: ad.sum_all(
-                ad.sigmoid(ad.propagate(c, s["x"]))), store)
+                ad.sigmoid(ad.propagate(ad.Operator(c), s["x"]))), store)
 
     def test_transpose(self):
         rng = np.random.default_rng(20)

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in src/.
+"""Every demo script runs to completion against the package in src/ and
+leaves no temporary files behind.
 
 The demos call the public API the way a reader would; an API change that a
 demo still uses fails here instead of at a reader's prompt.
@@ -17,9 +18,13 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_exits_cleanly(script, tmp_path):
-    env = dict(os.environ, TMPDIR=str(tmp_path),
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmpdir),
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
+    # a demo removes the temporary files it made
+    assert not any(tmpdir.iterdir()), sorted(p.name for p in tmpdir.iterdir())

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 
 import graphcomplete as gc
 import graphcomplete.autodiff as ad
+from graphcomplete import objective
 from graphcomplete.data import two_block_features
 from graphcomplete.downstream import (
     DownstreamConfig,
@@ -18,10 +20,11 @@ from graphcomplete.downstream import (
     train_downstream,
     train_gcn_baseline,
 )
-from graphcomplete.nn import OptimConfig, ParamStore, glorot
+from graphcomplete.nn import OptimConfig, ParamStore, dropout_mask, glorot, init_mlp2
+from graphcomplete.rng import STREAM_DROPOUT, STREAM_INIT, make_rng
 from graphcomplete.structure_path import normalize_adjacency, ppnp_forward
 
-from conftest import gradcheck
+from conftest import ReferenceAdam, bits, gradcheck, sbm_fixture
 
 
 def gcn_store(d, h, c, seed=0):
@@ -66,21 +69,21 @@ class TestGCNForward:
         ppnp.add("ppnp.W1", store["gcn.W1"].value)
         a = sp.csr_array(normalize_adjacency(np.array([[0, 1], [1, 2]]), 3))
         X = rng.normal(size=(3, 3))
-        np.testing.assert_array_equal(gcn_forward(a, X, store).value,
-                                      ppnp_forward(a, X, ppnp).value)
+        np.testing.assert_array_equal(gcn_forward(ad.Operator(a), X, store).value,
+                                      ppnp_forward(ad.Operator(a), X, ppnp).value)
 
     def test_identity_propagation_is_mlp(self):
         rng = np.random.default_rng(1)
         store = gcn_store(4, 6, 3, seed=2)
         X = rng.normal(size=(5, 4))
-        out = gcn_forward(np.eye(5), X, store)
+        out = gcn_forward(ad.Operator(np.eye(5)), X, store)
         W0, W1 = store["gcn.W0"].value, store["gcn.W1"].value
         np.testing.assert_allclose(out.value, np.maximum(X @ W0, 0.0) @ W1,
                                    rtol=1e-12)
 
     def test_zero_features_give_zero_logits(self):
         store = gcn_store(4, 6, 3, seed=3)
-        out = gcn_forward(np.eye(5), np.zeros((5, 4)), store)
+        out = gcn_forward(ad.Operator(np.eye(5)), np.zeros((5, 4)), store)
         np.testing.assert_array_equal(out.value, np.zeros((5, 3)))
 
     def test_matches_numpy_oracle_with_sparse_operator(self):
@@ -89,7 +92,7 @@ class TestGCNForward:
         a = normalize_adjacency(edges, 4)
         store = gcn_store(3, 5, 2, seed=5)
         X = rng.normal(size=(4, 3))
-        out = gcn_forward(sp.csr_array(a), X, store)
+        out = gcn_forward(ad.Operator(sp.csr_array(a)), X, store)
         W0, W1 = store["gcn.W0"].value, store["gcn.W1"].value
         expected = a @ np.maximum(a @ X @ W0, 0.0) @ W1
         np.testing.assert_allclose(out.value, expected, rtol=1e-12)
@@ -97,7 +100,7 @@ class TestGCNForward:
     def test_dropout_requires_generator(self):
         store = gcn_store(2, 3, 2, seed=6)
         with pytest.raises(ValueError, match="generator"):
-            gcn_forward(np.eye(2), np.ones((2, 2)), store, dropout=0.5)
+            gcn_forward(ad.Operator(np.eye(2)), np.ones((2, 2)), store, dropout=0.5)
 
 
 class TestCrossEntropy:
@@ -138,7 +141,7 @@ class TestCrossEntropy:
         labels = np.array([0, 1, 0])
         store = gcn_store(4, 5, 2, seed=9)
         gradcheck(lambda s: cross_entropy_loss(
-            gcn_forward(sp.csr_array(a), X, s), labels, np.array([0, 2]), 2),
+            gcn_forward(ad.Operator(sp.csr_array(a)), X, s), labels, np.array([0, 2]), 2),
             store)
 
 
@@ -221,6 +224,90 @@ class TestReconstructionPhase:
         np.testing.assert_array_equal(a.loss_history, b.loss_history)
         c = gc.run_reconstruction(tiny_masked_dataset, quick_recon_config(), seed=4)
         assert not np.array_equal(a.imputed, c.imputed)
+
+
+def per_call_structure_term(completed, diffusion, temperature):
+    """The structure term with the diffusion row-normalized inside every call
+    and each row block's gradient product taken as ds @ targets."""
+    x = completed.value
+    targets = objective.structure_targets(diffusion)
+    rows = np.empty(len(x))
+    dx = np.zeros_like(x)
+    for r0 in range(0, len(x), objective.BLOCK_ROWS):
+        blk = slice(r0, r0 + objective.BLOCK_ROWS)
+        a = ad.logistic(x[blk] @ x.T)
+        a_hat, a_vjp = ad.unit_rows(a, objective.NORM_EPS)
+        rows[blk], ds = objective._infonce_block(np.asarray(targets @ a_hat.T).T, r0,
+                                                 temperature)
+        dg = a_vjp(np.asarray(ds @ targets)) * a * (1.0 - a)
+        dx[blk] += dg @ x
+        dx += dg.T @ x[blk]
+    return ad.fused_scalar(rows.sum(), [(completed, dx)])
+
+
+def per_call_ppnp(diffusion, x, store, dropout=0.0, rng=None):
+    """The structure path's net with Mᵀ rebuilt on every propagate."""
+    h = ad.relu(ad.propagate(ad.Operator(diffusion), ad.matmul(x, store["ppnp.W0"])))
+    if dropout > 0.0:
+        h = ad.mul(h, ad.constant(dropout_mask(h.value.shape, dropout, rng)))
+    return ad.propagate(ad.Operator(diffusion), ad.matmul(h, store["ppnp.W1"]))
+
+
+class TestReconstructionComposition:
+    def test_bit_identical_to_per_epoch_composition(self):
+        # every constant rebuilt each epoch and the textbook Adam, by hand;
+        # dropout and weight decay on so both code paths are covered
+        ds = gc.apply_mask(sbm_fixture(), gc.MaskSpec(0.3, 0.3, "entry", 0))
+        cfg = ReconTrainConfig(epochs=5, dropout=0.2,
+                               optim=OptimConfig(0.01, weight_decay=1e-4))
+        seed = 4
+        n, d = ds.features.shape
+        topk = gc.build_diffusion(ds.edges, n, cfg.ppr)
+        init_rng = make_rng(seed, STREAM_INIT)
+        drop_rng = make_rng(seed, STREAM_DROPOUT)
+        store = ParamStore()
+        init_mlp2(store, "imputer", (d, cfg.imputer_hidden, d), init_rng)
+        store.add("pos.W", glorot(init_rng, n, cfg.pe_hidden))
+        store.add("pos.b", np.zeros((1, cfg.pe_hidden)))
+        store.add("ppnp.W0", glorot(init_rng, cfg.pe_hidden, cfg.ppnp_hidden))
+        store.add("ppnp.W1", glorot(init_rng, cfg.ppnp_hidden, d))
+        adam = ReferenceAdam(store, cfg.optim)
+        temperature = cfg.contrastive.temperature
+        history = []
+        for _ in range(cfg.epochs):
+            completed = gc.impute_features(ds.features, ds.feature_mask, store,
+                                           dropout=cfg.dropout, rng=drop_rng)
+            propagated = per_call_ppnp(topk, gc.positional_features(n, store), store,
+                                       cfg.dropout, drop_rng)
+            l_f = objective.feature_contrastive_loss(completed, propagated, temperature)
+            l_s = per_call_structure_term(completed, topk, temperature)
+            total = ad.add(l_f, l_s)
+            history.append((float(l_f.value), float(l_s.value), float(total.value)))
+            ad.backward(total)
+            adam.step()
+        imputed = gc.impute_features(ds.features, ds.feature_mask, store).value
+        propagated = per_call_ppnp(topk, gc.positional_features(n, store), store).value
+
+        state = gc.run_reconstruction(ds, cfg, seed=seed)
+        np.testing.assert_array_equal(bits(state.loss_history), bits(np.array(history)))
+        np.testing.assert_array_equal(bits(state.imputed), bits(imputed))
+        np.testing.assert_array_equal(bits(state.propagated), bits(propagated))
+
+
+class TestCollapseWarning:
+    def test_no_observed_feature_warns(self):
+        ds = gc.apply_mask(sbm_fixture(), gc.MaskSpec(1.0, 0.3, "row", 0))
+        with pytest.warns(RuntimeWarning, match="no feature entry is observed"):
+            state = gc.run_reconstruction(ds, quick_recon_config(epochs=3), seed=0)
+        # the collapse the warning names: every node gets the same completed row
+        np.testing.assert_array_equal(state.imputed, np.broadcast_to(state.imputed[0],
+                                                                     state.imputed.shape))
+
+    def test_partly_observed_features_run_clean(self):
+        ds = gc.apply_mask(sbm_fixture(), gc.MaskSpec(0.3, 0.3, "entry", 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gc.run_reconstruction(ds, quick_recon_config(epochs=3), seed=0)
 
 
 class TestDownstreamTraining:

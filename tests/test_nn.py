@@ -17,6 +17,8 @@ from graphcomplete.nn import (
     mlp2_forward,
 )
 
+from conftest import ReferenceAdam, bits
+
 
 class TestParamStore:
     def test_add_registers_trainable_tensor(self):
@@ -160,10 +162,40 @@ class TestOptimizer:
 
     def test_non_finite_update_raises(self):
         store = ParamStore()
-        p = store.add("p", np.array([[1.0]]))
-        p.grad = np.array([[np.inf]])
+        p = store.add("p", np.array([[1.0, 2.0, 3.0]]))
+        p.grad = np.array([[0.5, np.inf, -0.5]])
+        before = p.value.copy()
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="p"):
             Optimizer(store, OptimConfig(0.01)).step()
+        # the finite entries' updates must not leak into the parameter either
+        np.testing.assert_array_equal(bits(p.value), bits(before))
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_bit_identical_to_reference_adam(self, weight_decay):
+        shapes = {"a": (1, 1), "b": (1, 512), "c": (512, 256), "no_grad": (3, 2)}
+        rng = np.random.default_rng(12)
+        stores = ParamStore(), ParamStore()
+        for name, shape in shapes.items():
+            value = rng.normal(size=shape)
+            for store in stores:
+                store.add(name, value)
+        config = OptimConfig(0.01, weight_decay=weight_decay)
+        opt, ref = Optimizer(stores[0], config), ReferenceAdam(stores[1], config)
+        for _ in range(50):
+            for name, shape in shapes.items():
+                # gradients over eight decades, with exact zeros and sign flips
+                g = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 2, size=shape)
+                g[rng.random(shape) < 0.1] = 0.0
+                for store in stores:
+                    store[name].grad = None if name == "no_grad" else g.copy()
+            opt.step()
+            ref.step()
+            for name in shapes:
+                np.testing.assert_array_equal(bits(stores[0][name].value),
+                                              bits(stores[1][name].value), err_msg=name)
+        for name in shapes:
+            np.testing.assert_array_equal(bits(opt._m[name]), bits(ref._m[name]))
+            np.testing.assert_array_equal(bits(opt._v[name]), bits(ref._v[name]))
 
     def test_negative_lr_rejected(self):
         with pytest.raises(ValueError, match="learning_rate"):

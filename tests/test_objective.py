@@ -13,6 +13,7 @@ from graphcomplete.objective import (
     ContrastiveConfig,
     feature_contrastive_loss,
     structure_contrastive_loss,
+    structure_targets,
     total_contrastive_loss,
 )
 
@@ -109,15 +110,16 @@ class TestStructureTerm:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(5, 3))
         rows = np.where(rng.random((5, 5)) > 0.5, rng.random((5, 5)), 0.0)
-        dense = structure_contrastive_loss(X, rows, 0.5).value
-        sparse = structure_contrastive_loss(X, sp.csr_array(rows), 0.5).value
+        dense = structure_contrastive_loss(X, structure_targets(rows), 0.5).value
+        sparse = structure_contrastive_loss(X, structure_targets(sp.csr_array(rows)),
+                                            0.5).value
         assert sparse == pytest.approx(dense, rel=1e-12)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(6, 4))
         rows = rng.random((6, 6))
-        loss = structure_contrastive_loss(X, sp.csr_array(rows), 0.3)
+        loss = structure_contrastive_loss(X, structure_targets(sp.csr_array(rows)), 0.3)
         assert loss.value == pytest.approx(
             infonce_oracle(sigmoid_gram(X), rows, 0.3), rel=1e-10)
 
@@ -126,7 +128,7 @@ class TestStructureTerm:
         rows = np.array([[1.0, 0.0, 0.0],
                          [0.0, 0.0, 0.0],
                          [0.0, 0.0, 2.0]])
-        loss = structure_contrastive_loss(X, sp.csr_array(rows), 0.5)
+        loss = structure_contrastive_loss(X, structure_targets(sp.csr_array(rows)), 0.5)
         assert np.isfinite(loss.value)
 
     def test_gradcheck_with_sparse_constant(self):
@@ -135,7 +137,8 @@ class TestStructureTerm:
                                      rng.random((4, 4)), 0.0))
         store = ParamStore()
         store.add("x", rng.normal(size=(4, 3)))
-        gradcheck(lambda s: structure_contrastive_loss(s["x"], rows, 0.5), store)
+        gradcheck(lambda s: structure_contrastive_loss(s["x"], structure_targets(rows), 0.5),
+                  store)
 
 
 class TestTotal:
@@ -143,7 +146,7 @@ class TestTotal:
         rng = np.random.default_rng(10)
         U, V = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
         rows = rng.random((5, 5))
-        total, l_f, l_s = total_contrastive_loss(U, V, rows,
+        total, l_f, l_s = total_contrastive_loss(U, V, structure_targets(rows),
                                                  ContrastiveConfig(0.5))
         assert total.value == pytest.approx(l_f.value + l_s.value, rel=1e-14)
         assert l_f.value == pytest.approx(
@@ -260,7 +263,8 @@ class TestFusedMatchesTapeOracle:
         if rows is not None:
             monkeypatch.setattr(objective, "BLOCK_ROWS", rows)
         assert_matches_oracle(
-            lambda s: structure_contrastive_loss(s["x"], sp.csr_array(D), 0.4),
+            lambda s: structure_contrastive_loss(s["x"], structure_targets(sp.csr_array(D)),
+                                                 0.4),
             lambda s: tape_structure_term(s["x"], D, 0.4),
             {"x": X})
 
@@ -275,7 +279,7 @@ def test_working_set_stays_within_row_blocks(monkeypatch):
     X, P = rng.normal(size=(n, 8)), rng.normal(size=(n, 8))
     D = sp.random_array((n, n), density=5.0 / n, random_state=rng, format="csr")
     for call in (lambda: feature_contrastive_loss(X, P, 0.5),
-                 lambda: structure_contrastive_loss(X, D, 0.5)):
+                 lambda: structure_contrastive_loss(X, structure_targets(D), 0.5)):
         tracemalloc.start()
         try:
             call()

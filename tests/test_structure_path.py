@@ -245,14 +245,14 @@ class TestPPNP:
         rng = np.random.default_rng(10)
         store = self.ppnp_store((4, 6, 3), seed=11)
         X = rng.normal(size=(5, 4))
-        out = ppnp_forward(np.eye(5), X, store)
+        out = ppnp_forward(ad.Operator(np.eye(5)), X, store)
         W0, W1 = store["ppnp.W0"].value, store["ppnp.W1"].value
         np.testing.assert_allclose(out.value, np.maximum(X @ W0, 0.0) @ W1,
                                    rtol=1e-12)
 
     def test_zero_input_gives_zero_output(self):
         store = self.ppnp_store((4, 6, 3), seed=12)
-        out = ppnp_forward(np.eye(5), np.zeros((5, 4)), store)
+        out = ppnp_forward(ad.Operator(np.eye(5)), np.zeros((5, 4)), store)
         np.testing.assert_array_equal(out.value, np.zeros((5, 3)))
 
     def test_matches_numpy_oracle_with_sparse_operator(self):
@@ -261,7 +261,7 @@ class TestPPNP:
         a = normalize_adjacency(edges, 6)
         store = self.ppnp_store((4, 5, 2), seed=14)
         X = rng.normal(size=(6, 4))
-        out = ppnp_forward(sp.csr_array(a), X, store)
+        out = ppnp_forward(ad.Operator(sp.csr_array(a)), X, store)
         W0, W1 = store["ppnp.W0"].value, store["ppnp.W1"].value
         expected = a @ np.maximum(a @ X @ W0, 0.0) @ W1
         np.testing.assert_allclose(out.value, expected, rtol=1e-12)
@@ -274,8 +274,8 @@ class TestPPNP:
         store = self.ppnp_store((3, 4, 2), seed=16)
         perm = rng.permutation(n)
         P = np.eye(n)[perm]
-        out = ppnp_forward(a, X, store).value
-        out_p = ppnp_forward(P @ a @ P.T, P @ X, store).value
+        out = ppnp_forward(ad.Operator(a), X, store).value
+        out_p = ppnp_forward(ad.Operator(P @ a @ P.T), P @ X, store).value
         np.testing.assert_allclose(out_p, P @ out, rtol=1e-10)
 
     def test_gradcheck(self):
@@ -284,7 +284,7 @@ class TestPPNP:
         X = rng.normal(size=(5, 3)) + 0.1
         store = self.ppnp_store((3, 4, 2), seed=18)
         gradcheck(lambda s: ad.sum_all(
-            ad.sigmoid(ppnp_forward(sp.csr_array(a), X, s))), store)
+            ad.sigmoid(ppnp_forward(ad.Operator(sp.csr_array(a)), X, s))), store)
 
 
 class TestBuildDiffusion:
