@@ -59,7 +59,7 @@ def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into every reachable grad-requiring leaf.
 
     ``root`` must be scalar.  A graph can be walked once; a second call on
-    the same root raises, because intermediate grads are already spent.
+    the same root raises.  Interior grads are freed once spent; leaves keep theirs.
     """
     if root.value.shape != ():
         raise ShapeError(f"backward needs a scalar root, got shape {root.value.shape}")
@@ -91,6 +91,8 @@ def backward(root: Tensor) -> None:
         for parent, vjp in node._parents:
             delta = vjp(g)
             parent.grad = delta if parent.grad is None else parent.grad + delta
+        if node._parents:
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------

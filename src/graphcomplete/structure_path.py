@@ -20,6 +20,8 @@ from scipy import sparse as sp
 from .autodiff import Operator, ShapeError, Tensor, add_rowvec, matmul, mul, propagate, relu
 from .nn import ParamStore, dropout_mask
 
+BLOCK_ROWS = 256   # rows per block of the diffusion's mirror and top-k passes
+
 
 @dataclass(frozen=True)
 class PPRConfig:
@@ -59,25 +61,32 @@ def normalize_adjacency(edges: np.ndarray, n: int, sparse: bool = False):
     return sp.csr_array(norm) if sparse else norm.toarray()
 
 
-def ppr_closed_form(a_norm: np.ndarray, alpha: float) -> np.ndarray:
-    """Exact diffusion: alpha * (I - (1-alpha) * a_norm)^{-1}.
+def ppr_closed_form(a_norm, alpha: float) -> np.ndarray:
+    """Exact diffusion: alpha * (I - (1-alpha) * a_norm)^{-1}; a_norm dense or sparse.
 
     With a_norm symmetric of spectrum in [-1, 1] (normalize_adjacency) the system
     is positive definite, eigenvalues in [alpha, 2 - alpha], so it is inverted
-    through a Cholesky factor of its upper triangle and mirrored exactly symmetric.
+    through a Cholesky factor of its upper triangle, in place in one Fortran-ordered
+    n x n array, and its transpose mirrored exactly symmetric BLOCK_ROWS rows at a time.
     """
     from scipy.linalg import lapack  # imported on first use: it adds ~0.1 s to package import
-    a_norm = np.asarray(a_norm, dtype=np.float64)
-    n = a_norm.shape[0]
-    system = np.eye(n) - (1.0 - alpha) * a_norm
-    factor, info = lapack.dpotrf(system, overwrite_a=True)
+    a = sp.coo_array(a_norm, dtype=np.float64)
+    n = a.shape[0]
+    system = np.zeros((n, n), order="F")
+    system[a.row, a.col] = 0.0 - (1.0 - alpha) * a.data   # 0.0 - x: zeros stay +0.0, as in eye - x
+    system.flat[::n + 1] += 1.0
+    # clean zeroes the strict lower triangle, which dpotri then leaves alone
+    factor, info = lapack.dpotrf(system, overwrite_a=True, clean=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"PPR system is not positive definite (potrf info={info}); "
                                     "a_norm must be a symmetric normalized adjacency")
-    out = alpha * np.triu(lapack.dpotri(factor, overwrite_c=True)[0])
-    out += np.triu(out, 1).T
-    # the series expansion is nonnegative; clip roundoff dust
-    return np.maximum(out, 0.0, out=out)
+    out = lapack.dpotri(factor, overwrite_c=True)[0].T   # lower triangle set, upper still 0
+    for r0 in range(0, n, BLOCK_ROWS):
+        rows = out[r0:r0 + BLOCK_ROWS]
+        # mirror from the rows below, not yet scaled; clip roundoff dust (the series is >= 0)
+        rows[:, r0:] += np.triu(out[r0:, r0:r0 + len(rows)].T, 1)
+        np.maximum(np.multiply(rows, alpha, out=rows), 0.0, out=rows)
+    return out
 
 
 def ppr_power_iteration(a_norm: np.ndarray, alpha: float,
@@ -154,9 +163,13 @@ def ppnp_forward(op: Operator, features, store: ParamStore, prefix: str = "ppnp"
 def build_diffusion(edges: np.ndarray, n: int, config: PPRConfig) -> sp.csr_array:
     """Normalized adjacency -> closed-form diffusion -> top-k rows, as sparse.
 
-    k=0 keeps every entry.  No dense n x n array outlives the call."""
-    dense = ppr_closed_form(normalize_adjacency(edges, n), config.alpha)
-    return sp.csr_array(knn_sparsify(dense, config.k if config.k >= 1 else n))
+    k=0 or k > n (warned once) keeps every entry.  One dense n x n array is live."""
+    dense = ppr_closed_form(normalize_adjacency(edges, n, sparse=True), config.alpha)
+    if config.k > n:
+        warnings.warn(f"k={config.k} exceeds {n} columns; keeping all")
+    k = config.k if 1 <= config.k <= n else n
+    blocks = [sp.csr_array(knn_sparsify(dense[r0:r0 + BLOCK_ROWS], k)) for r0 in range(0, n, BLOCK_ROWS)]
+    return sp.vstack(blocks or [sp.csr_array((0, 0))], format="csr")
 
 
 def dump_structure(matrix: np.ndarray, path: str, header: str | None = None) -> None:

@@ -28,6 +28,24 @@ class TestTape:
         with pytest.raises(RuntimeError, match="consumed twice"):
             ad.backward(loss)
 
+    def test_interior_grads_freed_leaf_grads_kept(self):
+        # loss = sum(relu(X @ W) + relu(X @ W)): the relu node fans out twice
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(4, 3))
+        store = store_with(rng, W=(3, 2))
+        x = ad.constant(X)
+        h = ad.matmul(x, store["W"])
+        r = ad.relu(h)
+        loss = ad.sum_all(ad.add(r, r))
+        ad.backward(loss)
+        for node in (h, r, loss, loss._parents[0][0]):
+            assert node.grad is None
+        assert x.grad is None
+        expected = X.T @ (2.0 * (X @ store["W"].value > 0))
+        np.testing.assert_allclose(store["W"].grad, expected, rtol=1e-12)
+        with pytest.raises(RuntimeError, match="consumed twice"):
+            ad.backward(loss)
+
     def test_unreachable_param_keeps_zero_grad(self):
         store = ParamStore()
         used = store.add("used", np.array([[1.0]]))

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import graphcomplete.autodiff as ad
+from graphcomplete import structure_path
 from graphcomplete.autodiff import ShapeError
 from graphcomplete.nn import ParamStore, glorot
 from graphcomplete.structure_path import (
@@ -19,7 +22,7 @@ from graphcomplete.structure_path import (
     ppr_power_iteration,
 )
 
-from conftest import gradcheck
+from conftest import bits, gradcheck
 
 PATH_EDGE = np.array([[0, 1]])  # 2-node path graph
 
@@ -27,6 +30,26 @@ PATH_EDGE = np.array([[0, 1]])  # 2-node path graph
 def random_graph(rng, n, p=0.3):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def sparse_graph(rng, n, degree=4.0):
+    """About degree * n / 2 random edges, self-pairs and repeats dropped."""
+    pairs = np.sort(rng.integers(0, n, size=(int(degree * n / 2), 2)), axis=1)
+    return np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0)
+
+
+def dense_ppr_reference(a_norm, alpha):
+    """The closed form as first written, on a dense a_norm: np.eye minus the
+    scaled adjacency, dpotrf/dpotri on LAPACK's own copy, the inverse's upper
+    triangle mirrored through np.triu.  ppr_closed_form must match it bit for bit."""
+    from scipy.linalg import lapack
+    a_norm = np.asarray(a_norm, dtype=np.float64)
+    system = np.eye(a_norm.shape[0]) - (1.0 - alpha) * a_norm
+    factor, info = lapack.dpotrf(system, overwrite_a=True)
+    assert info == 0
+    out = alpha * np.triu(lapack.dpotri(factor, overwrite_c=True)[0])
+    out += np.triu(out, 1).T
+    return np.maximum(out, 0.0, out=out)
 
 
 class TestNormalizeAdjacency:
@@ -126,6 +149,23 @@ class TestPPR:
             out = ppr_closed_form(a_norm, alpha)
             assert np.abs(out - lu).max() <= 1e-12
             np.testing.assert_array_equal(out, out.T)
+
+    @pytest.mark.parametrize("n, rows", [(2 * structure_path.BLOCK_ROWS + 37, None),
+                                         (45, 8), (32, 8), (7, None), (1, None)])
+    def test_bit_identical_to_dense_reference(self, monkeypatch, n, rows):
+        # dense and sparse input; isolated nodes and several components give
+        # exact zeros in the inverse, and the row blocks end in a partial one
+        if rows is not None:
+            monkeypatch.setattr(structure_path, "BLOCK_ROWS", rows)
+        rng = np.random.default_rng(n)
+        for degree in (0.5, 3.0):
+            edges = sparse_graph(rng, n, degree)
+            dense = normalize_adjacency(edges, n)
+            for alpha in (0.1, 0.85):
+                expected = dense_ppr_reference(dense, alpha)
+                for a_norm in (dense, normalize_adjacency(edges, n, sparse=True)):
+                    np.testing.assert_array_equal(bits(ppr_closed_form(a_norm, alpha)),
+                                                  bits(expected))
 
     def test_indefinite_system_raises(self):
         # off-diagonal weight 5 puts an eigenvalue of a_norm far above 1
@@ -309,6 +349,48 @@ class TestBuildDiffusion:
         edges = random_graph(rng, 6)
         topk = build_diffusion(edges, 6, PPRConfig(alpha=0.2, k=0))
         self.assert_is_oracle(topk, edges, 6, 0.2, 6)
+
+    @pytest.mark.parametrize("k", [0, 1, 20])
+    def test_several_blocks_bit_identical_to_dense_reference(self, k):
+        n = 2 * structure_path.BLOCK_ROWS + 37
+        edges = sparse_graph(np.random.default_rng(21), n)
+        topk = build_diffusion(edges, n, PPRConfig(alpha=0.15, k=k))
+        dense = dense_ppr_reference(normalize_adjacency(edges, n), 0.15)
+        expected = sp.csr_array(knn_sparsify(dense, k if k else n))
+        for part in ("indptr", "indices"):
+            np.testing.assert_array_equal(getattr(topk, part), getattr(expected, part))
+            assert getattr(topk, part).dtype == getattr(expected, part).dtype
+        np.testing.assert_array_equal(bits(topk.data), bits(expected.data))
+
+    def test_k_above_n_warns_once_and_keeps_everything(self, monkeypatch):
+        monkeypatch.setattr(structure_path, "BLOCK_ROWS", 8)
+        n = 30   # four row blocks
+        edges = sparse_graph(np.random.default_rng(22), n)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            topk = build_diffusion(edges, n, PPRConfig(alpha=0.2, k=n + 5))
+        assert [str(w.message) for w in caught] == [f"k={n + 5} exceeds {n} columns; keeping all"]
+        everything = build_diffusion(edges, n, PPRConfig(alpha=0.2, k=0))
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(topk, part), getattr(everything, part))
+
+    def test_empty_graph_gives_empty_matrix(self):
+        with pytest.warns(UserWarning, match="exceeds 0 columns"):
+            topk = build_diffusion(np.zeros((0, 2), dtype=np.int64), 0, PPRConfig())
+        assert isinstance(topk, sp.csr_array) and topk.shape == (0, 0)
+
+    def test_one_dense_array_live(self):
+        # n=2048: one n×n float64 array is 32 MiB, and the top-k's block
+        # temporaries stay a fraction of it; a second n×n array would fail this
+        n = 2048
+        edges = sparse_graph(np.random.default_rng(23), n, degree=7.0)
+        tracemalloc.start()
+        try:
+            build_diffusion(edges, n, PPRConfig(alpha=0.1, k=20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
 
 class TestDumpStructure:
