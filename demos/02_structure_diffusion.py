@@ -20,19 +20,24 @@ print("edges before/after thinning:", ds.num_edges, "/", thinned.num_edges)
 # --- the normalized operator ------------------------------------------------
 # Self-loops are added before degree normalization, so every node keeps
 # probability mass on itself and rows of isolated nodes stay well defined.
-a_norm = normalize_adjacency(thinned.edges, thinned.n)
+a_norm = normalize_adjacency(thinned.edges, thinned.n).toarray()
 print("operator symmetric:", bool(np.allclose(a_norm, a_norm.T)))
 
 # --- the closed form, checked by power iteration ------------------------------
 # The pipeline solves alpha (I - (1-alpha) A)^-1 directly.  Power iteration,
-# A_{t+1} = (1-alpha) A A_t + alpha I until the largest entry change drops
-# below tol, reaches the same matrix; it serves only as the check, since
-# every step multiplies dense n x n matrices.
+# A_{t+1} = (1-alpha) A A_t + alpha I from I until the largest entry change
+# drops below 1e-10, reaches the same matrix; it serves only as the check,
+# since every step multiplies dense n x n matrices.
 alpha = 0.15
 exact = gc.ppr_closed_form(a_norm, alpha)
-iterated = gc.ppr_power_iteration(a_norm, alpha, tol=1e-10)
-print(f"power iteration converged in {iterated.iterations} steps; "
-      f"max gap vs closed form {np.abs(iterated.matrix - exact).max():.2e}")
+eye = np.eye(thinned.n)
+iterated, steps, change = eye, 0, np.inf
+while change >= 1e-10:
+    nxt = (1.0 - alpha) * (a_norm @ iterated) + alpha * eye
+    change = np.abs(nxt - iterated).max()
+    iterated, steps = nxt, steps + 1
+print(f"power iteration converged in {steps} steps; "
+      f"max gap vs closed form {np.abs(iterated - exact).max():.2e}")
 
 # Small alpha walks far (more smoothing); large alpha stays home.
 for a in (0.1, 0.5, 0.9):

@@ -35,7 +35,6 @@ from .downstream import (
 )
 from .experiment import (
     ExperimentConfig,
-    export_embeddings,
     main,
     make_config,
     parse_config_file,
@@ -43,14 +42,7 @@ from .experiment import (
 )
 from .feature_path import decode_structure, impute_features
 from .fusion import FusionOut, attention_fuse, init_fusion
-from .nn import (
-    OptimConfig,
-    Optimizer,
-    ParamStore,
-    cosine_matrix,
-    finite_diff_grad,
-    mlp2_forward,
-)
+from .nn import OptimConfig, Optimizer, ParamStore, mlp2_forward
 from .objective import (
     ContrastiveConfig,
     feature_contrastive_loss,
@@ -67,7 +59,6 @@ from .structure_path import (
     positional_features,
     ppnp_forward,
     ppr_closed_form,
-    ppr_power_iteration,
 )
 
 __version__ = "0.1.0"

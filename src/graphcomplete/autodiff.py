@@ -216,12 +216,6 @@ def unit_rows(x: np.ndarray, eps: float = 1e-12):
     return out, vjp
 
 
-def row_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
-    """Scale each row to unit L2 norm, flooring the denominator at eps."""
-    out, vjp = unit_rows(a.value, eps)
-    return _node(out, [(a, vjp)])
-
-
 def row_softmax(a: Tensor) -> Tensor:
     shifted = a.value - a.value.max(axis=1, keepdims=True)
     e = np.exp(shifted)

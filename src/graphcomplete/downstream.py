@@ -125,14 +125,12 @@ class ReconState:
 
 @dataclass(frozen=True)
 class Metrics:
-    """Per-run outcome: split accuracies, training curve, provenance."""
+    """Per-run outcome: split accuracies, training curve, best epoch."""
 
     train_accuracy: float
     val_accuracy: float
     test_accuracy: float
     loss_curve: tuple
-    seed: int
-    config_digest: str
     best_epoch: int
 
 
@@ -324,7 +322,7 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
 
 def _fit_and_score(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
                    labels: np.ndarray, num_classes: int, splits: Splits,
-                   cfg: DownstreamConfig, seed: int, config_digest: str) -> DownstreamResult:
+                   cfg: DownstreamConfig, seed: int) -> DownstreamResult:
     """Fit on test-redacted labels, then score the frozen best checkpoint."""
     redacted = labels.copy()
     redacted[splits.test] = -1
@@ -336,8 +334,6 @@ def _fit_and_score(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
         val_accuracy=best["val"],
         test_accuracy=evaluate(best["logits"], labels, splits.test),
         loss_curve=curve,
-        seed=seed,
-        config_digest=config_digest,
         best_epoch=best["epoch"],
     )
     return DownstreamResult(metrics=metrics, logits=best["logits"],
@@ -345,19 +341,18 @@ def _fit_and_score(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
 
 
 def train_downstream(recon: ReconState, labels: np.ndarray, num_classes: int,
-                     splits: Splits, cfg: DownstreamConfig, seed: int,
-                     config_digest: str = "") -> DownstreamResult:
+                     splits: Splits, cfg: DownstreamConfig, seed: int) -> DownstreamResult:
     """Supervised phase on the frozen reconstructions; reports test accuracy
     at the best-validation checkpoint."""
     return _fit_and_score(recon.imputed, recon.propagated,
                           downstream_propagation_matrix(recon.diffusion_topk),
-                          labels, num_classes, splits, cfg, seed, config_digest)
+                          labels, num_classes, splits, cfg, seed)
 
 
 def train_gcn_baseline(ds: GraphDataset, splits: Splits, cfg: DownstreamConfig,
-                       seed: int, config_digest: str = "") -> DownstreamResult:
+                       seed: int) -> DownstreamResult:
     """Plain classifier on the dataset as stored: zero-filled features and
     the surviving edges.  No reconstruction, no fusion."""
     return _fit_and_score(ds.features, None,
-                          normalize_adjacency(ds.edges, ds.n, sparse=True),
-                          ds.labels, ds.num_classes, splits, cfg, seed, config_digest)
+                          normalize_adjacency(ds.edges, ds.n),
+                          ds.labels, ds.num_classes, splits, cfg, seed)

@@ -20,9 +20,10 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
+from scipy import sparse as sp
 
 from .data import GraphDataset, MaskSpec, load_dataset, make_splits, apply_mask
 from .downstream import (
@@ -32,10 +33,10 @@ from .downstream import (
     train_downstream,
     train_gcn_baseline,
 )
-from .fusion import attention_fuse, export_fusion_weights
+from .fusion import attention_fuse
 from .nn import OptimConfig
 from .objective import ContrastiveConfig
-from .structure_path import PPRConfig, dump_structure
+from .structure_path import PPRConfig
 
 RECON_METHOD = "recon-gcn"
 BASELINE_METHOD = "zerofill-gcn"
@@ -210,26 +211,23 @@ def make_config(file_values: dict | None = None, overrides: dict | None = None) 
 # artifact writers
 
 
-def export_embeddings(matrix: np.ndarray, path: str, header: str | None = None) -> None:
-    """tsv of node id plus the row's values, 12 significant digits."""
-    matrix = np.asarray(matrix)
+def _write_tsv(path: str, header: str, matrix, columns: str | None = None) -> None:
+    """The one table format of the per-cell artifacts, tab-separated, values to
+    12 significant digits: a '# header' line, the column names if given, then
+    one line per row of a dense matrix (node id, the row's values) or per
+    stored entry of a sparse one (u, v, weight), in row-major order."""
+    if sp.issparse(matrix):
+        coo = sp.coo_array(matrix)
+        order = np.lexsort((coo.col, coo.row))
+        keys, values = np.column_stack((coo.row, coo.col))[order], coo.data[order, None]
+    else:
+        keys, values = np.arange(len(matrix))[:, None], np.asarray(matrix)
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for i in range(matrix.shape[0]):
-            vals = "\t".join(format(v, ".12g") for v in matrix[i])
-            fh.write(f"{i}\t{vals}\n")
-
-
-def read_embeddings(path: str) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#") or not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            rows.append([float(v) for v in parts[1:]])
-    return np.asarray(rows, dtype=np.float64)
+        fh.write(f"# {header}\n")
+        if columns:
+            fh.write(f"{columns}\n")
+        for key, row in zip(keys, values):
+            fh.write("\t".join([*map(str, key), *(format(v, ".12g") for v in row)]) + "\n")
 
 
 def _write_loss_csv(path: str, header: str, columns: str, rows) -> None:
@@ -247,17 +245,16 @@ def _run_cell(ds: GraphDataset, cfg: ExperimentConfig, fr: float, er: float, see
     masked = apply_mask(ds, MaskSpec(feature_missing_rate=fr, edge_missing_rate=er,
                                      feature_mode=cfg.feature_mode, seed=seed))
     splits = make_splits(masked, seed=seed)
-    digest = cfg.digest()
     results = {}
     recon = None
     if RECON_METHOD in cfg.methods():
         recon = run_reconstruction(masked, cfg.recon_config(), seed)
         results[RECON_METHOD] = train_downstream(
             recon, masked.labels, masked.num_classes, splits,
-            cfg.downstream_config(), seed, digest)
+            cfg.downstream_config(), seed)
     if BASELINE_METHOD in cfg.methods():
         results[BASELINE_METHOD] = train_gcn_baseline(
-            masked, splits, cfg.downstream_config(), seed, digest)
+            masked, splits, cfg.downstream_config(), seed)
     return recon, results
 
 
@@ -321,17 +318,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                     for view, matrix in (("fused", fusion_out.fused.value),
                                          ("imputed", recon.imputed),
                                          ("propagated", recon.propagated)):
-                        export_embeddings(matrix, os.path.join(cell_dir, f"{view}.tsv"),
-                                          f"{head} view={view}")
-                    export_fusion_weights(fusion_out,
-                                          os.path.join(cell_dir, "fusion_weights.tsv"),
-                                          f"{head} view=weights")
+                        _write_tsv(os.path.join(cell_dir, f"{view}.tsv"),
+                                   f"{head} view={view}", matrix)
+                    _write_tsv(os.path.join(cell_dir, "fusion_weights.tsv"),
+                               f"{head} view=weights", fusion_out.weights.value,
+                               "node\tw_feature\tw_structure")
                 if recon is not None and cfg.dump_structure:
-                    dump_structure(recon.diffusion_topk,
-                                   os.path.join(out, "structure", f"{tag}.tsv"),
-                                   head)
+                    _write_tsv(os.path.join(out, "structure", f"{tag}.tsv"), head,
+                               recon.diffusion_topk)
 
-    summary = {"digest": digest, "config": _jsonable_config(cfg), "results": {}}
+    summary = {"digest": digest, "config": asdict(cfg), "results": {}}
     for (fr, er, method), values in accs.items():
         key = f"feature_missing={fr:g},edge_missing={er:g}"
         arr = np.asarray(values)
@@ -348,14 +344,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     return {"paths": {"runs": runs_path, "summary": summary_path, "out": out},
             "summary": summary}
-
-
-def _jsonable_config(cfg: ExperimentConfig) -> dict:
-    out = {}
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        out[f.name] = list(v) if isinstance(v, tuple) else v
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -67,14 +67,3 @@ def attention_fuse(feature_view, structure_view, store: ParamStore, prefix: str 
     fused = add(mul_colvec(x, slice_cols(weights, 0, 1)),
                 mul_colvec(z, slice_cols(weights, 1, 2)))
     return FusionOut(fused=fused, weights=weights)
-
-
-def export_fusion_weights(out: FusionOut, path: str, header: str | None = None) -> None:
-    """tsv of per-node weights: node, weight on the feature view, on the structure view."""
-    w = out.weights.value
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        fh.write("node\tw_feature\tw_structure\n")
-        for i in range(w.shape[0]):
-            fh.write(f"{i}\t{format(w[i, 0], '.12g')}\t{format(w[i, 1], '.12g')}\n")

@@ -1,9 +1,8 @@
 """Parameter storage, initialization, the Adam optimizer, and small network blocks.
 
 Parameters live in a ParamStore keyed by dotted names ("imputer.W1").  The
-same store object is threaded through forward functions, the optimizer, and
-the finite-difference oracle, so every consumer sees one consistent set of
-values and gradients.
+same store object is threaded through forward functions and the optimizer,
+so every consumer sees one consistent set of values and gradients.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .autodiff import (
 
 
 class ParamStore:
-    """Named trainable matrices with shape-matched gradient buffers."""
+    """Named trainable matrices; a gradient is None until backward first reaches it."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
@@ -33,7 +32,6 @@ class ParamStore:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         t = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
-        t.grad = np.zeros_like(t.value)
         self._params[name] = t
         return t
 
@@ -54,7 +52,7 @@ class ParamStore:
 
     def zero_grad(self) -> None:
         for t in self._params.values():
-            t.grad = np.zeros_like(t.value)
+            t.grad = None
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: t.value.copy() for name, t in self._params.items()}
@@ -129,8 +127,8 @@ class OptimConfig:
 
 
 class Optimizer:
-    """Adam over a ParamStore, weight decay added to the gradient; grads are
-    zeroed after each step.
+    """Adam over a ParamStore, weight decay added to the gradient; a None grad
+    counts as zero, and every grad is reset to None after each step.
 
     The moments m and v are updated in place.  Each parameter's update is
     computed in two scratch arrays allocated for that parameter and step (no
@@ -170,51 +168,3 @@ class Optimizer:
                 raise FloatingPointError(f"non-finite update for parameter {name!r}")
             p.value = a
         self.store.zero_grad()
-
-
-# ---------------------------------------------------------------------------
-# verification oracle
-
-
-def finite_diff_grad(loss_fn, store: ParamStore, eps: float = 1e-5,
-                     names=None) -> dict[str, np.ndarray]:
-    """Central-difference gradients, entry by entry.
-
-    loss_fn must be a pure function of the store's current values.  This is
-    deliberately independent of the tape: it calls loss_fn 2·(entry count)
-    times and never inspects analytic gradients.
-    """
-    grads = {}
-    for name in (names if names is not None else store.names()):
-        value = store[name].value
-        g = np.zeros_like(value)
-        it = np.nditer(value, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = value[idx]
-            value[idx] = orig + eps
-            lp = float(loss_fn())
-            value[idx] = orig - eps
-            lm = float(loss_fn())
-            value[idx] = orig
-            if not (np.isfinite(lp) and np.isfinite(lm)):
-                raise FloatingPointError(f"non-finite loss while probing {name}{idx}")
-            g[idx] = (lp - lm) / (2.0 * eps)
-            it.iternext()
-        grads[name] = g
-    return grads
-
-
-# ---------------------------------------------------------------------------
-# shared kernels
-
-
-def cosine_matrix(U: np.ndarray, V: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """S[i][j] = cosine of U row i with V row j, zero rows floored at eps."""
-    U = np.asarray(U, dtype=np.float64)
-    V = np.asarray(V, dtype=np.float64)
-    if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[1]:
-        raise ShapeError(f"cosine_matrix: {U.shape} vs {V.shape}")
-    un = U / np.maximum(np.linalg.norm(U, axis=1, keepdims=True), eps)
-    vn = V / np.maximum(np.linalg.norm(V, axis=1, keepdims=True), eps)
-    return un @ vn.T

@@ -37,15 +37,8 @@ class PPRConfig:
             raise ValueError(f"k {self.k} negative")
 
 
-@dataclass(frozen=True)
-class PowerIterationResult:
-    matrix: np.ndarray
-    iterations: int
-    converged: bool
-
-
-def normalize_adjacency(edges: np.ndarray, n: int, sparse: bool = False):
-    """Symmetric normalization of the self-looped adjacency.
+def normalize_adjacency(edges: np.ndarray, n: int) -> sp.csr_array:
+    """Symmetric normalization of the self-looped adjacency, as sparse.
 
     Returns D^{-1/2} (A + I) D^{-1/2} with D the degree matrix of A + I.
     Spectral radius is at most 1, which makes the diffusion below converge.
@@ -58,7 +51,7 @@ def normalize_adjacency(edges: np.ndarray, n: int, sparse: bool = False):
     a_loop = sp.csr_array((vals, (rows, cols)), shape=(n, n))
     inv_sqrt = 1.0 / np.sqrt(np.asarray(a_loop.sum(axis=1)).ravel())
     norm = sp.diags_array(inv_sqrt) @ a_loop @ sp.diags_array(inv_sqrt)
-    return sp.csr_array(norm) if sparse else norm.toarray()
+    return sp.csr_array(norm)
 
 
 def ppr_closed_form(a_norm, alpha: float) -> np.ndarray:
@@ -87,29 +80,6 @@ def ppr_closed_form(a_norm, alpha: float) -> np.ndarray:
         rows[:, r0:] += np.triu(out[r0:, r0:r0 + len(rows)].T, 1)
         np.maximum(np.multiply(rows, alpha, out=rows), 0.0, out=rows)
     return out
-
-
-def ppr_power_iteration(a_norm: np.ndarray, alpha: float,
-                        tol: float = 1e-8, max_iter: int = 1000) -> PowerIterationResult:
-    """Iterative diffusion: A_{t+1} = (1-alpha) * a_norm @ A_t + alpha * I from I.
-
-    Kept as the reference the closed form is checked against: every step
-    multiplies dense n x n matrices, so it is never the faster solver.  Stops
-    when the largest entry change drops below tol.  Hitting max_iter first
-    returns the current iterate flagged as unconverged.
-    """
-    a_norm = np.asarray(a_norm, dtype=np.float64)
-    n = a_norm.shape[0]
-    eye = np.eye(n)
-    current = eye.copy()
-    for it in range(1, max_iter + 1):
-        nxt = (1.0 - alpha) * (a_norm @ current) + alpha * eye
-        delta = np.abs(nxt - current).max()
-        current = nxt
-        if delta < tol:
-            return PowerIterationResult(current, it, True)
-    warnings.warn(f"diffusion did not reach tol={tol} in {max_iter} iterations")
-    return PowerIterationResult(current, max_iter, False)
 
 
 def knn_sparsify(matrix: np.ndarray, k: int) -> np.ndarray:
@@ -164,20 +134,9 @@ def build_diffusion(edges: np.ndarray, n: int, config: PPRConfig) -> sp.csr_arra
     """Normalized adjacency -> closed-form diffusion -> top-k rows, as sparse.
 
     k=0 or k > n (warned once) keeps every entry.  One dense n x n array is live."""
-    dense = ppr_closed_form(normalize_adjacency(edges, n, sparse=True), config.alpha)
+    dense = ppr_closed_form(normalize_adjacency(edges, n), config.alpha)
     if config.k > n:
         warnings.warn(f"k={config.k} exceeds {n} columns; keeping all")
     k = config.k if 1 <= config.k <= n else n
     blocks = [sp.csr_array(knn_sparsify(dense[r0:r0 + BLOCK_ROWS], k)) for r0 in range(0, n, BLOCK_ROWS)]
     return sp.vstack(blocks or [sp.csr_array((0, 0))], format="csr")
-
-
-def dump_structure(matrix: np.ndarray, path: str, header: str | None = None) -> None:
-    """Write the sparsified diffusion as a weighted edge list tsv (u, v, w)."""
-    mat = sp.coo_array(matrix)
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        order = np.lexsort((mat.col, mat.row))
-        for u, v, w in zip(mat.row[order], mat.col[order], mat.data[order]):
-            fh.write(f"{u}\t{v}\t{format(w, '.12g')}\n")

@@ -5,7 +5,8 @@ import pytest
 
 import graphcomplete as gc
 from graphcomplete import autodiff as ad
-from graphcomplete.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ParamStore, finite_diff_grad
+from graphcomplete.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ParamStore
+from oracles import finite_diff_grad
 
 # gradient acceptance rule used throughout: relative error below 1e-4,
 # falling back to absolute error below 1e-7 where the analytic gradient
@@ -69,6 +70,21 @@ class ReferenceAdam:
                 raise FloatingPointError(f"non-finite update for parameter {name!r}")
             p.value = new
         self.store.zero_grad()
+
+
+class ZeroFilledStore(ParamStore):
+    """The store under the former grad convention: a zero array from add and
+    after every step instead of None, so backward adds each first gradient
+    into zeros (a first entry of -0.0 arrives as +0.0)."""
+
+    def add(self, name, value):
+        t = super().add(name, value)
+        t.grad = np.zeros_like(t.value)
+        return t
+
+    def zero_grad(self) -> None:
+        for _, t in self.items():
+            t.grad = np.zeros_like(t.value)
 
 
 def bits(a) -> np.ndarray:

@@ -1,0 +1,115 @@
+"""Reference implementations the tests check the package against.
+
+None of these runs in a pipeline: each is an independent second way to compute
+what a package function computes (or to read back what it writes), kept here
+so the package ships only code a run executes.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from graphcomplete.autodiff import ShapeError, Tensor, _node, unit_rows
+from graphcomplete.nn import ParamStore
+
+
+# ---------------------------------------------------------------------------
+# diffusion
+
+
+@dataclass(frozen=True)
+class PowerIterationResult:
+    matrix: np.ndarray
+    iterations: int
+    converged: bool
+
+
+def ppr_power_iteration(a_norm: np.ndarray, alpha: float,
+                        tol: float = 1e-8, max_iter: int = 1000) -> PowerIterationResult:
+    """Iterative diffusion: A_{t+1} = (1-alpha) * a_norm @ A_t + alpha * I from I.
+
+    Kept as the reference the closed form is checked against: every step
+    multiplies dense n x n matrices, so it is never the faster solver.  Stops
+    when the largest entry change drops below tol.  Hitting max_iter first
+    returns the current iterate flagged as unconverged.
+    """
+    a_norm = np.asarray(a_norm, dtype=np.float64)
+    n = a_norm.shape[0]
+    eye = np.eye(n)
+    current = eye.copy()
+    for it in range(1, max_iter + 1):
+        nxt = (1.0 - alpha) * (a_norm @ current) + alpha * eye
+        delta = np.abs(nxt - current).max()
+        current = nxt
+        if delta < tol:
+            return PowerIterationResult(current, it, True)
+    warnings.warn(f"diffusion did not reach tol={tol} in {max_iter} iterations")
+    return PowerIterationResult(current, max_iter, False)
+
+
+# ---------------------------------------------------------------------------
+# gradients and kernels
+
+
+def finite_diff_grad(loss_fn, store: ParamStore, eps: float = 1e-5,
+                     names=None) -> dict[str, np.ndarray]:
+    """Central-difference gradients, entry by entry.
+
+    loss_fn must be a pure function of the store's current values.  This is
+    deliberately independent of the tape: it calls loss_fn 2·(entry count)
+    times and never inspects analytic gradients.
+    """
+    grads = {}
+    for name in (names if names is not None else store.names()):
+        value = store[name].value
+        g = np.zeros_like(value)
+        it = np.nditer(value, flags=["multi_index"])
+        while not it.finished:
+            idx = it.multi_index
+            orig = value[idx]
+            value[idx] = orig + eps
+            lp = float(loss_fn())
+            value[idx] = orig - eps
+            lm = float(loss_fn())
+            value[idx] = orig
+            if not (np.isfinite(lp) and np.isfinite(lm)):
+                raise FloatingPointError(f"non-finite loss while probing {name}{idx}")
+            g[idx] = (lp - lm) / (2.0 * eps)
+            it.iternext()
+        grads[name] = g
+    return grads
+
+
+def cosine_matrix(U: np.ndarray, V: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+    """S[i][j] = cosine of U row i with V row j, zero rows floored at eps."""
+    U = np.asarray(U, dtype=np.float64)
+    V = np.asarray(V, dtype=np.float64)
+    if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[1]:
+        raise ShapeError(f"cosine_matrix: {U.shape} vs {V.shape}")
+    un = U / np.maximum(np.linalg.norm(U, axis=1, keepdims=True), eps)
+    vn = V / np.maximum(np.linalg.norm(V, axis=1, keepdims=True), eps)
+    return un @ vn.T
+
+
+def row_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
+    """Scale each row to unit L2 norm, flooring the denominator at eps."""
+    out, vjp = unit_rows(a.value, eps)
+    return _node(out, [(a, vjp)])
+
+
+# ---------------------------------------------------------------------------
+# artifacts
+
+
+def read_embeddings(path: str) -> np.ndarray:
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("#") or not line.strip():
+                continue
+            parts = line.rstrip("\n").split("\t")
+            rows.append([float(v) for v in parts[1:]])
+    return np.asarray(rows, dtype=np.float64)

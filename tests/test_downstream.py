@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 import graphcomplete as gc
 import graphcomplete.autodiff as ad
-from graphcomplete import objective
+from graphcomplete import downstream, objective
 from graphcomplete.data import two_block_features
 from graphcomplete.downstream import (
     DownstreamConfig,
@@ -24,7 +24,7 @@ from graphcomplete.nn import OptimConfig, ParamStore, dropout_mask, glorot, init
 from graphcomplete.rng import STREAM_DROPOUT, STREAM_INIT, make_rng
 from graphcomplete.structure_path import normalize_adjacency, ppnp_forward
 
-from conftest import ReferenceAdam, bits, gradcheck, sbm_fixture
+from conftest import ReferenceAdam, ZeroFilledStore, bits, gradcheck, sbm_fixture
 
 
 def gcn_store(d, h, c, seed=0):
@@ -48,6 +48,20 @@ def quick_downstream_config(**overrides):
     return DownstreamConfig(**base)
 
 
+def probe_cell(ds, recon_cfg=None, seed=0):
+    """One sweep cell at probe size, 5 reconstruction and 5 classifier epochs;
+    every output must be finite."""
+    splits = gc.make_splits(ds, seed=seed)
+    state = gc.run_reconstruction(ds, recon_cfg or quick_recon_config(epochs=5), seed=seed)
+    cfg = quick_downstream_config(max_epochs=5)
+    results = [gc.train_downstream(state, ds.labels, ds.num_classes, splits, cfg, seed=seed),
+               gc.train_gcn_baseline(ds, splits, cfg, seed=seed)]
+    for arr in (state.imputed, state.propagated, state.loss_history, state.diffusion_topk.data,
+                *(r.logits for r in results), *(r.metrics.loss_curve for r in results)):
+        assert np.all(np.isfinite(arr))
+    return state, results
+
+
 def separable_dataset(seed=0):
     """Two clean blocks: distinct features, no cross edges."""
     return gc.generate_sbm(10, 2, 0.5, 0.0, two_block_features(8), 0.0, seed=seed)
@@ -67,7 +81,7 @@ class TestGCNForward:
         ppnp = ParamStore()
         ppnp.add("ppnp.W0", store["gcn.W0"].value)
         ppnp.add("ppnp.W1", store["gcn.W1"].value)
-        a = sp.csr_array(normalize_adjacency(np.array([[0, 1], [1, 2]]), 3))
+        a = normalize_adjacency(np.array([[0, 1], [1, 2]]), 3)
         X = rng.normal(size=(3, 3))
         np.testing.assert_array_equal(gcn_forward(ad.Operator(a), X, store).value,
                                       ppnp_forward(ad.Operator(a), X, ppnp).value)
@@ -89,7 +103,7 @@ class TestGCNForward:
     def test_matches_numpy_oracle_with_sparse_operator(self):
         rng = np.random.default_rng(4)
         edges = np.array([[0, 1], [1, 2], [2, 3], [0, 3]])
-        a = normalize_adjacency(edges, 4)
+        a = normalize_adjacency(edges, 4).toarray()
         store = gcn_store(3, 5, 2, seed=5)
         X = rng.normal(size=(4, 3))
         out = gcn_forward(ad.Operator(sp.csr_array(a)), X, store)
@@ -136,7 +150,7 @@ class TestCrossEntropy:
 
     def test_gradcheck_through_classifier(self):
         rng = np.random.default_rng(8)
-        a = normalize_adjacency(np.array([[0, 1], [1, 2]]), 3)
+        a = normalize_adjacency(np.array([[0, 1], [1, 2]]), 3).toarray()
         X = rng.normal(size=(3, 4))
         labels = np.array([0, 1, 0])
         store = gcn_store(4, 5, 2, seed=9)
@@ -293,21 +307,72 @@ class TestReconstructionComposition:
         np.testing.assert_array_equal(bits(state.imputed), bits(imputed))
         np.testing.assert_array_equal(bits(state.propagated), bits(propagated))
 
+    def test_bit_identical_to_zero_filled_grads(self, monkeypatch):
+        # gradients left None until backward reaches them against the former
+        # zero-filled ones, through both phases and the baseline
+        ds = gc.apply_mask(sbm_fixture(), gc.MaskSpec(0.3, 0.3, "entry", 0))
+        recon_cfg = quick_recon_config(epochs=5, dropout=0.2,
+                                       optim=OptimConfig(0.01, weight_decay=1e-4))
+        splits = gc.make_splits(ds, seed=4)
+        down_cfg = quick_downstream_config(max_epochs=20)
+        runs = []
+        for store_type in (ParamStore, ZeroFilledStore):
+            monkeypatch.setattr(downstream, "ParamStore", store_type)
+            state = gc.run_reconstruction(ds, recon_cfg, seed=4)
+            fused = train_downstream(state, ds.labels, ds.num_classes, splits, down_cfg, seed=4)
+            baseline = train_gcn_baseline(ds, splits, down_cfg, seed=4)
+            assert isinstance(fused.store, store_type)
+            runs.append([state.loss_history, state.imputed, state.propagated,
+                         fused.logits, fused.fusion_weights, fused.metrics.loss_curve,
+                         baseline.logits, baseline.metrics.loss_curve])
+        for ours, zero_filled in zip(*runs):
+            np.testing.assert_array_equal(bits(ours), bits(zero_filled))
+
 
 class TestCollapseWarning:
     def test_no_observed_feature_warns(self):
-        ds = gc.apply_mask(sbm_fixture(), gc.MaskSpec(1.0, 0.3, "row", 0))
-        with pytest.warns(RuntimeWarning, match="no feature entry is observed"):
-            state = gc.run_reconstruction(ds, quick_recon_config(epochs=3), seed=0)
-        # the collapse the warning names: every node gets the same completed row
-        np.testing.assert_array_equal(state.imputed, np.broadcast_to(state.imputed[0],
-                                                                     state.imputed.shape))
+        # in both modes; the cell still gives finite outputs
+        for mode in ("row", "entry"):
+            ds = gc.apply_mask(sbm_fixture(), gc.MaskSpec(1.0, 0.3, mode, 0))
+            with pytest.warns(RuntimeWarning, match="no feature entry is observed"):
+                state, _ = probe_cell(ds)
+            # the collapse the warning names: every node gets the same completed row
+            np.testing.assert_array_equal(state.imputed, np.broadcast_to(state.imputed[0],
+                                                                         state.imputed.shape))
 
     def test_partly_observed_features_run_clean(self):
         ds = gc.apply_mask(sbm_fixture(), gc.MaskSpec(0.3, 0.3, "entry", 0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             gc.run_reconstruction(ds, quick_recon_config(epochs=3), seed=0)
+
+
+class TestDegenerateInputs:
+    """Damage at the edges of its range gives a defined result or a clear error."""
+
+    @pytest.mark.parametrize("feature_rate, edge_rate", [(0.3, 1.0), (0.0, 0.0)],
+                             ids=["no-surviving-edge", "no-damage"])
+    def test_extreme_rates_give_finite_outputs(self, feature_rate, edge_rate):
+        ds = gc.apply_mask(sbm_fixture(), gc.MaskSpec(feature_rate, edge_rate, "entry", 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probe_cell(ds)
+
+    def test_k_above_n_warns_once_and_keeps_every_entry(self):
+        ds = gc.apply_mask(gc.generate_sbm(5, 2, 0.3, 0.02, two_block_features(16) * 0.05,
+                                           0.5, seed=0), gc.MaskSpec(0.3, 0.3, "entry", 0))
+        cfg = quick_recon_config(epochs=5, ppr=gc.PPRConfig(alpha=0.1, k=20))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            state, _ = probe_cell(ds, cfg)
+        assert [str(w.message) for w in caught] == ["k=20 exceeds 10 columns; keeping all"]
+        every = gc.ppr_closed_form(normalize_adjacency(ds.edges, ds.n), 0.1)
+        np.testing.assert_array_equal(bits(state.diffusion_topk.toarray()), bits(every))
+
+    def test_two_member_classes_cannot_be_split(self):
+        ds = gc.generate_sbm(2, 2, 0.3, 0.02, two_block_features(16) * 0.05, 0.5, seed=0)
+        with pytest.raises(ValueError, match="class 0 has 2 members; need at least 3 to stratify"):
+            gc.make_splits(ds, seed=0)
 
 
 class TestDownstreamTraining:

@@ -5,7 +5,8 @@ import pytest
 
 import graphcomplete.autodiff as ad
 from graphcomplete.autodiff import ShapeError
-from graphcomplete.fusion import attention_fuse, export_fusion_weights, init_fusion
+from graphcomplete import experiment
+from graphcomplete.fusion import attention_fuse, init_fusion
 from graphcomplete.nn import ParamStore
 
 from conftest import gradcheck
@@ -159,7 +160,8 @@ class TestExport:
         x, z = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
         out, _ = fused(x, z, seed=20)
         path = str(tmp_path / "weights.tsv")
-        export_fusion_weights(out, path, header="run 1")
+        # the fusion-weights artifact: the weights through the artifact writer
+        experiment._write_tsv(path, "run 1", out.weights.value, "node\tw_feature\tw_structure")
         lines = open(path).read().splitlines()
         assert lines[0] == "# run 1"
         assert lines[1] == "node\tw_feature\tw_structure"

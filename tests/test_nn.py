@@ -9,15 +9,14 @@ from graphcomplete.nn import (
     OptimConfig,
     Optimizer,
     ParamStore,
-    cosine_matrix,
     dropout_mask,
-    finite_diff_grad,
     glorot,
     init_mlp2,
     mlp2_forward,
 )
 
-from conftest import ReferenceAdam, bits
+from conftest import ReferenceAdam, ZeroFilledStore, bits
+from oracles import cosine_matrix, finite_diff_grad
 
 
 class TestParamStore:
@@ -25,7 +24,7 @@ class TestParamStore:
         store = ParamStore()
         t = store.add("w", np.ones((2, 2)))
         assert t.requires_grad
-        np.testing.assert_array_equal(t.grad, np.zeros((2, 2)))
+        assert t.grad is None
         assert "w" in store and len(store) == 1
 
     def test_duplicate_name_rejected(self):
@@ -152,7 +151,7 @@ class TestOptimizer:
 
     def test_grads_zeroed_after_step(self):
         store, p = self.run_one_step(OptimConfig(0.01))
-        np.testing.assert_array_equal(p.grad, np.zeros((1, 1)))
+        assert p.grad is None
 
     def test_zero_grad_leaves_param_unchanged(self):
         store = ParamStore()
@@ -196,6 +195,33 @@ class TestOptimizer:
         for name in shapes:
             np.testing.assert_array_equal(bits(opt._m[name]), bits(ref._m[name]))
             np.testing.assert_array_equal(bits(opt._v[name]), bits(ref._v[name]))
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    def test_none_grads_bit_identical_to_zero_filled(self, weight_decay):
+        # p's first gradient entry is -0.0 (and so is its value): left None until
+        # backward, the grad keeps the sign that zeros + (-0.0) would drop;
+        # "unused" is never reached, so its grad stays None or zero
+        c = ad.constant(np.array([[-0.0, 1.0, -2.0], [0.5, 0.0, 3.0]]))
+        value = np.array([[-0.0, 0.3, -1.2], [2.0, 0.0, -0.7]])
+        stores = ParamStore(), ZeroFilledStore()
+        for store in stores:
+            store.add("p", value.copy())
+            store.add("unused", np.ones((1, 2)))
+        opts = [Optimizer(store, OptimConfig(0.01, weight_decay=weight_decay))
+                for store in stores]
+        for _ in range(5):
+            for store in stores:
+                p = store["p"]
+                ad.backward(ad.sum_all(ad.add(ad.mul(p, c), ad.mul(p, p))))
+            first = [store["p"].grad[0, 0] for store in stores]
+            assert first[0] == 0.0 and np.signbit(first[0]) and not np.signbit(first[1])
+            for opt in opts:
+                opt.step()
+            for name in ("p", "unused"):
+                np.testing.assert_array_equal(bits(stores[0][name].value),
+                                              bits(stores[1][name].value), err_msg=name)
+                np.testing.assert_array_equal(bits(opts[0]._m[name]), bits(opts[1]._m[name]))
+                np.testing.assert_array_equal(bits(opts[0]._v[name]), bits(opts[1]._v[name]))
 
     def test_negative_lr_rejected(self):
         with pytest.raises(ValueError, match="learning_rate"):

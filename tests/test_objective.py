@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import graphcomplete as gc
 import graphcomplete.autodiff as ad
 from graphcomplete import objective
-from graphcomplete.nn import ParamStore, cosine_matrix
+from graphcomplete.nn import ParamStore
 from graphcomplete.objective import (
     ContrastiveConfig,
     feature_contrastive_loss,
@@ -18,6 +18,7 @@ from graphcomplete.objective import (
 )
 
 from conftest import gradcheck, sbm_fixture
+from oracles import cosine_matrix, row_normalize
 
 
 def infonce_oracle(U, V, t):
@@ -179,8 +180,8 @@ def tape_infonce(sim, t):
 
 
 def tape_feature_term(U, V, t):
-    u = ad.row_normalize(U, objective.NORM_EPS)
-    v = ad.row_normalize(V, objective.NORM_EPS)
+    u = row_normalize(U, objective.NORM_EPS)
+    v = row_normalize(V, objective.NORM_EPS)
     return tape_infonce(ad.matmul(u, ad.transpose(v)), t)
 
 
@@ -189,7 +190,7 @@ def tape_structure_term(X, diffusion, t):
     row-normalized diffusion: every n×n intermediate on the tape."""
     D = np.asarray(diffusion, dtype=np.float64)
     rows = D / np.maximum(np.linalg.norm(D, axis=1, keepdims=True), objective.NORM_EPS)
-    a = ad.row_normalize(ad.sigmoid(ad.matmul(X, ad.transpose(X))), objective.NORM_EPS)
+    a = row_normalize(ad.sigmoid(ad.matmul(X, ad.transpose(X))), objective.NORM_EPS)
     return tape_infonce(ad.matmul(a, ad.transpose(ad.constant(rows))), t)
 
 

@@ -7,22 +7,21 @@ import pytest
 import scipy.sparse as sp
 
 import graphcomplete.autodiff as ad
-from graphcomplete import structure_path
+from graphcomplete import experiment, structure_path
 from graphcomplete.autodiff import ShapeError
 from graphcomplete.nn import ParamStore, glorot
 from graphcomplete.structure_path import (
     PPRConfig,
     build_diffusion,
-    dump_structure,
     knn_sparsify,
     normalize_adjacency,
     positional_features,
     ppnp_forward,
     ppr_closed_form,
-    ppr_power_iteration,
 )
 
 from conftest import bits, gradcheck
+from oracles import ppr_power_iteration
 
 PATH_EDGE = np.array([[0, 1]])  # 2-node path graph
 
@@ -55,17 +54,17 @@ def dense_ppr_reference(a_norm, alpha):
 class TestNormalizeAdjacency:
     def test_two_node_path(self):
         # A+I = all-ones 2x2, degrees 2 -> every entry 1/2
-        out = normalize_adjacency(PATH_EDGE, 2)
+        out = normalize_adjacency(PATH_EDGE, 2).toarray()
         np.testing.assert_allclose(out, np.full((2, 2), 0.5), rtol=1e-15)
 
     def test_isolated_node_keeps_self_loop(self):
-        out = normalize_adjacency(np.zeros((0, 2), dtype=np.int64), 3)
+        out = normalize_adjacency(np.zeros((0, 2), dtype=np.int64), 3).toarray()
         np.testing.assert_array_equal(out, np.eye(3))
 
     def test_symmetric_and_matches_explicit_formula(self):
         rng = np.random.default_rng(0)
         edges = random_graph(rng, 8)
-        out = normalize_adjacency(edges, 8)
+        out = normalize_adjacency(edges, 8).toarray()
         A = np.eye(8)
         for u, v in edges:
             A[u, v] = A[v, u] = 1.0
@@ -75,19 +74,22 @@ class TestNormalizeAdjacency:
         np.testing.assert_allclose(out, out.T, rtol=1e-15)
 
     def test_sparse_matches_dense(self):
+        # the result is always CSR; its entries are the dense formula's
         rng = np.random.default_rng(1)
         edges = random_graph(rng, 10)
-        dense = normalize_adjacency(edges, 10)
-        sparse = normalize_adjacency(edges, 10, sparse=True)
-        assert sp.issparse(sparse)
-        np.testing.assert_allclose(sparse.toarray(), dense, rtol=1e-15)
+        A = np.eye(10)
+        A[edges[:, 0], edges[:, 1]] = A[edges[:, 1], edges[:, 0]] = 1.0
+        d = A.sum(axis=1)
+        sparse = normalize_adjacency(edges, 10)
+        assert isinstance(sparse, sp.csr_array)
+        np.testing.assert_allclose(sparse.toarray(), A / np.sqrt(np.outer(d, d)), rtol=1e-15)
 
 
 class TestPPR:
     def test_two_node_closed_form(self):
         # alpha=0.5 on the 2-node path: eigen-decomposition gives
         # [[0.75, 0.25], [0.25, 0.75]]
-        a_norm = normalize_adjacency(PATH_EDGE, 2)
+        a_norm = normalize_adjacency(PATH_EDGE, 2).toarray()
         out = ppr_closed_form(a_norm, 0.5)
         np.testing.assert_allclose(out, [[0.75, 0.25], [0.25, 0.75]], rtol=1e-12)
 
@@ -97,19 +99,19 @@ class TestPPR:
 
     def test_alpha_near_one_approaches_identity(self):
         rng = np.random.default_rng(2)
-        a_norm = normalize_adjacency(random_graph(rng, 6), 6)
+        a_norm = normalize_adjacency(random_graph(rng, 6), 6).toarray()
         out = ppr_closed_form(a_norm, 0.999)
         assert np.abs(out - np.eye(6)).max() < 5e-3
 
     def test_entries_nonnegative(self):
         rng = np.random.default_rng(3)
-        a_norm = normalize_adjacency(random_graph(rng, 12), 12)
+        a_norm = normalize_adjacency(random_graph(rng, 12), 12).toarray()
         assert ppr_closed_form(a_norm, 0.1).min() >= 0.0
 
     def test_power_iteration_matches_closed_form(self):
         rng = np.random.default_rng(4)
         for n in (5, 9, 17):
-            a_norm = normalize_adjacency(random_graph(rng, n), n)
+            a_norm = normalize_adjacency(random_graph(rng, n), n).toarray()
             for alpha in (0.1, 0.5, 0.9):
                 exact = ppr_closed_form(a_norm, alpha)
                 res = ppr_power_iteration(a_norm, alpha, tol=1e-12)
@@ -118,7 +120,7 @@ class TestPPR:
 
     def test_power_iteration_exhaustion_warns_and_flags(self):
         rng = np.random.default_rng(5)
-        a_norm = normalize_adjacency(random_graph(rng, 8), 8)
+        a_norm = normalize_adjacency(random_graph(rng, 8), 8).toarray()
         with pytest.warns(UserWarning, match="did not reach"):
             res = ppr_power_iteration(a_norm, 0.05, tol=1e-15, max_iter=3)
         assert not res.converged
@@ -129,7 +131,7 @@ class TestPPR:
         # alpha * sum_t (1-alpha)^t a_norm^t; at alpha=0.5 the 50-term tail
         # is below 1e-15 so the comparison is meaningful at 1e-6
         rng = np.random.default_rng(6)
-        a_norm = normalize_adjacency(random_graph(rng, 7), 7)
+        a_norm = normalize_adjacency(random_graph(rng, 7), 7).toarray()
         alpha = 0.5
         acc = np.zeros((7, 7))
         term = np.eye(7)
@@ -143,7 +145,7 @@ class TestPPR:
     def test_cholesky_matches_lu_and_is_exactly_symmetric(self):
         rng = np.random.default_rng(7)
         for n, alpha in ((1, 0.3), (6, 0.05), (40, 0.1), (120, 0.9)):
-            a_norm = normalize_adjacency(random_graph(rng, n, p=0.1), n)
+            a_norm = normalize_adjacency(random_graph(rng, n, p=0.1), n).toarray()
             lu = np.maximum(np.linalg.solve(np.eye(n) - (1.0 - alpha) * a_norm,
                                             alpha * np.eye(n)), 0.0)
             out = ppr_closed_form(a_norm, alpha)
@@ -160,10 +162,10 @@ class TestPPR:
         rng = np.random.default_rng(n)
         for degree in (0.5, 3.0):
             edges = sparse_graph(rng, n, degree)
-            dense = normalize_adjacency(edges, n)
+            dense = normalize_adjacency(edges, n).toarray()
             for alpha in (0.1, 0.85):
                 expected = dense_ppr_reference(dense, alpha)
-                for a_norm in (dense, normalize_adjacency(edges, n, sparse=True)):
+                for a_norm in (dense, normalize_adjacency(edges, n)):
                     np.testing.assert_array_equal(bits(ppr_closed_form(a_norm, alpha)),
                                                   bits(expected))
 
@@ -298,7 +300,7 @@ class TestPPNP:
     def test_matches_numpy_oracle_with_sparse_operator(self):
         rng = np.random.default_rng(13)
         edges = random_graph(rng, 6)
-        a = normalize_adjacency(edges, 6)
+        a = normalize_adjacency(edges, 6).toarray()
         store = self.ppnp_store((4, 5, 2), seed=14)
         X = rng.normal(size=(6, 4))
         out = ppnp_forward(ad.Operator(sp.csr_array(a)), X, store)
@@ -309,7 +311,7 @@ class TestPPNP:
     def test_permutation_equivariant(self):
         rng = np.random.default_rng(15)
         n = 7
-        a = normalize_adjacency(random_graph(rng, n), n)
+        a = normalize_adjacency(random_graph(rng, n), n).toarray()
         X = rng.normal(size=(n, 3))
         store = self.ppnp_store((3, 4, 2), seed=16)
         perm = rng.permutation(n)
@@ -320,7 +322,7 @@ class TestPPNP:
 
     def test_gradcheck(self):
         rng = np.random.default_rng(17)
-        a = normalize_adjacency(random_graph(rng, 5), 5)
+        a = normalize_adjacency(random_graph(rng, 5), 5).toarray()
         X = rng.normal(size=(5, 3)) + 0.1
         store = self.ppnp_store((3, 4, 2), seed=18)
         gradcheck(lambda s: ad.sum_all(
@@ -331,7 +333,7 @@ class TestBuildDiffusion:
     @staticmethod
     def assert_is_oracle(topk, edges, n, alpha, k):
         # bit for bit: same sparsity structure and the same stored values
-        dense = ppr_closed_form(normalize_adjacency(edges, n), alpha)
+        dense = ppr_closed_form(normalize_adjacency(edges, n).toarray(), alpha)
         expected = sp.csr_array(knn_sparsify(dense, k))
         assert isinstance(topk, sp.csr_array)
         for part in ("indptr", "indices", "data"):
@@ -355,7 +357,7 @@ class TestBuildDiffusion:
         n = 2 * structure_path.BLOCK_ROWS + 37
         edges = sparse_graph(np.random.default_rng(21), n)
         topk = build_diffusion(edges, n, PPRConfig(alpha=0.15, k=k))
-        dense = dense_ppr_reference(normalize_adjacency(edges, n), 0.15)
+        dense = dense_ppr_reference(normalize_adjacency(edges, n).toarray(), 0.15)
         expected = sp.csr_array(knn_sparsify(dense, k if k else n))
         for part in ("indptr", "indices"):
             np.testing.assert_array_equal(getattr(topk, part), getattr(expected, part))
@@ -394,10 +396,11 @@ class TestBuildDiffusion:
 
 
 class TestDumpStructure:
+    # the --dump-structure artifact: a sparse matrix through the artifact writer
     def test_writes_sorted_weighted_edges(self, tmp_path):
-        a = np.array([[0.0, 0.25], [1.5, 0.0]])
+        a = sp.csr_array(np.array([[0.0, 0.25], [1.5, 0.0]]))
         path = str(tmp_path / "structure.tsv")
-        dump_structure(a, path, header="demo")
+        experiment._write_tsv(path, "demo", a)
         lines = open(path).read().splitlines()
         assert lines[0] == "# demo"
         assert lines[1].split("\t") == ["0", "1", "0.25"]
@@ -407,9 +410,9 @@ class TestDumpStructure:
         rng = np.random.default_rng(22)
         a = knn_sparsify(rng.random((5, 5)), 2)
         path = str(tmp_path / "structure.tsv")
-        dump_structure(a, path)
+        experiment._write_tsv(path, "demo", sp.csr_array(a))
         back = np.zeros_like(a)
-        for line in open(path):
+        for line in open(path).read().splitlines()[1:]:
             u, v, w = line.split("\t")
             back[int(u), int(v)] = float(w)
         np.testing.assert_allclose(back, a, rtol=1e-11)
