@@ -22,9 +22,9 @@ clean = gc.generate_sbm(25, 2, 0.3, 0.02, two_block_features(12) * 0.5,
 ds = gc.apply_mask(clean, gc.MaskSpec(0.4, 0.3, "entry", 0))
 print("observed entries:", int(ds.feature_mask.sum()), "of", ds.features.size)
 
-cfg = gc.ReconTrainConfig(
-    ppr=gc.PPRConfig(alpha=0.1, k=10),
-    contrastive=gc.ContrastiveConfig(temperature=0.5),
+# The phase reads its settings from the same object the command line builds.
+cfg = gc.ExperimentConfig(
+    alpha=0.1, k=10, temperature=0.5,
     imputer_hidden=64, pe_hidden=64, ppnp_hidden=64,
     epochs=150,
 )

@@ -23,18 +23,19 @@ print(f"{ds.n} nodes, {len(ds.edges)} surviving edges, "
 print(f"splits: {len(splits.train)} train / {len(splits.val)} val / "
       f"{len(splits.test)} test")
 
+# One settings object serves both phases: each reads its own keys.
+cfg = gc.ExperimentConfig(alpha=0.1, k=20, epochs=100,
+                          down_max_epochs=300, down_patience=50)
+
 # --- phase 1: unsupervised reconstruction --------------------------------------
-recon_cfg = gc.ReconTrainConfig(ppr=gc.PPRConfig(alpha=0.1, k=20), epochs=100)
-state = gc.run_reconstruction(ds, recon_cfg, seed=1)
+state = gc.run_reconstruction(ds, cfg, seed=1)
 hist = state.loss_history
 print(f"\nreconstruction loss: {hist[0, 2]:.1f} -> {hist[-1, 2]:.1f} "
       f"over {len(hist)} epochs")
 
 # --- phase 2: supervised fusion + classifier ------------------------------------
-down_cfg = gc.DownstreamConfig(max_epochs=300, patience=50)
-result = gc.train_downstream(state, ds.labels, ds.num_classes, splits,
-                             down_cfg, seed=1)
-baseline = gc.train_gcn_baseline(ds, splits, down_cfg, seed=1)
+result = gc.train_downstream(state, ds.labels, ds.num_classes, splits, cfg, seed=1)
+baseline = gc.train_gcn_baseline(ds, splits, cfg, seed=1)
 
 m, b = result.metrics, baseline.metrics
 print("\n                    train    val   test   best epoch")

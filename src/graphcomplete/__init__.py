@@ -22,11 +22,9 @@ from .data import (
     write_dataset,
 )
 from .downstream import (
-    DownstreamConfig,
     DownstreamResult,
     Metrics,
     ReconState,
-    ReconTrainConfig,
     evaluate,
     gcn_forward,
     run_reconstruction,

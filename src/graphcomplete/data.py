@@ -197,13 +197,14 @@ def _parse_edges(path: str, n: int) -> np.ndarray:
 
 def load_dataset(path: str) -> GraphDataset:
     """Load a dataset directory, validating every invariant on the way in."""
-    features_path = os.path.join(path, "features.tsv")
-    if not os.path.exists(features_path):
-        raise DatasetFormatError(f"{features_path}: missing")
+    features_path, edges_path = (os.path.join(path, f) for f in ("features.tsv", "edges.tsv"))
+    for required in (features_path, edges_path):
+        if not os.path.exists(required):
+            raise DatasetFormatError(f"{required}: missing")
     features = _parse_numbered_matrix(features_path, "feature")
     n, d = features.shape
 
-    edges = _parse_edges(os.path.join(path, "edges.tsv"), n)
+    edges = _parse_edges(edges_path, n)
 
     mask_path = os.path.join(path, "mask.tsv")
     if os.path.exists(mask_path):
@@ -237,6 +238,9 @@ def load_dataset(path: str) -> GraphDataset:
                     raise DatasetFormatError(f"{labels_path}:{lineno}: node id out of range")
                 if cls < 0:
                     raise DatasetFormatError(f"{labels_path}:{lineno}: negative class id")
+                if labels[node] >= 0:
+                    raise DatasetFormatError(f"{labels_path}:{lineno}: duplicate label for "
+                                             f"node {node}")
                 labels[node] = cls
         num_classes = int(labels.max()) + 1 if np.any(labels >= 0) else 0
 

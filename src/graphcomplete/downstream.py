@@ -7,6 +7,10 @@ constant throughout.  The supervised phase freezes those reconstructions,
 then jointly trains the attention fusion and a two-layer graph-convolution
 classifier with masked cross-entropy, early-stopping on validation accuracy.
 
+Both phases read their settings from one ExperimentConfig (the object the
+command line builds too) and turn its keys into the diffusion, contrastive
+and optimizer settings once per call.
+
 Test labels are structurally out of reach of training code: the fit routine
 receives a label array with test entries redacted, and test accuracy is
 computed only afterwards, from frozen logits.
@@ -17,6 +21,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse as sp
@@ -60,49 +65,8 @@ from .structure_path import (
     ppnp_forward,
 )
 
-
-def _check_ranges(cfg, positive: tuple[str, ...], nonnegative: tuple[str, ...]) -> None:
-    """Dropout must lie in [0, 1), the positive fields be at least 1 and the
-    nonnegative ones at least 0; errors name the field."""
-    where = type(cfg).__name__
-    if not (0.0 <= cfg.dropout < 1.0):
-        raise ValueError(f"{where}.dropout {cfg.dropout} outside [0, 1)")
-    for names, floor in ((positive, 1), (nonnegative, 0)):
-        for name in names:
-            if getattr(cfg, name) < floor:
-                raise ValueError(f"{where}.{name} {getattr(cfg, name)} must be at least {floor}")
-
-
-@dataclass(frozen=True)
-class ReconTrainConfig:
-    """Settings for the self-supervised reconstruction phase."""
-
-    ppr: PPRConfig = PPRConfig()
-    contrastive: ContrastiveConfig = ContrastiveConfig()
-    optim: OptimConfig = OptimConfig(learning_rate=0.01)
-    imputer_hidden: int = 256
-    pe_hidden: int = 512
-    ppnp_hidden: int = 256
-    dropout: float = 0.0
-    epochs: int = 200
-
-    def __post_init__(self):
-        _check_ranges(self, ("imputer_hidden", "pe_hidden", "ppnp_hidden"), ("epochs",))
-
-
-@dataclass(frozen=True)
-class DownstreamConfig:
-    """Settings for the supervised fusion + classifier phase."""
-
-    optim: OptimConfig = OptimConfig(learning_rate=0.01, weight_decay=5e-4)
-    gcn_hidden: int = 64
-    attention_dim: int = 64
-    dropout: float = 0.5
-    max_epochs: int = 500
-    patience: int = 100
-
-    def __post_init__(self):
-        _check_ranges(self, ("gcn_hidden", "attention_dim", "patience"), ("max_epochs",))
+if TYPE_CHECKING:   # experiment imports this module, so only type checkers import it back
+    from .experiment import ExperimentConfig
 
 
 @dataclass(frozen=True)
@@ -146,11 +110,12 @@ class DownstreamResult:
 # reconstruction phase
 
 
-def run_reconstruction(ds: GraphDataset, cfg: ReconTrainConfig, seed: int) -> ReconState:
+def run_reconstruction(ds: GraphDataset, cfg: ExperimentConfig, seed: int) -> ReconState:
     """Train both reconstruction paths against the contrastive objective.
 
-    Returns the final reconstructions computed without dropout under the
-    trained parameters.  With epochs=0 this is the initial-parameter state.
+    Reads cfg's diffusion (alpha, k), temperature, width, epochs and recon_*
+    keys.  Returns the final reconstructions computed without dropout under
+    the trained parameters.  With epochs=0 this is the initial-parameter state.
     """
     n, d = ds.features.shape
     if not ds.feature_mask.any():
@@ -158,7 +123,7 @@ def run_reconstruction(ds: GraphDataset, cfg: ReconTrainConfig, seed: int) -> Re
                       "sees all-zero input and maps every node to the same row; the "
                       "completed features carry no node information", RuntimeWarning,
                       stacklevel=2)
-    topk = build_diffusion(ds.edges, n, cfg.ppr)
+    topk = build_diffusion(ds.edges, n, PPRConfig(cfg.alpha, cfg.k))
     # constant through training: built once, shared by every epoch
     op = Operator(topk)
     targets = structure_targets(topk)
@@ -171,17 +136,18 @@ def run_reconstruction(ds: GraphDataset, cfg: ReconTrainConfig, seed: int) -> Re
     store.add("pos.b", np.zeros((1, cfg.pe_hidden)))
     store.add("ppnp.W0", glorot(init_rng, cfg.pe_hidden, cfg.ppnp_hidden))
     store.add("ppnp.W1", glorot(init_rng, cfg.ppnp_hidden, d))
-    optim = Optimizer(store, cfg.optim)
+    optim = Optimizer(store, OptimConfig(cfg.recon_lr, cfg.recon_weight_decay))
+    contrastive = ContrastiveConfig(cfg.temperature)
 
     history = np.zeros((cfg.epochs, 3))
     for epoch in range(cfg.epochs):
         completed = impute_features(ds.features, ds.feature_mask, store,
-                                    dropout=cfg.dropout, rng=drop_rng)
+                                    dropout=cfg.recon_dropout, rng=drop_rng)
         pos_enc = positional_features(n, store)
         propagated = ppnp_forward(op, pos_enc, store,
-                                  dropout=cfg.dropout, rng=drop_rng)
+                                  dropout=cfg.recon_dropout, rng=drop_rng)
         total, l_f, l_s = total_contrastive_loss(completed, propagated, targets,
-                                                 cfg.contrastive)
+                                                 contrastive)
         if not np.isfinite(total.value):
             raise FloatingPointError(f"non-finite reconstruction loss at epoch {epoch}")
         history[epoch] = (float(l_f.value), float(l_s.value), float(total.value))
@@ -257,8 +223,9 @@ def downstream_propagation_matrix(diffusion_topk) -> sp.csr_array:
 def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
                     labels_trainval: np.ndarray, num_classes: int,
                     train_idx: np.ndarray, val_idx: np.ndarray,
-                    cfg: DownstreamConfig, seed: int):
-    """Train fusion (when z_view is given) plus the classifier.
+                    cfg: ExperimentConfig, seed: int):
+    """Train fusion (when z_view is given) plus the classifier, reading cfg's
+    gcn_hidden, attention_dim and down_* keys.
 
     labels_trainval must have test entries redacted to -1; this function
     never sees a test label.  Model selection is best validation accuracy
@@ -278,7 +245,7 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
     store.add("gcn.W1", glorot(init_rng, cfg.gcn_hidden, num_classes))
     if use_fusion:
         init_fusion(store, d, cfg.attention_dim, init_rng)
-    optim = Optimizer(store, cfg.optim)
+    optim = Optimizer(store, OptimConfig(cfg.down_lr, cfg.down_weight_decay))
 
     def inputs() -> Tensor:
         return attention_fuse(x_view, z_view, store).fused if use_fusion else constant(x_view)
@@ -295,8 +262,8 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
     }
     curve = []
     since_best = 0
-    for epoch in range(cfg.max_epochs):
-        logits = gcn_forward(op, inputs(), store, dropout=cfg.dropout, rng=drop_rng)
+    for epoch in range(cfg.down_max_epochs):
+        logits = gcn_forward(op, inputs(), store, dropout=cfg.down_dropout, rng=drop_rng)
         loss = cross_entropy_loss(logits, labels_trainval, train_idx, num_classes)
         if not np.isfinite(loss.value):
             raise FloatingPointError(f"non-finite classifier loss at epoch {epoch}")
@@ -312,7 +279,7 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
             since_best = 0
         else:
             since_best += 1
-            if since_best >= cfg.patience:
+            if since_best >= cfg.down_patience:
                 break
 
     store.restore(best["params"])
@@ -322,7 +289,7 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
 
 def _fit_and_score(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
                    labels: np.ndarray, num_classes: int, splits: Splits,
-                   cfg: DownstreamConfig, seed: int) -> DownstreamResult:
+                   cfg: ExperimentConfig, seed: int) -> DownstreamResult:
     """Fit on test-redacted labels, then score the frozen best checkpoint."""
     redacted = labels.copy()
     redacted[splits.test] = -1
@@ -341,7 +308,7 @@ def _fit_and_score(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
 
 
 def train_downstream(recon: ReconState, labels: np.ndarray, num_classes: int,
-                     splits: Splits, cfg: DownstreamConfig, seed: int) -> DownstreamResult:
+                     splits: Splits, cfg: ExperimentConfig, seed: int) -> DownstreamResult:
     """Supervised phase on the frozen reconstructions; reports test accuracy
     at the best-validation checkpoint."""
     return _fit_and_score(recon.imputed, recon.propagated,
@@ -349,7 +316,7 @@ def train_downstream(recon: ReconState, labels: np.ndarray, num_classes: int,
                           labels, num_classes, splits, cfg, seed)
 
 
-def train_gcn_baseline(ds: GraphDataset, splits: Splits, cfg: DownstreamConfig,
+def train_gcn_baseline(ds: GraphDataset, splits: Splits, cfg: ExperimentConfig,
                        seed: int) -> DownstreamResult:
     """Plain classifier on the dataset as stored: zero-filled features and
     the surviving edges.  No reconstruction, no fusion."""

@@ -6,10 +6,12 @@ and reports split accuracies.  Cells are independent jobs; a bounded worker
 pool may execute them concurrently, but a single collector writes all files
 in submission order, so outputs are byte-identical across reruns.
 
-Configuration is a flat key=value text file; each key is also a command-line
-flag (``--`` plus the key with dashes for underscores), and flags override the
-file.  Every output file embeds the config digest and
-the seed it came from.
+ExperimentConfig is the one settings object: it declares every setting once,
+with its default, help text and range, and both training phases read its keys
+directly.  On disk it is a flat key=value text file; each key is also a
+command-line flag (``--`` plus the key with dashes for underscores), and flags
+override the file.  Every output file embeds the config digest and the seed
+it came from.
 """
 
 from __future__ import annotations
@@ -26,20 +28,31 @@ import numpy as np
 from scipy import sparse as sp
 
 from .data import GraphDataset, MaskSpec, load_dataset, make_splits, apply_mask
-from .downstream import (
-    DownstreamConfig,
-    ReconTrainConfig,
-    run_reconstruction,
-    train_downstream,
-    train_gcn_baseline,
-)
+from .downstream import run_reconstruction, train_downstream, train_gcn_baseline
 from .fusion import attention_fuse
-from .nn import OptimConfig
-from .objective import ContrastiveConfig
-from .structure_path import PPRConfig
 
 RECON_METHOD = "recon-gcn"
 BASELINE_METHOD = "zerofill-gcn"
+
+
+# every ranged setting and the interval it must lie in, checked once when a
+# config is built; the interval is also the error's wording
+_RANGES = {
+    "alpha": "(0, 1)", "temperature": "(0, inf)",
+    "recon_dropout": "[0, 1)", "down_dropout": "[0, 1)",
+    **dict.fromkeys(("k", "epochs", "recon_lr", "recon_weight_decay", "down_lr",
+                     "down_weight_decay", "down_max_epochs"), "[0, inf)"),
+    **dict.fromkeys(("imputer_hidden", "pe_hidden", "ppnp_hidden", "gcn_hidden",
+                     "attention_dim", "down_patience", "workers"), "[1, inf)"),
+}
+
+
+def _inside(value, interval: str) -> bool:
+    """Whether value lies in an interval written "[lo, hi)", "(lo, hi]" and so on."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above_lo = lo <= value if interval[0] == "[" else lo < value
+    below_hi = value <= hi if interval[-1] == "]" else value < hi
+    return above_lo and below_hi
 
 
 def _help(default, text: str):
@@ -48,8 +61,10 @@ def _help(default, text: str):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat experiment settings; field names double as config-file keys and,
-    with dashes, as command-line flags.  A field's default fixes its type."""
+    """Every setting of a run, for the library and the command line alike:
+    the two training phases read their keys directly.  Field names double as
+    config-file keys and, with dashes, as command-line flags.  A field's
+    default fixes its type."""
 
     dataset: str = _help("", "dataset directory")
     out: str = _help("runs", "output directory")
@@ -60,32 +75,31 @@ class ExperimentConfig:
     baseline: str = _help("with", "run the zero-fill baseline alongside, alone, or not "
                                   "at all (with, only, off)")
     alpha: float = _help(0.1, "diffusion reset probability")
-    k: int = _help(20, "neighbors kept per diffusion row")
+    k: int = _help(20, "neighbors kept per diffusion row (0 keeps all)")
     temperature: float = _help(0.5, "contrastive temperature")
-    imputer_hidden: int = 256
-    pe_hidden: int = 512
-    ppnp_hidden: int = 256
-    gcn_hidden: int = 64
-    attention_dim: int = 64
+    imputer_hidden: int = _help(256, "hidden width of the feature imputer")
+    pe_hidden: int = _help(512, "width of the learned positional embeddings")
+    ppnp_hidden: int = _help(256, "hidden width of the structure-path propagation net")
+    gcn_hidden: int = _help(64, "hidden width of the downstream classifier")
+    attention_dim: int = _help(64, "width of the fusion attention")
     epochs: int = _help(200, "reconstruction epochs")
-    recon_lr: float = 0.01
-    recon_weight_decay: float = 0.0
-    recon_dropout: float = 0.0
-    down_lr: float = 0.01
-    down_weight_decay: float = 5e-4
-    down_dropout: float = 0.5
-    down_max_epochs: int = 500
-    down_patience: int = 100
+    recon_lr: float = _help(0.01, "reconstruction learning rate")
+    recon_weight_decay: float = _help(0.0, "reconstruction weight decay")
+    recon_dropout: float = _help(0.0, "reconstruction dropout rate")
+    down_lr: float = _help(0.01, "classifier learning rate")
+    down_weight_decay: float = _help(5e-4, "classifier weight decay")
+    down_dropout: float = _help(0.5, "classifier dropout rate")
+    down_max_epochs: int = _help(500, "most classifier epochs")
+    down_patience: int = _help(100, "classifier epochs without a better validation "
+                                    "accuracy before stopping")
     dump_embeddings: bool = _help(False, "write per-cell embedding tsv files")
     dump_structure: bool = _help(False, "write per-cell sparsified diffusion edge lists")
-    workers: int = 1
+    workers: int = _help(1, "sweep cells run at once")
 
     def __post_init__(self):
         # any sequence is accepted; tuples keep the digest and hash independent of it
         for name in ("feature_missing", "edge_missing", "seeds"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not self.dataset:
-            raise ValueError("dataset path is required")
         nf, ne = len(self.feature_missing), len(self.edge_missing)
         if not (nf and ne) or (nf != ne and 1 not in (nf, ne)):
             raise ValueError(f"cannot pair {nf} feature rates with {ne} edge rates")
@@ -95,15 +109,14 @@ class ExperimentConfig:
             raise ValueError(f"baseline must be with/only/off, got {self.baseline!r}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        if self.workers < 1:
-            raise ValueError(f"workers {self.workers} must be at least 1")
-        # one OptimConfig type serves both phases, so its ranges are named by key here
-        for key in ("recon_lr", "recon_weight_decay", "down_lr", "down_weight_decay"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key} {getattr(self, key)} must be nonnegative")
-        # constructing the sub-configs validates their own ranges
-        self.recon_config()
-        self.downstream_config()
+        for key, interval in _RANGES.items():
+            if not _inside(getattr(self, key), interval):
+                raise ValueError(f"{key} {getattr(self, key)} outside {interval}")
+        seen = set()
+        for name, *_ in self.cells():
+            if name in seen:
+                raise ValueError(f"sweep cell {name} is listed twice")
+            seen.add(name)
 
     def rate_pairs(self) -> list[tuple[float, float]]:
         fr, er = self.feature_missing, self.edge_missing
@@ -113,36 +126,18 @@ class ExperimentConfig:
             er = er * len(fr)
         return list(zip(fr, er))
 
+    def cells(self) -> list[tuple[str, float, float, int]]:
+        """The sweep's cells in run order, as (name, feature rate, edge rate,
+        seed); the name tags the cell's loss, embedding and structure files."""
+        return [(f"fr{fr:g}_er{er:g}_seed{seed}", fr, er, seed)
+                for fr, er in self.rate_pairs() for seed in self.seeds]
+
     def methods(self) -> list[str]:
         if self.baseline == "only":
             return [BASELINE_METHOD]
         if self.baseline == "off":
             return [RECON_METHOD]
         return [RECON_METHOD, BASELINE_METHOD]
-
-    def recon_config(self) -> ReconTrainConfig:
-        return ReconTrainConfig(
-            ppr=PPRConfig(alpha=self.alpha, k=self.k),
-            contrastive=ContrastiveConfig(temperature=self.temperature),
-            optim=OptimConfig(learning_rate=self.recon_lr,
-                              weight_decay=self.recon_weight_decay),
-            imputer_hidden=self.imputer_hidden,
-            pe_hidden=self.pe_hidden,
-            ppnp_hidden=self.ppnp_hidden,
-            dropout=self.recon_dropout,
-            epochs=self.epochs,
-        )
-
-    def downstream_config(self) -> DownstreamConfig:
-        return DownstreamConfig(
-            optim=OptimConfig(learning_rate=self.down_lr,
-                              weight_decay=self.down_weight_decay),
-            gcn_hidden=self.gcn_hidden,
-            attention_dim=self.attention_dim,
-            dropout=self.down_dropout,
-            max_epochs=self.down_max_epochs,
-            patience=self.down_patience,
-        )
 
     def canonical_text(self) -> str:
         lines = []
@@ -248,13 +243,11 @@ def _run_cell(ds: GraphDataset, cfg: ExperimentConfig, fr: float, er: float, see
     results = {}
     recon = None
     if RECON_METHOD in cfg.methods():
-        recon = run_reconstruction(masked, cfg.recon_config(), seed)
+        recon = run_reconstruction(masked, cfg, seed)
         results[RECON_METHOD] = train_downstream(
-            recon, masked.labels, masked.num_classes, splits,
-            cfg.downstream_config(), seed)
+            recon, masked.labels, masked.num_classes, splits, cfg, seed)
     if BASELINE_METHOD in cfg.methods():
-        results[BASELINE_METHOD] = train_gcn_baseline(
-            masked, splits, cfg.downstream_config(), seed)
+        results[BASELINE_METHOD] = train_gcn_baseline(masked, splits, cfg, seed)
     return recon, results
 
 
@@ -264,6 +257,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     Returns {"paths": ..., "summary": nested mean/sd dict} for callers that
     want the numbers without re-reading the files.
     """
+    if not cfg.dataset:
+        raise ValueError("dataset path is required")
     ds = load_dataset(cfg.dataset)
     digest = cfg.digest()
     out = cfg.out
@@ -275,7 +270,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if cfg.dump_structure:
         os.makedirs(os.path.join(out, "structure"), exist_ok=True)
 
-    cells = [(fr, er, seed) for fr, er in cfg.rate_pairs() for seed in cfg.seeds]
     accs: dict[tuple, list] = {}
     runs_path = os.path.join(out, "runs.csv")
 
@@ -284,15 +278,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         runs.write("feature_missing,edge_missing,seed,method,"
                    "test_accuracy,val_accuracy,train_accuracy,best_epoch\n")
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [(cell, pool.submit(_run_cell, ds, cfg, *cell)) for cell in cells]
-            for (fr, er, seed), fut in futures:
+            futures = [(cell, pool.submit(_run_cell, ds, cfg, *cell[1:]))
+                       for cell in cfg.cells()]
+            for (tag, fr, er, seed), fut in futures:
                 try:
                     recon, results = fut.result()
                 except Exception as exc:
                     raise RuntimeError(
                         f"cell feature_missing={fr} edge_missing={er} seed={seed} failed: {exc}"
                     ) from exc
-                tag = f"fr{fr:g}_er{er:g}_seed{seed}"
                 head = f"config={digest} seed={seed} feature_missing={fr:g} edge_missing={er:g}"
                 if recon is not None:
                     _write_loss_csv(

@@ -29,7 +29,7 @@ BLOCK_ROWS = 64
 class ContrastiveConfig:
     """temperature scales the similarities; the diagonal is always the positive."""
 
-    temperature: float = 0.5
+    temperature: float
 
     def __post_init__(self):
         if self.temperature <= 0:

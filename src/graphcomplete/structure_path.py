@@ -27,8 +27,8 @@ BLOCK_ROWS = 256   # rows per block of the diffusion's mirror and top-k passes
 class PPRConfig:
     """Diffusion settings: reset probability and entries kept per row."""
 
-    alpha: float = 0.1
-    k: int = 20
+    alpha: float
+    k: int
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):

@@ -18,7 +18,6 @@ import pytest
 import graphcomplete as gc
 import graphcomplete.autodiff as ad
 from graphcomplete.data import two_block_features
-from graphcomplete.downstream import ReconTrainConfig
 from graphcomplete.experiment import (
     BASELINE_METHOD,
     RECON_METHOD,
@@ -140,10 +139,10 @@ def test_acceptance_3_invariants(capsys):
     ds = gc.apply_mask(gc.generate_sbm(5, 2, 0.6, 0.1, two_block_features(6), 0.4,
                                        seed=3),
                        gc.MaskSpec(0.3, 0.2, "entry", 4))
-    recon_cfg = ReconTrainConfig(ppr=gc.PPRConfig(alpha=0.1, k=3),
-                                 imputer_hidden=8, pe_hidden=16,
-                                 ppnp_hidden=8, epochs=10)
-    state = gc.run_reconstruction(ds, recon_cfg, seed=0)
+    cfg = ExperimentConfig(k=3, imputer_hidden=8, pe_hidden=16, ppnp_hidden=8, epochs=10,
+                           gcn_hidden=8, attention_dim=4, down_max_epochs=20,
+                           down_patience=10)
+    state = gc.run_reconstruction(ds, cfg, seed=0)
     checks["observed-entry preservation"] = bool(
         np.array_equal(state.imputed[ds.feature_mask],
                        ds.features[ds.feature_mask]))
@@ -190,13 +189,9 @@ def test_acceptance_3_invariants(capsys):
     checks["split disjointness"] = bool(
         len(all_ids) == len(set(all_ids.tolist())) == ds.n)
 
-    down_cfg = gc.DownstreamConfig(gcn_hidden=8, attention_dim=4,
-                                   max_epochs=20, patience=10)
-    first = gc.train_downstream(state, ds.labels, ds.num_classes, splits,
-                                down_cfg, seed=0)
-    again = gc.train_downstream(gc.run_reconstruction(ds, recon_cfg, seed=0),
-                                ds.labels, ds.num_classes, splits,
-                                down_cfg, seed=0)
+    first = gc.train_downstream(state, ds.labels, ds.num_classes, splits, cfg, seed=0)
+    again = gc.train_downstream(gc.run_reconstruction(ds, cfg, seed=0),
+                                ds.labels, ds.num_classes, splits, cfg, seed=0)
     checks["bit-determinism per seed"] = bool(
         np.array_equal(first.logits, again.logits)
         and first.metrics == again.metrics)

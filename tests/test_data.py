@@ -99,6 +99,18 @@ class TestLoadErrors:
         with pytest.raises(DatasetFormatError, match="0 or 1"):
             gc.load_dataset(str(tmp_path))
 
+    def test_missing_edges_file(self, tmp_path):
+        (tmp_path / "features.tsv").write_text("0\t1.0\n1\t2.0\n")
+        with pytest.raises(DatasetFormatError, match=r"edges\.tsv: missing"):
+            gc.load_dataset(str(tmp_path))
+
+    def test_duplicate_label_reports_line(self, tmp_path):
+        self.write_minimal(tmp_path)
+        (tmp_path / "labels.tsv").write_text("0\t0\n1\t1\n0\t1\n")
+        with pytest.raises(DatasetFormatError,
+                           match=r"labels\.tsv:3: duplicate label for node 0"):
+            gc.load_dataset(str(tmp_path))
+
     def test_meta_counts_checked(self, tmp_path):
         self.write_minimal(tmp_path)
         (tmp_path / "meta.json").write_text('{"nodes": 3, "features": 2}')

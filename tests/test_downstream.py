@@ -11,8 +11,6 @@ import graphcomplete.autodiff as ad
 from graphcomplete import downstream, objective
 from graphcomplete.data import two_block_features
 from graphcomplete.downstream import (
-    DownstreamConfig,
-    ReconTrainConfig,
     cross_entropy_loss,
     downstream_propagation_matrix,
     evaluate,
@@ -20,6 +18,7 @@ from graphcomplete.downstream import (
     train_downstream,
     train_gcn_baseline,
 )
+from graphcomplete.experiment import ExperimentConfig
 from graphcomplete.nn import OptimConfig, ParamStore, dropout_mask, glorot, init_mlp2
 from graphcomplete.rng import STREAM_DROPOUT, STREAM_INIT, make_rng
 from graphcomplete.structure_path import normalize_adjacency, ppnp_forward
@@ -35,25 +34,19 @@ def gcn_store(d, h, c, seed=0):
     return store
 
 
-def quick_recon_config(**overrides):
-    base = dict(ppr=gc.PPRConfig(alpha=0.1, k=3), imputer_hidden=16,
-                pe_hidden=32, ppnp_hidden=16, epochs=10)
+def quick_config(**overrides):
+    base = dict(k=3, imputer_hidden=16, pe_hidden=32, ppnp_hidden=16, epochs=10,
+                gcn_hidden=16, attention_dim=8, down_max_epochs=150, down_patience=40)
     base.update(overrides)
-    return ReconTrainConfig(**base)
+    return ExperimentConfig(**base)
 
 
-def quick_downstream_config(**overrides):
-    base = dict(gcn_hidden=16, attention_dim=8, max_epochs=150, patience=40)
-    base.update(overrides)
-    return DownstreamConfig(**base)
-
-
-def probe_cell(ds, recon_cfg=None, seed=0):
+def probe_cell(ds, seed=0, **overrides):
     """One sweep cell at probe size, 5 reconstruction and 5 classifier epochs;
     every output must be finite."""
     splits = gc.make_splits(ds, seed=seed)
-    state = gc.run_reconstruction(ds, recon_cfg or quick_recon_config(epochs=5), seed=seed)
-    cfg = quick_downstream_config(max_epochs=5)
+    cfg = quick_config(**{"epochs": 5, "down_max_epochs": 5, **overrides})
+    state = gc.run_reconstruction(ds, cfg, seed=seed)
     results = [gc.train_downstream(state, ds.labels, ds.num_classes, splits, cfg, seed=seed),
                gc.train_gcn_baseline(ds, splits, cfg, seed=seed)]
     for arr in (state.imputed, state.propagated, state.loss_history, state.diffusion_topk.data,
@@ -70,8 +63,11 @@ def separable_dataset(seed=0):
 class TestConfigRanges:
     # out-of-range values are covered through ExperimentConfig in test_experiment
     def test_edges_of_the_ranges_accepted(self):
-        ReconTrainConfig(dropout=0.0, imputer_hidden=1, pe_hidden=1, ppnp_hidden=1, epochs=0)
-        DownstreamConfig(dropout=0.99, gcn_hidden=1, attention_dim=1, max_epochs=0, patience=1)
+        # both phases run at the smallest widths and no epochs
+        ds = separable_dataset()
+        probe_cell(ds, recon_dropout=0.0, imputer_hidden=1, pe_hidden=1, ppnp_hidden=1,
+                   epochs=0, down_dropout=0.99, gcn_hidden=1, attention_dim=1,
+                   down_max_epochs=0, down_patience=1)
 
 
 class TestGCNForward:
@@ -214,29 +210,29 @@ class TestPropagationMatrix:
 class TestReconstructionPhase:
     def test_zero_epochs_returns_initial_state(self, tiny_masked_dataset):
         state = gc.run_reconstruction(tiny_masked_dataset,
-                                      quick_recon_config(epochs=0), seed=0)
+                                      quick_config(epochs=0), seed=0)
         assert state.loss_history.shape == (0, 3)
         assert state.imputed.shape == tiny_masked_dataset.features.shape
 
     def test_observed_entries_preserved_bit_exactly(self, tiny_masked_dataset):
         ds = tiny_masked_dataset
-        state = gc.run_reconstruction(ds, quick_recon_config(), seed=1)
+        state = gc.run_reconstruction(ds, quick_config(), seed=1)
         np.testing.assert_array_equal(state.imputed[ds.feature_mask],
                                       ds.features[ds.feature_mask])
 
     def test_loss_history_columns_sum(self, tiny_masked_dataset):
         state = gc.run_reconstruction(tiny_masked_dataset,
-                                      quick_recon_config(epochs=5), seed=2)
+                                      quick_config(epochs=5), seed=2)
         np.testing.assert_allclose(state.loss_history[:, 0] + state.loss_history[:, 1],
                                    state.loss_history[:, 2], rtol=1e-12)
 
     def test_deterministic_per_seed(self, tiny_masked_dataset):
-        a = gc.run_reconstruction(tiny_masked_dataset, quick_recon_config(), seed=3)
-        b = gc.run_reconstruction(tiny_masked_dataset, quick_recon_config(), seed=3)
+        a = gc.run_reconstruction(tiny_masked_dataset, quick_config(), seed=3)
+        b = gc.run_reconstruction(tiny_masked_dataset, quick_config(), seed=3)
         np.testing.assert_array_equal(a.imputed, b.imputed)
         np.testing.assert_array_equal(a.propagated, b.propagated)
         np.testing.assert_array_equal(a.loss_history, b.loss_history)
-        c = gc.run_reconstruction(tiny_masked_dataset, quick_recon_config(), seed=4)
+        c = gc.run_reconstruction(tiny_masked_dataset, quick_config(), seed=4)
         assert not np.array_equal(a.imputed, c.imputed)
 
 
@@ -272,11 +268,10 @@ class TestReconstructionComposition:
         # every constant rebuilt each epoch and the textbook Adam, by hand;
         # dropout and weight decay on so both code paths are covered
         ds = gc.apply_mask(sbm_fixture(), gc.MaskSpec(0.3, 0.3, "entry", 0))
-        cfg = ReconTrainConfig(epochs=5, dropout=0.2,
-                               optim=OptimConfig(0.01, weight_decay=1e-4))
+        cfg = ExperimentConfig(epochs=5, recon_dropout=0.2, recon_weight_decay=1e-4)
         seed = 4
         n, d = ds.features.shape
-        topk = gc.build_diffusion(ds.edges, n, cfg.ppr)
+        topk = gc.build_diffusion(ds.edges, n, gc.PPRConfig(cfg.alpha, cfg.k))
         init_rng = make_rng(seed, STREAM_INIT)
         drop_rng = make_rng(seed, STREAM_DROPOUT)
         store = ParamStore()
@@ -285,14 +280,14 @@ class TestReconstructionComposition:
         store.add("pos.b", np.zeros((1, cfg.pe_hidden)))
         store.add("ppnp.W0", glorot(init_rng, cfg.pe_hidden, cfg.ppnp_hidden))
         store.add("ppnp.W1", glorot(init_rng, cfg.ppnp_hidden, d))
-        adam = ReferenceAdam(store, cfg.optim)
-        temperature = cfg.contrastive.temperature
+        adam = ReferenceAdam(store, OptimConfig(cfg.recon_lr, cfg.recon_weight_decay))
+        temperature = cfg.temperature
         history = []
         for _ in range(cfg.epochs):
             completed = gc.impute_features(ds.features, ds.feature_mask, store,
-                                           dropout=cfg.dropout, rng=drop_rng)
+                                           dropout=cfg.recon_dropout, rng=drop_rng)
             propagated = per_call_ppnp(topk, gc.positional_features(n, store), store,
-                                       cfg.dropout, drop_rng)
+                                       cfg.recon_dropout, drop_rng)
             l_f = objective.feature_contrastive_loss(completed, propagated, temperature)
             l_s = per_call_structure_term(completed, topk, temperature)
             total = ad.add(l_f, l_s)
@@ -311,16 +306,15 @@ class TestReconstructionComposition:
         # gradients left None until backward reaches them against the former
         # zero-filled ones, through both phases and the baseline
         ds = gc.apply_mask(sbm_fixture(), gc.MaskSpec(0.3, 0.3, "entry", 0))
-        recon_cfg = quick_recon_config(epochs=5, dropout=0.2,
-                                       optim=OptimConfig(0.01, weight_decay=1e-4))
+        cfg = quick_config(epochs=5, recon_dropout=0.2, recon_weight_decay=1e-4,
+                           down_max_epochs=20)
         splits = gc.make_splits(ds, seed=4)
-        down_cfg = quick_downstream_config(max_epochs=20)
         runs = []
         for store_type in (ParamStore, ZeroFilledStore):
             monkeypatch.setattr(downstream, "ParamStore", store_type)
-            state = gc.run_reconstruction(ds, recon_cfg, seed=4)
-            fused = train_downstream(state, ds.labels, ds.num_classes, splits, down_cfg, seed=4)
-            baseline = train_gcn_baseline(ds, splits, down_cfg, seed=4)
+            state = gc.run_reconstruction(ds, cfg, seed=4)
+            fused = train_downstream(state, ds.labels, ds.num_classes, splits, cfg, seed=4)
+            baseline = train_gcn_baseline(ds, splits, cfg, seed=4)
             assert isinstance(fused.store, store_type)
             runs.append([state.loss_history, state.imputed, state.propagated,
                          fused.logits, fused.fusion_weights, fused.metrics.loss_curve,
@@ -344,7 +338,7 @@ class TestCollapseWarning:
         ds = gc.apply_mask(sbm_fixture(), gc.MaskSpec(0.3, 0.3, "entry", 0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gc.run_reconstruction(ds, quick_recon_config(epochs=3), seed=0)
+            gc.run_reconstruction(ds, quick_config(epochs=3), seed=0)
 
 
 class TestDegenerateInputs:
@@ -361,10 +355,9 @@ class TestDegenerateInputs:
     def test_k_above_n_warns_once_and_keeps_every_entry(self):
         ds = gc.apply_mask(gc.generate_sbm(5, 2, 0.3, 0.02, two_block_features(16) * 0.05,
                                            0.5, seed=0), gc.MaskSpec(0.3, 0.3, "entry", 0))
-        cfg = quick_recon_config(epochs=5, ppr=gc.PPRConfig(alpha=0.1, k=20))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            state, _ = probe_cell(ds, cfg)
+            state, _ = probe_cell(ds, k=20)
         assert [str(w.message) for w in caught] == ["k=20 exceeds 10 columns; keeping all"]
         every = gc.ppr_closed_form(normalize_adjacency(ds.edges, ds.n), 0.1)
         np.testing.assert_array_equal(bits(state.diffusion_topk.toarray()), bits(every))
@@ -379,14 +372,12 @@ class TestDownstreamTraining:
     def run_pipeline(self, ds, seed, scramble_test_labels=False,
                      recon_epochs=10, **down_overrides):
         splits = gc.make_splits(ds, seed=seed)
-        recon = gc.run_reconstruction(ds, quick_recon_config(epochs=recon_epochs),
-                                      seed=seed)
+        cfg = quick_config(epochs=recon_epochs, **down_overrides)
+        recon = gc.run_reconstruction(ds, cfg, seed=seed)
         labels = ds.labels.copy()
         if scramble_test_labels:
             labels[splits.test] = (labels[splits.test] + 1) % ds.num_classes
-        result = train_downstream(recon, labels, ds.num_classes, splits,
-                                  quick_downstream_config(**down_overrides),
-                                  seed=seed)
+        result = train_downstream(recon, labels, ds.num_classes, splits, cfg, seed=seed)
         return result, splits
 
     def test_cleanly_separable_graph_reaches_full_accuracy(self):
@@ -412,7 +403,7 @@ class TestDownstreamTraining:
         scrambled = ds.labels.copy()
         scrambled[splits.test] = (scrambled[splits.test] + 1) % ds.num_classes
         poisoned_ds = dataclasses.replace(ds, labels=scrambled)
-        baseline = [train_gcn_baseline(d, splits, quick_downstream_config(), seed=6)
+        baseline = [train_gcn_baseline(d, splits, quick_config(), seed=6)
                     for d in (ds, poisoned_ds)]
         fused = [self.run_pipeline(ds, seed=6, scramble_test_labels=s)[0]
                  for s in (False, True)]
@@ -431,8 +422,8 @@ class TestDownstreamTraining:
         # stream, so a no-training run exposes identical values
         ds = separable_dataset(seed=2)
         splits = gc.make_splits(ds, seed=7)
-        recon = gc.run_reconstruction(ds, quick_recon_config(epochs=0), seed=7)
-        cfg = quick_downstream_config(max_epochs=0)
+        cfg = quick_config(epochs=0, down_max_epochs=0)
+        recon = gc.run_reconstruction(ds, cfg, seed=7)
         fused = train_downstream(recon, ds.labels, ds.num_classes, splits, cfg,
                                  seed=7)
         baseline = train_gcn_baseline(ds, splits, cfg, seed=7)
@@ -445,13 +436,13 @@ class TestDownstreamTraining:
     def test_patience_stops_early(self):
         ds = separable_dataset(seed=3)
         result, _ = self.run_pipeline(ds, seed=8, recon_epochs=0,
-                                      max_epochs=500, patience=5)
+                                      down_max_epochs=500, down_patience=5)
         assert len(result.metrics.loss_curve) < 500
 
     def test_baseline_on_unmasked_data_is_strong(self):
         ds = separable_dataset(seed=4)
         splits = gc.make_splits(ds, seed=9)
-        result = train_gcn_baseline(ds, splits, quick_downstream_config(), seed=9)
+        result = train_gcn_baseline(ds, splits, quick_config(), seed=9)
         assert result.metrics.test_accuracy == 1.0
 
     def test_divergent_optimizer_raises(self):
@@ -459,6 +450,6 @@ class TestDownstreamTraining:
         splits = gc.make_splits(ds, seed=10)
         # Adam's first step moves each parameter by about the learning rate, so
         # the next two-layer forward pass overflows float64 and must be caught
-        cfg = quick_downstream_config(optim=OptimConfig(learning_rate=1e200))
+        cfg = quick_config(down_lr=1e200)
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
             train_gcn_baseline(ds, splits, cfg, seed=10)

@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 import graphcomplete as gc
 from graphcomplete.data import two_block_features
-from graphcomplete import experiment
+from graphcomplete import downstream, experiment
 from graphcomplete.experiment import (
     BASELINE_METHOD,
     RECON_METHOD,
@@ -36,6 +37,14 @@ def quick_config(dataset_dir, out, **overrides):
                 attention_dim=4, down_max_epochs=30, down_patience=10)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# a non-default value for each setting the two training phases read
+PHASE_SETTINGS = dict(alpha=0.2, k=4, temperature=0.7, imputer_hidden=6, pe_hidden=12,
+                      ppnp_hidden=6, gcn_hidden=6, attention_dim=3, epochs=4,
+                      recon_lr=0.02, recon_weight_decay=1e-4, recon_dropout=0.2,
+                      down_lr=0.03, down_weight_decay=1e-3, down_dropout=0.3,
+                      down_max_epochs=25, down_patience=8)
 
 
 def read_runs_csv(path):
@@ -73,9 +82,9 @@ class TestConfig:
         ("feature_mode", "bogus", "feature_mode"),
         ("feature_missing", (1.5,), "feature_missing"),
         ("edge_missing", (-0.1,), "edge_missing"),
-        ("recon_dropout", 1.5, r"ReconTrainConfig\.dropout"),
-        ("recon_dropout", -0.1, r"ReconTrainConfig\.dropout"),
-        ("down_dropout", 1.0, r"DownstreamConfig\.dropout"),
+        ("recon_dropout", 1.5, "recon_dropout"),
+        ("recon_dropout", -0.1, "recon_dropout"),
+        ("down_dropout", 1.0, "down_dropout"),
         ("imputer_hidden", 0, "imputer_hidden"),
         ("pe_hidden", 0, "pe_hidden"),
         ("ppnp_hidden", 0, "ppnp_hidden"),
@@ -103,9 +112,13 @@ class TestConfig:
             quick_config(dataset_dir, "out",
                          feature_missing=(0.1, 0.2), edge_missing=(0.1, 0.2, 0.3))
 
-    def test_validation(self, dataset_dir):
+    def test_validation(self, dataset_dir, tmp_path):
+        # a config without a dataset is valid; running it is not, and fails
+        # before anything is written
+        out = tmp_path / "runs"
         with pytest.raises(ValueError, match="dataset"):
-            ExperimentConfig()
+            run_experiment(ExperimentConfig(out=str(out)))
+        assert not out.exists()
         with pytest.raises(ValueError, match="rate"):
             quick_config(dataset_dir, "out", feature_missing=(1.5,))
         with pytest.raises(ValueError, match="baseline"):
@@ -115,6 +128,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="alpha"):
             quick_config(dataset_dir, "out", alpha=2.0)
 
+    def test_nan_rejected_for_every_ranged_setting(self):
+        for key in experiment._RANGES:
+            with pytest.raises(ValueError, match=rf"^{key} nan outside "):
+                ExperimentConfig(**{key: float("nan")})
+
+    @pytest.mark.parametrize("overrides, name", [
+        (dict(seeds=(0, 0)), "fr0.3_er0.2_seed0"),
+        (dict(feature_missing=(0.1000001, 0.1000002)), "fr0.1_er0.2_seed0"),
+    ], ids=["repeated-seed", "rates-equal-when-printed"])
+    def test_repeated_cell_name_rejected(self, dataset_dir, overrides, name):
+        with pytest.raises(ValueError, match=rf"^sweep cell {name} is listed twice$"):
+            quick_config(dataset_dir, "out", **overrides)
+
     def test_methods_per_baseline_setting(self, dataset_dir):
         assert quick_config(dataset_dir, "out").methods() == [RECON_METHOD,
                                                               BASELINE_METHOD]
@@ -123,18 +149,64 @@ class TestConfig:
         assert quick_config(dataset_dir, "out",
                             baseline="off").methods() == [RECON_METHOD]
 
-    def test_subconfigs_inherit_fields(self, dataset_dir):
-        cfg = quick_config(dataset_dir, "out", alpha=0.4, temperature=0.9,
-                           down_dropout=0.2)
-        assert cfg.recon_config().ppr.alpha == 0.4
-        assert cfg.recon_config().contrastive.temperature == 0.9
-        assert cfg.downstream_config().dropout == 0.2
+    def test_subconfigs_inherit_fields(self, monkeypatch):
+        # each phase builds the diffusion, contrastive and optimizer settings
+        # it hands to the library from the config's keys
+        seen = []
 
-    def test_defaults_match_the_subconfigs(self):
-        # every default is written in two modules; this ties the copies together
-        cfg = ExperimentConfig(dataset="d")
-        assert cfg.recon_config() == gc.ReconTrainConfig()
-        assert cfg.downstream_config() == gc.DownstreamConfig()
+        def recording(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapper(*args):
+                seen.append(next(a for a in args if dataclasses.is_dataclass(a)))
+                return inner(*args)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("build_diffusion", "total_contrastive_loss", "Optimizer"):
+            recording(downstream, name)
+        cfg = ExperimentConfig(alpha=0.4, k=3, temperature=0.9, epochs=1,
+                               recon_lr=0.02, recon_weight_decay=0.003,
+                               down_lr=0.05, down_weight_decay=0.001, down_max_epochs=1,
+                               imputer_hidden=4, pe_hidden=4, ppnp_hidden=4,
+                               gcn_hidden=4, attention_dim=4)
+        ds = gc.generate_sbm(5, 2, 0.5, 0.05, two_block_features(4), 0.3, seed=0)
+        splits = gc.make_splits(ds, seed=0)
+        recon = gc.run_reconstruction(ds, cfg, seed=0)
+        gc.train_downstream(recon, ds.labels, ds.num_classes, splits, cfg, seed=0)
+        assert seen == [gc.PPRConfig(0.4, 3), gc.OptimConfig(0.02, 0.003),
+                        gc.ContrastiveConfig(0.9), gc.OptimConfig(0.05, 0.001)]
+
+    def test_each_setting_moves_only_its_phase(self):
+        # a phase that reads the other phase's key, or ignores one of its own,
+        # shows here as a setting that moves the wrong phase
+        ds = gc.apply_mask(gc.generate_sbm(5, 2, 0.5, 0.05, two_block_features(4), 0.3,
+                                           seed=0), gc.MaskSpec(0.3, 0.2, "entry", 0))
+        splits = gc.make_splits(ds, seed=0)
+        base = ExperimentConfig(k=3, epochs=2, imputer_hidden=4, pe_hidden=4, ppnp_hidden=4,
+                                gcn_hidden=4, attention_dim=4, down_max_epochs=6)
+        recon = gc.run_reconstruction(ds, base, seed=0)
+
+        def phases(cfg):
+            state = gc.run_reconstruction(ds, cfg, seed=0)
+            fit = gc.train_downstream(recon, ds.labels, ds.num_classes, splits, cfg, seed=0)
+            return ((state.loss_history.tolist(), state.imputed.tolist()),
+                    (fit.logits.tolist(), fit.metrics.loss_curve))
+
+        recon_keys = {"alpha", "k", "temperature", "imputer_hidden", "pe_hidden",
+                      "ppnp_hidden", "epochs", "recon_lr", "recon_weight_decay",
+                      "recon_dropout"}
+        # with 2 validation nodes, patience 1 stops within the 6 epochs
+        changed = dict(alpha=0.2, k=4, temperature=0.7, imputer_hidden=5, pe_hidden=5,
+                       ppnp_hidden=5, epochs=3, recon_lr=0.02, recon_weight_decay=1e-3,
+                       recon_dropout=0.2, gcn_hidden=5, attention_dim=5, down_lr=0.02,
+                       down_weight_decay=1e-3, down_dropout=0.3, down_max_epochs=7,
+                       down_patience=1)
+        assert set(changed) == set(experiment._RANGES) - {"workers"}
+        before = phases(base)
+        for key, value in changed.items():
+            after = phases(dataclasses.replace(base, **{key: value}))
+            moved = [a != b for a, b in zip(before, after)]
+            assert moved == [key in recon_keys, key not in recon_keys], key
 
 
 class TestConfigFile:
@@ -277,19 +349,38 @@ class TestRunExperiment:
         assert a.splitlines()[1:] == b.splitlines()[1:]
 
     def test_baseline_only_matches_direct_call(self, dataset_dir, tmp_path):
-        out = str(tmp_path / "runs")
-        cfg = quick_config(dataset_dir, out, baseline="only", seeds=(3,))
-        run_experiment(cfg)
-        _, _, rows = read_runs_csv(os.path.join(out, "runs.csv"))
-        assert len(rows) == 1 and rows[0]["method"] == BASELINE_METHOD
-
+        # at a non-default value of every phase setting, each runs.csv row is
+        # what direct phase calls with the same config give, bit for bit
+        default = ExperimentConfig()
+        assert set(PHASE_SETTINGS) == set(experiment._RANGES) - {"workers"}
+        assert all(v != getattr(default, k) for k, v in PHASE_SETTINGS.items())
         ds = gc.load_dataset(dataset_dir)
         masked = gc.apply_mask(ds, gc.MaskSpec(0.3, 0.2, "entry", 3))
         splits = gc.make_splits(masked, seed=3)
-        direct = gc.train_gcn_baseline(masked, splits, cfg.downstream_config(),
-                                       seed=3)
-        assert float(rows[0]["test_accuracy"]) == pytest.approx(
-            direct.metrics.test_accuracy, abs=1e-9)
+        for baseline in ("only", "with"):
+            out = str(tmp_path / baseline)
+            cfg = quick_config(dataset_dir, out, baseline=baseline, seeds=(3,),
+                               **PHASE_SETTINGS)
+            run_experiment(cfg)
+            _, _, rows = read_runs_csv(os.path.join(out, "runs.csv"))
+            direct = {BASELINE_METHOD: gc.train_gcn_baseline(masked, splits, cfg, seed=3)}
+            if baseline == "with":
+                recon = gc.run_reconstruction(masked, cfg, seed=3)
+                direct[RECON_METHOD] = gc.train_downstream(
+                    recon, masked.labels, masked.num_classes, splits, cfg, seed=3)
+            assert [r["method"] for r in rows] == cfg.methods()
+            for row in rows:
+                m = direct[row["method"]].metrics
+                assert row == {"feature_missing": "0.3", "edge_missing": "0.2", "seed": "3",
+                               "method": row["method"],
+                               "test_accuracy": f"{m.test_accuracy:.10g}",
+                               "val_accuracy": f"{m.val_accuracy:.10g}",
+                               "train_accuracy": f"{m.train_accuracy:.10g}",
+                               "best_epoch": str(m.best_epoch)}
+                curve = os.path.join(out, "losses",
+                                     f"downstream_fr0.3_er0.2_seed3_{row['method']}.csv")
+                assert open(curve).read().splitlines()[2:] == [
+                    f"{e},{v:.10g}" for e, v in enumerate(m.loss_curve)]
 
     def test_dump_flags_write_artifacts(self, dataset_dir, tmp_path):
         out = str(tmp_path / "runs")
@@ -386,6 +477,38 @@ NON_DEFAULT_FLAGS = {
 }
 
 
+# a value each flag rejects, with the key its error names: every ranged
+# setting out of range, unreadable values, a repeated sweep cell and an
+# empty dataset path
+BAD_VALUES = [
+    ("--feature-mode", "bogus", "feature_mode"),
+    ("--down-dropout", "1.0", "down_dropout"),
+    ("--recon-dropout", "1.5", "recon_dropout"),
+    ("--recon-dropout", "-0.1", "recon_dropout"),
+    ("--imputer-hidden", "0", "imputer_hidden"),
+    ("--epochs", "2.5", "epochs"),
+    ("--seeds", "0,x", "seeds"),
+    ("--recon-lr", "-1", "recon_lr"),
+    ("--down-lr", "-1", "down_lr"),
+    ("--recon-weight-decay", "-1", "recon_weight_decay"),
+    ("--down-weight-decay", "-1", "down_weight_decay"),
+    ("--workers", "0", "workers"),
+    ("--epochs", "-1", "epochs"),
+    ("--down-max-epochs", "-1", "down_max_epochs"),
+    ("--down-patience", "0", "down_patience"),
+    ("--down-patience", "-3", "down_patience"),
+    ("--alpha", "1.0", "alpha"),
+    ("--k", "-1", "k"),
+    ("--temperature", "0", "temperature"),
+    ("--pe-hidden", "0", "pe_hidden"),
+    ("--ppnp-hidden", "0", "ppnp_hidden"),
+    ("--gcn-hidden", "0", "gcn_hidden"),
+    ("--attention-dim", "0", "attention_dim"),
+    ("--seeds", "0,0", "fr0.3_er0.3_seed0"),
+    ("--dataset", "", "dataset"),
+]
+
+
 class TestCommandLine:
     def test_destinations_are_the_config_fields(self):
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -423,8 +546,7 @@ class TestCommandLine:
         assert stop.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
         for f in dataclasses.fields(ExperimentConfig):
-            if "help" in f.metadata:
-                assert f.metadata["help"] in text
+            assert f.metadata["help"] in text, f.name
         for kept in ("dataset directory", "reconstruction epochs",
                      "comma list of seeds", "write per-cell embedding tsv files"):
             assert kept in text
@@ -435,29 +557,17 @@ class TestCommandLine:
         assert stop.value.code == 2
         assert "unrecognized arguments: --ppr-method" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value, key", [
-        ("--feature-mode", "bogus", "feature_mode"),
-        ("--down-dropout", "1.0", "DownstreamConfig.dropout"),
-        ("--recon-dropout", "1.5", "ReconTrainConfig.dropout"),
-        ("--recon-dropout", "-0.1", "ReconTrainConfig.dropout"),
-        ("--imputer-hidden", "0", "imputer_hidden"),
-        ("--epochs", "2.5", "epochs"),
-        ("--seeds", "0,x", "seeds"),
-        ("--recon-lr", "-1", "recon_lr"),
-        ("--down-lr", "-1", "down_lr"),
-        ("--recon-weight-decay", "-1", "recon_weight_decay"),
-        ("--down-weight-decay", "-1", "down_weight_decay"),
-        ("--workers", "0", "workers"),
-        ("--epochs", "-1", "ReconTrainConfig.epochs"),
-        ("--down-max-epochs", "-1", "DownstreamConfig.max_epochs"),
-        ("--down-patience", "0", "DownstreamConfig.patience"),
-        ("--down-patience", "-3", "DownstreamConfig.patience"),
-    ])
+    @pytest.mark.parametrize("flag, value, key", BAD_VALUES)
     def test_bad_value_fails_before_any_work(self, dataset_dir, tmp_path, capsys,
                                              flag, value, key):
         out = tmp_path / "out"
         code = main(["--dataset", dataset_dir, "--out", str(out), flag, value])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error:") and key in err
+        # a ranged setting's error starts with its key
+        assert re.match(rf"error: {key}[ :]" if key in experiment._RANGES else "error: ", err)
+        assert key in err
         assert not out.exists()
+
+    def test_every_ranged_setting_fails_through_the_cli(self):
+        assert {key for _, _, key in BAD_VALUES} >= set(experiment._RANGES)

@@ -157,7 +157,7 @@ class TestTotal:
         # the full reconstruction objective should fall for essentially
         # every random initialization
         ds = gc.apply_mask(sbm_fixture(), gc.MaskSpec(0.3, 0.3, "entry", 0))
-        cfg = gc.ReconTrainConfig(epochs=30)
+        cfg = gc.ExperimentConfig(epochs=30)
         wins = 0
         for seed in range(10):
             state = gc.run_reconstruction(ds, cfg, seed=seed)

@@ -176,7 +176,7 @@ class TestPPR:
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="alpha"):
-            PPRConfig(alpha=0.0)
+            PPRConfig(alpha=0.0, k=20)
         with pytest.raises(ValueError, match="negative"):
             PPRConfig(alpha=0.1, k=-1)
 
@@ -378,7 +378,7 @@ class TestBuildDiffusion:
 
     def test_empty_graph_gives_empty_matrix(self):
         with pytest.warns(UserWarning, match="exceeds 0 columns"):
-            topk = build_diffusion(np.zeros((0, 2), dtype=np.int64), 0, PPRConfig())
+            topk = build_diffusion(np.zeros((0, 2), dtype=np.int64), 0, PPRConfig(0.1, 20))
         assert isinstance(topk, sp.csr_array) and topk.shape == (0, 0)
 
     def test_one_dense_array_live(self):
