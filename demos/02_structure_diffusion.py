@@ -61,10 +61,10 @@ print(f"\nmean affinity on dropped edges:  {aff(dropped):.4f}")
 print(f"mean affinity on true non-edges: {aff(non_edges):.4f}")
 
 # --- top-k sparsification -----------------------------------------------------
-# build_diffusion trims the diffusion to the k strongest entries per row and
-# returns them as a sparse CSR matrix.  Ties break toward the smaller column
-# index and nothing is renormalized.
-topk = gc.build_diffusion(thinned.edges, thinned.n, gc.PPRConfig(alpha=alpha, k=5))
+# build_diffusion(edges, n, alpha, k) trims the diffusion to the k strongest
+# entries per row and returns them as a sparse CSR matrix.  Ties break toward
+# the smaller column index and nothing is renormalized.
+topk = gc.build_diffusion(thinned.edges, thinned.n, alpha, 5)
 print("\nnonzeros per row after top-k:", np.unique(np.diff(topk.indptr)).tolist())
 kept_mass = topk.sum() / exact.sum()
 print(f"affinity mass kept by k=5: {kept_mass:.1%}")

@@ -40,9 +40,8 @@ from .experiment import (
 )
 from .feature_path import decode_structure, impute_features
 from .fusion import FusionOut, attention_fuse, init_fusion
-from .nn import OptimConfig, Optimizer, ParamStore, mlp2_forward
+from .nn import Optimizer, ParamStore, mlp2_forward
 from .objective import (
-    ContrastiveConfig,
     feature_contrastive_loss,
     structure_contrastive_loss,
     structure_targets,
@@ -50,7 +49,6 @@ from .objective import (
 )
 from .rng import make_rng
 from .structure_path import (
-    PPRConfig,
     build_diffusion,
     knn_sparsify,
     normalize_adjacency,

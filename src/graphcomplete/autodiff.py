@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+NORM_EPS = 1e-12   # floor on a row norm before dividing by it
+
 
 class ShapeError(ValueError):
     """Raised when operand shapes do not chain."""
@@ -199,19 +201,19 @@ def transpose(a: Tensor) -> Tensor:
 # row reductions and structural ops
 
 
-def unit_rows(x: np.ndarray, eps: float = 1e-12):
-    """Rows of x scaled to unit L2 norm, denominator floored at eps; returns (out, vjp)."""
+def unit_rows(x: np.ndarray):
+    """Rows of x scaled to unit L2 norm, denominator floored at NORM_EPS; returns (out, vjp)."""
     norms = np.linalg.norm(x, axis=1, keepdims=True)
-    nu = np.maximum(norms, eps)
+    nu = np.maximum(norms, NORM_EPS)
     out = x / nu
-    big = norms > eps
+    big = norms > NORM_EPS
 
     def vjp(g):
-        # unit-sphere projection where the norm is live, plain 1/eps otherwise
+        # unit-sphere projection where the norm is live, plain 1/NORM_EPS otherwise
         proj = out * (g * out).sum(axis=1, keepdims=True)
         np.subtract(g, proj, out=proj)
         proj /= nu
-        return proj if big.all() else np.where(big, proj, g / eps)
+        return proj if big.all() else np.where(big, proj, g / NORM_EPS)
 
     return out, vjp
 

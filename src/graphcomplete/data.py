@@ -32,6 +32,8 @@ from .rng import (
     make_rng,
 )
 
+TRAIN_FRACTION, VAL_FRACTION = 0.6, 0.2   # of each class; the rest is test
+
 
 class DatasetFormatError(ValueError):
     """Raised when an on-disk dataset violates the format contract."""
@@ -331,12 +333,10 @@ def apply_mask(ds: GraphDataset, spec: MaskSpec) -> GraphDataset:
     return GraphDataset(features, mask, edges, ds.labels, ds.num_classes).validate()
 
 
-def make_splits(ds: GraphDataset, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> Splits:
-    """Per-class stratified train/val/test partition of the labeled nodes."""
+def make_splits(ds: GraphDataset, seed: int = 0) -> Splits:
+    """Per-class stratified 60/20/20 train/val/test partition of the labeled nodes."""
     if ds.labels is None:
         raise ValueError("dataset has no labels to split")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios {ratios} do not sum to 1")
     rng = make_rng(seed, STREAM_SPLITS)
     train, val, test = [], [], []
     for c in range(ds.num_classes):
@@ -344,8 +344,8 @@ def make_splits(ds: GraphDataset, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> Spli
         if ids.size < 3:
             raise ValueError(f"class {c} has {ids.size} members; need at least 3 to stratify")
         ids = rng.permutation(ids)
-        n_tr = max(1, int(ratios[0] * ids.size + 1e-9))
-        n_va = max(1, int(ratios[1] * ids.size + 1e-9))
+        n_tr = max(1, int(TRAIN_FRACTION * ids.size + 1e-9))
+        n_va = max(1, int(VAL_FRACTION * ids.size + 1e-9))
         if n_tr + n_va >= ids.size:
             n_tr = ids.size - 2
             n_va = 1

@@ -8,8 +8,7 @@ then jointly trains the attention fusion and a two-layer graph-convolution
 classifier with masked cross-entropy, early-stopping on validation accuracy.
 
 Both phases read their settings from one ExperimentConfig (the object the
-command line builds too) and turn its keys into the diffusion, contrastive
-and optimizer settings once per call.
+command line builds too) and pass its values on as plain arguments.
 
 Test labels are structurally out of reach of training code: the fit routine
 receives a label array with test entries redacted, and test accuracy is
@@ -42,14 +41,8 @@ from .data import GraphDataset, Splits
 # decode_structure is unused here but stays bound: perfbench/layers.py wraps it
 from .feature_path import decode_structure, impute_features  # noqa: F401
 from .fusion import attention_fuse, init_fusion
-from .nn import (
-    OptimConfig,
-    Optimizer,
-    ParamStore,
-    glorot,
-    init_mlp2,
-)
-from .objective import ContrastiveConfig, structure_targets, total_contrastive_loss
+from .nn import Optimizer, ParamStore, glorot, init_mlp2
+from .objective import structure_targets, total_contrastive_loss
 from .rng import (
     STREAM_DOWNSTREAM_DROPOUT,
     STREAM_DOWNSTREAM_INIT,
@@ -58,7 +51,6 @@ from .rng import (
     make_rng,
 )
 from .structure_path import (
-    PPRConfig,
     build_diffusion,
     normalize_adjacency,
     positional_features,
@@ -123,7 +115,7 @@ def run_reconstruction(ds: GraphDataset, cfg: ExperimentConfig, seed: int) -> Re
                       "sees all-zero input and maps every node to the same row; the "
                       "completed features carry no node information", RuntimeWarning,
                       stacklevel=2)
-    topk = build_diffusion(ds.edges, n, PPRConfig(cfg.alpha, cfg.k))
+    topk = build_diffusion(ds.edges, n, cfg.alpha, cfg.k)
     # constant through training: built once, shared by every epoch
     op = Operator(topk)
     targets = structure_targets(topk)
@@ -136,8 +128,7 @@ def run_reconstruction(ds: GraphDataset, cfg: ExperimentConfig, seed: int) -> Re
     store.add("pos.b", np.zeros((1, cfg.pe_hidden)))
     store.add("ppnp.W0", glorot(init_rng, cfg.pe_hidden, cfg.ppnp_hidden))
     store.add("ppnp.W1", glorot(init_rng, cfg.ppnp_hidden, d))
-    optim = Optimizer(store, OptimConfig(cfg.recon_lr, cfg.recon_weight_decay))
-    contrastive = ContrastiveConfig(cfg.temperature)
+    optim = Optimizer(store, cfg.recon_lr, cfg.recon_weight_decay)
 
     history = np.zeros((cfg.epochs, 3))
     for epoch in range(cfg.epochs):
@@ -147,7 +138,7 @@ def run_reconstruction(ds: GraphDataset, cfg: ExperimentConfig, seed: int) -> Re
         propagated = ppnp_forward(op, pos_enc, store,
                                   dropout=cfg.recon_dropout, rng=drop_rng)
         total, l_f, l_s = total_contrastive_loss(completed, propagated, targets,
-                                                 contrastive)
+                                                 cfg.temperature)
         if not np.isfinite(total.value):
             raise FloatingPointError(f"non-finite reconstruction loss at epoch {epoch}")
         history[epoch] = (float(l_f.value), float(l_s.value), float(total.value))
@@ -245,7 +236,7 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
     store.add("gcn.W1", glorot(init_rng, cfg.gcn_hidden, num_classes))
     if use_fusion:
         init_fusion(store, d, cfg.attention_dim, init_rng)
-    optim = Optimizer(store, OptimConfig(cfg.down_lr, cfg.down_weight_decay))
+    optim = Optimizer(store, cfg.down_lr, cfg.down_weight_decay)
 
     def inputs() -> Tensor:
         return attention_fuse(x_view, z_view, store).fused if use_fusion else constant(x_view)

@@ -97,9 +97,19 @@ class ExperimentConfig:
     workers: int = _help(1, "sweep cells run at once")
 
     def __post_init__(self):
-        # any sequence is accepted; tuples keep the digest and hash independent of it
-        for name in ("feature_missing", "edge_missing", "seeds"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for f in fields(self):
+            # any sequence is accepted; tuples keep the digest and hash independent of it
+            values, kind = (getattr(self, f.name),), type(f.default)
+            if kind is tuple:
+                values, kind = tuple(values[0]), type(f.default[0])
+                object.__setattr__(self, f.name, values)
+            interval = _RANGES.get(f.name)
+            for v in values:   # a number's range first, so a NaN int setting is out of range
+                if interval and isinstance(v, (int, float)) and not _inside(v, interval):
+                    raise ValueError(f"{f.name} {v} outside {interval}")
+                if (not isinstance(v, (int, float) if kind is float else kind)   # an int is a float
+                        or isinstance(v, bool) != (kind is bool)):   # a bool is only a bool
+                    raise TypeError(f"{f.name}: expected {kind.__name__}, got {v!r}")
         nf, ne = len(self.feature_missing), len(self.edge_missing)
         if not (nf and ne) or (nf != ne and 1 not in (nf, ne)):
             raise ValueError(f"cannot pair {nf} feature rates with {ne} edge rates")
@@ -109,9 +119,6 @@ class ExperimentConfig:
             raise ValueError(f"baseline must be with/only/off, got {self.baseline!r}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        for key, interval in _RANGES.items():
-            if not _inside(getattr(self, key), interval):
-                raise ValueError(f"{key} {getattr(self, key)} outside {interval}")
         seen = set()
         for name, *_ in self.cells():
             if name in seen:
@@ -284,6 +291,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 try:
                     recon, results = fut.result()
                 except Exception as exc:
+                    pool.shutdown(cancel_futures=True)   # else leaving the pool runs every queued cell
                     raise RuntimeError(
                         f"cell feature_missing={fr} edge_missing={er} seed={seed} failed: {exc}"
                     ) from exc
@@ -374,7 +382,3 @@ def main(argv=None) -> int:
                   f"sd={stats['sd']:.4f} n={stats['n']}")
     print(f"outputs in {result['paths']['out']} (config {result['summary']['digest']})")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,9 +15,8 @@ from .nn import ParamStore, mlp2_forward
 
 
 def impute_features(features: np.ndarray, feature_mask: np.ndarray,
-                    store: ParamStore, prefix: str = "imputer",
-                    dropout: float = 0.0, rng=None) -> Tensor:
-    """Complete missing entries with the imputer MLP.
+                    store: ParamStore, dropout: float = 0.0, rng=None) -> Tensor:
+    """Complete missing entries with the imputer MLP (imputer.W1, ... in store).
 
     The merge keeps observed entries bit-exact and routes gradients only
     through the entries the network actually fills in.
@@ -26,11 +25,11 @@ def impute_features(features: np.ndarray, feature_mask: np.ndarray,
     if feature_mask.shape != features.shape:
         raise ShapeError(f"mask {feature_mask.shape} vs features {features.shape}")
     d = features.shape[1]
-    w1 = store[f"{prefix}.W1"].value
-    w2 = store[f"{prefix}.W2"].value
+    w1 = store["imputer.W1"].value
+    w2 = store["imputer.W2"].value
     if w1.shape[0] != d or w2.shape[1] != d:
         raise ShapeError(f"imputer maps {w1.shape[0]} -> {w2.shape[1]}, features have d={d}")
-    predicted = mlp2_forward(store, prefix, features, dropout=dropout, rng=rng)
+    predicted = mlp2_forward(store, "imputer", features, dropout=dropout, rng=rng)
     return where_mask(feature_mask, features, predicted)
 
 

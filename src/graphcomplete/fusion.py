@@ -40,29 +40,29 @@ class FusionOut:
 
 
 def init_fusion(store: ParamStore, d: int, attention_dim: int,
-                rng: np.random.Generator, prefix: str = "fusion") -> None:
+                rng: np.random.Generator) -> None:
     """One projection and one score vector per view, shared attention width."""
-    store.add(f"{prefix}.proj_f.W", glorot(rng, d, attention_dim))
-    store.add(f"{prefix}.proj_f.b", np.zeros((1, attention_dim)))
-    store.add(f"{prefix}.proj_s.W", glorot(rng, d, attention_dim))
-    store.add(f"{prefix}.proj_s.b", np.zeros((1, attention_dim)))
-    store.add(f"{prefix}.score_f", glorot(rng, attention_dim, 1))
-    store.add(f"{prefix}.score_s", glorot(rng, attention_dim, 1))
+    store.add("fusion.proj_f.W", glorot(rng, d, attention_dim))
+    store.add("fusion.proj_f.b", np.zeros((1, attention_dim)))
+    store.add("fusion.proj_s.W", glorot(rng, d, attention_dim))
+    store.add("fusion.proj_s.b", np.zeros((1, attention_dim)))
+    store.add("fusion.score_f", glorot(rng, attention_dim, 1))
+    store.add("fusion.score_s", glorot(rng, attention_dim, 1))
 
 
-def _gate(view: Tensor, store: ParamStore, prefix: str, side: str) -> Tensor:
-    proj = add_rowvec(matmul(view, store[f"{prefix}.proj_{side}.W"]),
-                      store[f"{prefix}.proj_{side}.b"])
-    return tanh(matmul(proj, store[f"{prefix}.score_{side}"]))
+def _gate(view: Tensor, store: ParamStore, side: str) -> Tensor:
+    proj = add_rowvec(matmul(view, store[f"fusion.proj_{side}.W"]),
+                      store[f"fusion.proj_{side}.b"])
+    return tanh(matmul(proj, store[f"fusion.score_{side}"]))
 
 
-def attention_fuse(feature_view, structure_view, store: ParamStore, prefix: str = "fusion") -> FusionOut:
+def attention_fuse(feature_view, structure_view, store: ParamStore) -> FusionOut:
     """Combine the two views row by row with learned convex weights."""
     x = feature_view if isinstance(feature_view, Tensor) else Tensor(np.asarray(feature_view, dtype=np.float64))
     z = structure_view if isinstance(structure_view, Tensor) else Tensor(np.asarray(structure_view, dtype=np.float64))
     if x.value.shape != z.value.shape:
         raise ShapeError(f"views differ: {x.value.shape} vs {z.value.shape}")
-    gates = concat_cols(_gate(x, store, prefix, "f"), _gate(z, store, prefix, "s"))
+    gates = concat_cols(_gate(x, store, "f"), _gate(z, store, "s"))
     weights = row_softmax(gates)
     fused = add(mul_colvec(x, slice_cols(weights, 0, 1)),
                 mul_colvec(z, slice_cols(weights, 1, 2)))

@@ -7,8 +7,6 @@ so every consumer sees one consistent set of values and gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import (
@@ -115,17 +113,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass(frozen=True)
-class OptimConfig:
-    learning_rate: float
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
-        for name in ("learning_rate", "weight_decay"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"OptimConfig.{name} {getattr(self, name)} must be nonnegative")
-
-
 class Optimizer:
     """Adam over a ParamStore, weight decay added to the gradient; a None grad
     counts as zero, and every grad is reset to None after each step.
@@ -137,15 +124,19 @@ class Optimizer:
     checked finite before the parameter is rebound to it.
     """
 
-    def __init__(self, store: ParamStore, config: OptimConfig):
+    def __init__(self, store: ParamStore, learning_rate: float, weight_decay: float = 0.0):
+        for name, value in (("learning_rate", learning_rate), ("weight_decay", weight_decay)):
+            if not value >= 0:
+                raise ValueError(f"{name} {value} must be nonnegative")
         self.store = store
-        self.config = config
+        self.learning_rate = learning_rate
+        self.weight_decay = weight_decay
         self._m = {name: np.zeros_like(t.value) for name, t in store.items()}
         self._v = {name: np.zeros_like(t.value) for name, t in store.items()}
         self._t = 0
 
     def step(self) -> None:
-        cfg = self.config
+        lr, wd = self.learning_rate, self.weight_decay
         self._t += 1
         m_corr = 1 - ADAM_BETA1 ** self._t
         v_corr = 1 - ADAM_BETA2 ** self._t
@@ -153,15 +144,15 @@ class Optimizer:
             m, v = self._m[name], self._v[name]
             a, b = np.empty_like(p.value), np.empty_like(p.value)
             g = p.grad if p.grad is not None else np.zeros_like(p.value)
-            if cfg.weight_decay:
-                g = np.add(g, np.multiply(cfg.weight_decay, p.value, out=b), out=b)
+            if wd:
+                g = np.add(g, np.multiply(wd, p.value, out=b), out=b)
             # m = β1·m + (1 − β1)·g;  v = β2·v + ((1 − β2)·g)·g
             np.multiply(m, ADAM_BETA1, out=m)
             m += np.multiply(1 - ADAM_BETA1, g, out=a)
             np.multiply(v, ADAM_BETA2, out=v)
             v += np.multiply(np.multiply(1 - ADAM_BETA2, g, out=a), g, out=a)
             # new = p − (lr·m̂) / (√v̂ + eps), g no longer needed
-            np.multiply(cfg.learning_rate, np.divide(m, m_corr, out=a), out=a)
+            np.multiply(lr, np.divide(m, m_corr, out=a), out=a)
             a /= np.add(np.sqrt(np.divide(v, v_corr, out=b), out=b), ADAM_EPS, out=b)
             np.subtract(p.value, a, out=a)
             if not np.all(np.isfinite(a)):

@@ -14,41 +14,27 @@ FlashAttention, Dao et al. 2022): no working array exceeds BLOCK_ROWS × n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse as sp
 
-from .autodiff import Tensor, add, fused_scalar, logistic, unit_rows
+from .autodiff import NORM_EPS, Tensor, add, fused_scalar, logistic, unit_rows
 
-NORM_EPS = 1e-12
 BLOCK_ROWS = 64
-
-
-@dataclass(frozen=True)
-class ContrastiveConfig:
-    """temperature scales the similarities; the diagonal is always the positive."""
-
-    temperature: float
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError(f"temperature {self.temperature} must be positive")
 
 
 def _value(x) -> np.ndarray:
     return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def structure_targets(diffusion, eps: float = NORM_EPS) -> sp.csr_array:
+def structure_targets(diffusion) -> sp.csr_array:
     """The structure term's targets: the gradient-free diffusion, dense or
-    sparse, row-normalized into CSR (zero rows floored at eps).
+    sparse, row-normalized into CSR (zero rows floored at NORM_EPS).
 
     The diffusion is constant through training, so a training phase builds
     this once and passes it to every structure_contrastive_loss call."""
     m = sp.csr_array(diffusion, dtype=np.float64)
     norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
-    return sp.csr_array(sp.diags_array(1.0 / np.maximum(norms, eps)) @ m)
+    return sp.csr_array(sp.diags_array(1.0 / np.maximum(norms, NORM_EPS)) @ m)
 
 
 def _infonce_block(sim: np.ndarray, r0: int, temperature: float):
@@ -70,8 +56,8 @@ def _infonce_block(sim: np.ndarray, r0: int, temperature: float):
 
 def feature_contrastive_loss(completed, propagated, temperature: float) -> Tensor:
     """InfoNCE between completed feature rows and propagated representations."""
-    u, u_vjp = unit_rows(_value(completed), NORM_EPS)
-    v, v_vjp = unit_rows(_value(propagated), NORM_EPS)
+    u, u_vjp = unit_rows(_value(completed))
+    v, v_vjp = unit_rows(_value(propagated))
     rows = np.empty(len(u))
     du = np.empty_like(u)
     dv = np.zeros_like(v)
@@ -97,7 +83,7 @@ def structure_contrastive_loss(completed, targets, temperature: float) -> Tensor
     for r0 in range(0, len(x), BLOCK_ROWS):
         blk = slice(r0, r0 + BLOCK_ROWS)
         a = logistic(x[blk] @ x.T)
-        a_hat, a_vjp = unit_rows(a, NORM_EPS)
+        a_hat, a_vjp = unit_rows(a)
         rows[blk], ds = _infonce_block(np.asarray(targets @ a_hat.T).T, r0, temperature)
         dg = a_vjp(np.asarray(targets_t @ ds.T).T) * a * (1.0 - a)
         dx[blk] += dg @ x
@@ -106,9 +92,11 @@ def structure_contrastive_loss(completed, targets, temperature: float) -> Tensor
 
 
 def total_contrastive_loss(completed, propagated, targets,
-                           config: ContrastiveConfig) -> tuple[Tensor, Tensor, Tensor]:
+                           temperature: float) -> tuple[Tensor, Tensor, Tensor]:
     """Sum of the two terms, targets = structure_targets(diffusion); returns
     (total, feature term, structure term)."""
-    l_f = feature_contrastive_loss(completed, propagated, config.temperature)
-    l_s = structure_contrastive_loss(completed, targets, config.temperature)
+    if not temperature > 0:
+        raise ValueError(f"temperature {temperature} must be positive")
+    l_f = feature_contrastive_loss(completed, propagated, temperature)
+    l_s = structure_contrastive_loss(completed, targets, temperature)
     return add(l_f, l_s), l_f, l_s

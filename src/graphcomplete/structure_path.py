@@ -12,7 +12,6 @@ representations in the original feature dimension.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse as sp
@@ -21,20 +20,6 @@ from .autodiff import Operator, ShapeError, Tensor, add_rowvec, matmul, mul, pro
 from .nn import ParamStore, dropout_mask
 
 BLOCK_ROWS = 256   # rows per block of the diffusion's mirror and top-k passes
-
-
-@dataclass(frozen=True)
-class PPRConfig:
-    """Diffusion settings: reset probability and entries kept per row."""
-
-    alpha: float
-    k: int
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha {self.alpha} outside (0, 1)")
-        if self.k < 0:
-            raise ValueError(f"k {self.k} negative")
 
 
 def normalize_adjacency(edges: np.ndarray, n: int) -> sp.csr_array:
@@ -103,16 +88,16 @@ def knn_sparsify(matrix: np.ndarray, k: int) -> np.ndarray:
     return np.where(above | (tied & (np.cumsum(tied, axis=1) <= slots)), matrix, 0.0)
 
 
-def positional_features(n: int, store: ParamStore, prefix: str = "pos") -> Tensor:
+def positional_features(n: int, store: ParamStore) -> Tensor:
     """Learned positional embeddings: the affine map applied to one-hot ids.
 
     Feeding the identity matrix through an affine layer just selects its
     weight rows, so the embedding table is read off directly.
     """
-    w = store[f"{prefix}.W"]
+    w = store["pos.W"]
     if w.value.shape[0] != n:
         raise ShapeError(f"embedding table has {w.value.shape[0]} rows for n={n}")
-    return add_rowvec(w, store[f"{prefix}.b"])
+    return add_rowvec(w, store["pos.b"])
 
 
 def ppnp_forward(op: Operator, features, store: ParamStore, prefix: str = "ppnp",
@@ -130,13 +115,17 @@ def ppnp_forward(op: Operator, features, store: ParamStore, prefix: str = "ppnp"
     return propagate(op, matmul(h, store[f"{prefix}.W1"]))
 
 
-def build_diffusion(edges: np.ndarray, n: int, config: PPRConfig) -> sp.csr_array:
+def build_diffusion(edges: np.ndarray, n: int, alpha: float, k: int) -> sp.csr_array:
     """Normalized adjacency -> closed-form diffusion -> top-k rows, as sparse.
 
     k=0 or k > n (warned once) keeps every entry.  One dense n x n array is live."""
-    dense = ppr_closed_form(normalize_adjacency(edges, n), config.alpha)
-    if config.k > n:
-        warnings.warn(f"k={config.k} exceeds {n} columns; keeping all")
-    k = config.k if 1 <= config.k <= n else n
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha {alpha} outside (0, 1)")
+    if not k >= 0:
+        raise ValueError(f"k {k} must be nonnegative")
+    dense = ppr_closed_form(normalize_adjacency(edges, n), alpha)
+    if k > n:
+        warnings.warn(f"k={k} exceeds {n} columns; keeping all")
+    k = k if 1 <= k <= n else n
     blocks = [sp.csr_array(knn_sparsify(dense[r0:r0 + BLOCK_ROWS], k)) for r0 in range(0, n, BLOCK_ROWS)]
     return sp.vstack(blocks or [sp.csr_array((0, 0))], format="csr")

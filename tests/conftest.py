@@ -46,26 +46,26 @@ class ReferenceAdam:
     """The textbook per-tensor Adam step, written with fresh arrays: the oracle
     nn.Optimizer's in-place step must match bit for bit."""
 
-    def __init__(self, store: ParamStore, config):
+    def __init__(self, store: ParamStore, learning_rate: float, weight_decay: float = 0.0):
         self.store = store
-        self.config = config
+        self.learning_rate = learning_rate
+        self.weight_decay = weight_decay
         self._m = {name: np.zeros_like(t.value) for name, t in store.items()}
         self._v = {name: np.zeros_like(t.value) for name, t in store.items()}
         self._t = 0
 
     def step(self) -> None:
-        cfg = self.config
         self._t += 1
         for name, p in self.store.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.value)
-            if cfg.weight_decay:
-                g = g + cfg.weight_decay * p.value
+            if self.weight_decay:
+                g = g + self.weight_decay * p.value
             m = ADAM_BETA1 * self._m[name] + (1 - ADAM_BETA1) * g
             v = ADAM_BETA2 * self._v[name] + (1 - ADAM_BETA2) * g * g
             self._m[name], self._v[name] = m, v
             m_hat = m / (1 - ADAM_BETA1 ** self._t)
             v_hat = v / (1 - ADAM_BETA2 ** self._t)
-            new = p.value - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            new = p.value - self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             if not np.all(np.isfinite(new)):
                 raise FloatingPointError(f"non-finite update for parameter {name!r}")
             p.value = new

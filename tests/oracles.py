@@ -94,9 +94,9 @@ def cosine_matrix(U: np.ndarray, V: np.ndarray, eps: float = 1e-12) -> np.ndarra
     return un @ vn.T
 
 
-def row_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
-    """Scale each row to unit L2 norm, flooring the denominator at eps."""
-    out, vjp = unit_rows(a.value, eps)
+def row_normalize(a: Tensor) -> Tensor:
+    """Scale each row to unit L2 norm, flooring the denominator at NORM_EPS."""
+    out, vjp = unit_rows(a.value)
     return _node(out, [(a, vjp)])
 
 

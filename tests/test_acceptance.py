@@ -62,8 +62,7 @@ def test_acceptance_1_gradient_soundness(capsys):
     ds = gc.apply_mask(gc.generate_sbm(3, 2, 0.9, 0.2, means, 0.3, seed=2),
                        gc.MaskSpec(0.3, 0.2, "entry", 5))
     n, d = ds.features.shape
-    cfg = gc.PPRConfig(alpha=0.1, k=3)
-    topk = gc.build_diffusion(ds.edges, n, cfg)
+    topk = gc.build_diffusion(ds.edges, n, 0.1, 3)
 
     rng = np.random.default_rng(0)
     store = ParamStore()
@@ -81,8 +80,7 @@ def test_acceptance_1_gradient_soundness(capsys):
         pos = gc.positional_features(n, s)
         propagated = ppnp_forward(gc.Operator(topk), pos, s)
         total, _, _ = gc.total_contrastive_loss(completed, propagated,
-                                                gc.structure_targets(topk),
-                                                gc.ContrastiveConfig(0.5))
+                                                gc.structure_targets(topk), 0.5)
         return total
 
     ad.backward(loss(store))

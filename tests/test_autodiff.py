@@ -232,11 +232,11 @@ class TestGradients:
             ad.mul(row_normalize(s["a"]), s["a"])), store)
 
     def test_row_normalize_epsilon_floor(self):
-        # a numerically-zero row falls back to dividing by eps; the
-        # gradient there is 1/eps per entry
+        # a numerically-zero row falls back to dividing by NORM_EPS (1e-12);
+        # the gradient there is 1/NORM_EPS per entry
         store = ParamStore()
         p = store.add("a", np.zeros((1, 3)))
-        out = row_normalize(p, eps=1e-12)
+        out = row_normalize(p)
         np.testing.assert_array_equal(out.value, np.zeros((1, 3)))
         ad.backward(ad.sum_all(out))
         np.testing.assert_allclose(p.grad, np.full((1, 3), 1e12), rtol=1e-12)

@@ -235,11 +235,6 @@ class TestSplits:
         np.testing.assert_array_equal(a.train, b.train)
         np.testing.assert_array_equal(a.test, b.test)
 
-    def test_bad_ratios_rejected(self):
-        ds = random_dataset(seed=14)
-        with pytest.raises(ValueError, match="sum to 1"):
-            gc.make_splits(ds, ratios=(0.5, 0.2, 0.2))
-
 
 class TestSBM:
     def test_complete_blocks_no_cross_edges(self):

@@ -19,7 +19,7 @@ from graphcomplete.downstream import (
     train_gcn_baseline,
 )
 from graphcomplete.experiment import ExperimentConfig
-from graphcomplete.nn import OptimConfig, ParamStore, dropout_mask, glorot, init_mlp2
+from graphcomplete.nn import ParamStore, dropout_mask, glorot, init_mlp2
 from graphcomplete.rng import STREAM_DROPOUT, STREAM_INIT, make_rng
 from graphcomplete.structure_path import normalize_adjacency, ppnp_forward
 
@@ -193,7 +193,7 @@ class TestPropagationMatrix:
         rng = np.random.default_rng(12)
         edges = np.array([(i, j) for i in range(8) for j in range(i + 1, 8)
                           if rng.random() < 0.4])
-        topk = gc.build_diffusion(edges, 8, gc.PPRConfig(alpha=0.2, k=3)).toarray()
+        topk = gc.build_diffusion(edges, 8, 0.2, 3).toarray()
         out = downstream_propagation_matrix(sp.csr_array(topk)).toarray()
         m = np.maximum(topk, topk.T)
         d = m.sum(axis=1)
@@ -246,7 +246,7 @@ def per_call_structure_term(completed, diffusion, temperature):
     for r0 in range(0, len(x), objective.BLOCK_ROWS):
         blk = slice(r0, r0 + objective.BLOCK_ROWS)
         a = ad.logistic(x[blk] @ x.T)
-        a_hat, a_vjp = ad.unit_rows(a, objective.NORM_EPS)
+        a_hat, a_vjp = ad.unit_rows(a)
         rows[blk], ds = objective._infonce_block(np.asarray(targets @ a_hat.T).T, r0,
                                                  temperature)
         dg = a_vjp(np.asarray(ds @ targets)) * a * (1.0 - a)
@@ -271,7 +271,7 @@ class TestReconstructionComposition:
         cfg = ExperimentConfig(epochs=5, recon_dropout=0.2, recon_weight_decay=1e-4)
         seed = 4
         n, d = ds.features.shape
-        topk = gc.build_diffusion(ds.edges, n, gc.PPRConfig(cfg.alpha, cfg.k))
+        topk = gc.build_diffusion(ds.edges, n, cfg.alpha, cfg.k)
         init_rng = make_rng(seed, STREAM_INIT)
         drop_rng = make_rng(seed, STREAM_DROPOUT)
         store = ParamStore()
@@ -280,7 +280,7 @@ class TestReconstructionComposition:
         store.add("pos.b", np.zeros((1, cfg.pe_hidden)))
         store.add("ppnp.W0", glorot(init_rng, cfg.pe_hidden, cfg.ppnp_hidden))
         store.add("ppnp.W1", glorot(init_rng, cfg.ppnp_hidden, d))
-        adam = ReferenceAdam(store, OptimConfig(cfg.recon_lr, cfg.recon_weight_decay))
+        adam = ReferenceAdam(store, cfg.recon_lr, cfg.recon_weight_decay)
         temperature = cfg.temperature
         history = []
         for _ in range(cfg.epochs):

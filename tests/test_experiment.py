@@ -2,6 +2,9 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -128,6 +131,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="alpha"):
             quick_config(dataset_dir, "out", alpha=2.0)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("epochs", 2.5, "epochs: expected int, got 2.5"),
+        ("k", True, "k: expected int, got True"),
+        ("seeds", (0, 0.0), "seeds: expected int, got 0.0"),
+        ("alpha", "0.5", "alpha: expected float, got '0.5'"),
+        ("feature_missing", (0.3, None), "feature_missing: expected float, got None"),
+        ("dump_embeddings", 1, "dump_embeddings: expected bool, got 1"),
+        ("dataset", 7, "dataset: expected str, got 7"),
+    ])
+    def test_wrong_type_names_its_field(self, key, value, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(**{key: value})
+
+    def test_int_accepted_for_float_setting(self):
+        cfg = ExperimentConfig(temperature=2, feature_missing=[0, 1], down_lr=1)
+        assert (cfg.temperature, cfg.feature_missing, cfg.down_lr) == (2, (0, 1), 1)
+
     def test_nan_rejected_for_every_ranged_setting(self):
         for key in experiment._RANGES:
             with pytest.raises(ValueError, match=rf"^{key} nan outside "):
@@ -150,20 +170,22 @@ class TestConfig:
                             baseline="off").methods() == [RECON_METHOD]
 
     def test_subconfigs_inherit_fields(self, monkeypatch):
-        # each phase builds the diffusion, contrastive and optimizer settings
-        # it hands to the library from the config's keys
+        # each phase hands the library its diffusion, contrastive and optimizer
+        # settings as plain values read from the config's keys
         seen = []
 
-        def recording(owner, name):
-            inner = getattr(owner, name)
+        def recording(name, skip):
+            inner = getattr(downstream, name)
 
             def wrapper(*args):
-                seen.append(next(a for a in args if dataclasses.is_dataclass(a)))
+                seen.append(args[skip:])
                 return inner(*args)
-            monkeypatch.setattr(owner, name, wrapper)
+            monkeypatch.setattr(downstream, name, wrapper)
 
-        for name in ("build_diffusion", "total_contrastive_loss", "Optimizer"):
-            recording(downstream, name)
+        # each call's leading arguments are data, not settings
+        for name, skip in (("build_diffusion", 2), ("total_contrastive_loss", 3),
+                           ("Optimizer", 1)):
+            recording(name, skip)
         cfg = ExperimentConfig(alpha=0.4, k=3, temperature=0.9, epochs=1,
                                recon_lr=0.02, recon_weight_decay=0.003,
                                down_lr=0.05, down_weight_decay=0.001, down_max_epochs=1,
@@ -173,8 +195,7 @@ class TestConfig:
         splits = gc.make_splits(ds, seed=0)
         recon = gc.run_reconstruction(ds, cfg, seed=0)
         gc.train_downstream(recon, ds.labels, ds.num_classes, splits, cfg, seed=0)
-        assert seen == [gc.PPRConfig(0.4, 3), gc.OptimConfig(0.02, 0.003),
-                        gc.ContrastiveConfig(0.9), gc.OptimConfig(0.05, 0.001)]
+        assert seen == [(0.4, 3), (0.02, 0.003), (0.9,), (0.05, 0.001)]
 
     def test_each_setting_moves_only_its_phase(self):
         # a phase that reads the other phase's key, or ignores one of its own,
@@ -415,7 +436,38 @@ class TestRunExperiment:
             run_experiment(cfg)
 
 
+    def test_failed_cell_stops_the_sweep(self, dataset_dir, tmp_path, monkeypatch):
+        # the queued cells are cancelled: besides the failed cell, only those
+        # already running when it failed get to finish
+        ran, release = [], threading.Event()
+
+        def stub(ds, cfg, fr, er, seed):
+            ran.append(seed)
+            if seed == 0:
+                raise ValueError("first cell fails")
+            release.wait(0.5)
+            return None, {}
+
+        monkeypatch.setattr(experiment, "_run_cell", stub)
+        cfg = quick_config(dataset_dir, str(tmp_path / "out"), seeds=tuple(range(10)),
+                           workers=2)
+        with pytest.raises(RuntimeError, match="seed=0 failed: first cell fails"):
+            run_experiment(cfg)
+        assert 1 <= len(ran) <= 1 + cfg.workers
+
+
 class TestMain:
+    def test_package_runs_as_a_module_without_warning(self):
+        # the package directory this suite imports, so the child imports it too
+        src = os.path.dirname(os.path.dirname(gc.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                               "-m", "graphcomplete", "--help"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: graphcomplete")
+
     def test_cli_run_prints_summary(self, dataset_dir, tmp_path, capsys):
         out = str(tmp_path / "runs")
         code = main(["--dataset", dataset_dir, "--out", out,

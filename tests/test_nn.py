@@ -6,7 +6,6 @@ import pytest
 import graphcomplete.autodiff as ad
 from graphcomplete import rng as rngmod
 from graphcomplete.nn import (
-    OptimConfig,
     Optimizer,
     ParamStore,
     dropout_mask,
@@ -127,36 +126,36 @@ class TestDropoutMask:
 
 
 class TestOptimizer:
-    def run_one_step(self, config, value=1.0, grad=1.0):
+    def run_one_step(self, learning_rate, weight_decay=0.0, value=1.0, grad=1.0):
         store = ParamStore()
         p = store.add("p", np.array([[value]]))
         p.grad = np.array([[grad]])
-        Optimizer(store, config).step()
+        Optimizer(store, learning_rate, weight_decay).step()
         return store, p
 
     def test_weight_decay(self):
         # decay joins the gradient: g = 1 + 0.5*1, and the first Adam update is lr*g/(|g| + eps)
-        _, p = self.run_one_step(OptimConfig(0.1, weight_decay=0.5))
+        _, p = self.run_one_step(0.1, weight_decay=0.5)
         np.testing.assert_allclose(p.value, [[1.0 - 0.1 * 1.5 / (1.5 + 1e-8)]], rtol=1e-15)
 
     def test_lr_zero_is_identity(self):
-        _, p = self.run_one_step(OptimConfig(0.0), grad=3.0)
+        _, p = self.run_one_step(0.0, grad=3.0)
         np.testing.assert_array_equal(p.value, [[1.0]])
 
     def test_adam_first_step_is_almost_signed_lr(self):
         # after bias correction the first update is lr*g/(|g| + eps)
-        _, p = self.run_one_step(OptimConfig(0.01), grad=0.37)
+        _, p = self.run_one_step(0.01, grad=0.37)
         np.testing.assert_allclose(p.value, [[1.0 - 0.01 * 0.37 / (0.37 + 1e-8)]],
                                    rtol=1e-12)
 
     def test_grads_zeroed_after_step(self):
-        store, p = self.run_one_step(OptimConfig(0.01))
+        store, p = self.run_one_step(0.01)
         assert p.grad is None
 
     def test_zero_grad_leaves_param_unchanged(self):
         store = ParamStore()
         p = store.add("p", np.array([[2.5]]))
-        Optimizer(store, OptimConfig(0.3)).step()
+        Optimizer(store, 0.3).step()
         np.testing.assert_array_equal(p.value, [[2.5]])
 
     def test_non_finite_update_raises(self):
@@ -165,7 +164,7 @@ class TestOptimizer:
         p.grad = np.array([[0.5, np.inf, -0.5]])
         before = p.value.copy()
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="p"):
-            Optimizer(store, OptimConfig(0.01)).step()
+            Optimizer(store, 0.01).step()
         # the finite entries' updates must not leak into the parameter either
         np.testing.assert_array_equal(bits(p.value), bits(before))
 
@@ -178,8 +177,8 @@ class TestOptimizer:
             value = rng.normal(size=shape)
             for store in stores:
                 store.add(name, value)
-        config = OptimConfig(0.01, weight_decay=weight_decay)
-        opt, ref = Optimizer(stores[0], config), ReferenceAdam(stores[1], config)
+        opt = Optimizer(stores[0], 0.01, weight_decay)
+        ref = ReferenceAdam(stores[1], 0.01, weight_decay)
         for _ in range(50):
             for name, shape in shapes.items():
                 # gradients over eight decades, with exact zeros and sign flips
@@ -207,7 +206,7 @@ class TestOptimizer:
         for store in stores:
             store.add("p", value.copy())
             store.add("unused", np.ones((1, 2)))
-        opts = [Optimizer(store, OptimConfig(0.01, weight_decay=weight_decay))
+        opts = [Optimizer(store, 0.01, weight_decay)
                 for store in stores]
         for _ in range(5):
             for store in stores:
@@ -224,15 +223,20 @@ class TestOptimizer:
                 np.testing.assert_array_equal(bits(opts[0]._v[name]), bits(opts[1]._v[name]))
 
     def test_negative_lr_rejected(self):
-        with pytest.raises(ValueError, match="learning_rate"):
-            OptimConfig(-0.1)
-        with pytest.raises(ValueError, match="weight_decay"):
-            OptimConfig(0.1, weight_decay=-1.0)
+        store = ParamStore()
+        store.add("p", np.ones((1, 1)))
+        for learning_rate, weight_decay, message in (
+                (-0.1, 0.0, "learning_rate -0.1 must be nonnegative"),
+                (np.nan, 0.0, "learning_rate nan must be nonnegative"),
+                (0.1, -1.0, "weight_decay -1.0 must be nonnegative"),
+                (0.1, np.nan, "weight_decay nan must be nonnegative")):
+            with pytest.raises(ValueError, match=message):
+                Optimizer(store, learning_rate, weight_decay)
 
     def test_adam_descends_a_quadratic(self):
         store = ParamStore()
         p = store.add("p", np.array([[5.0]]))
-        opt = Optimizer(store, OptimConfig(0.1))
+        opt = Optimizer(store, 0.1)
         for _ in range(200):
             loss = ad.sum_all(ad.mul(p, p))
             ad.backward(loss)

@@ -10,7 +10,6 @@ import graphcomplete.autodiff as ad
 from graphcomplete import objective
 from graphcomplete.nn import ParamStore
 from graphcomplete.objective import (
-    ContrastiveConfig,
     feature_contrastive_loss,
     structure_contrastive_loss,
     structure_targets,
@@ -32,8 +31,10 @@ def infonce_oracle(U, V, t):
 
 class TestConfig:
     def test_temperature_positive(self):
-        with pytest.raises(ValueError, match="temperature"):
-            ContrastiveConfig(temperature=0.0)
+        rows = np.eye(3)
+        for temperature in (0.0, -0.5, np.nan):
+            with pytest.raises(ValueError, match=f"temperature {temperature} must be positive"):
+                total_contrastive_loss(rows, rows, structure_targets(rows), temperature)
 
 
 class TestFeatureTerm:
@@ -147,8 +148,7 @@ class TestTotal:
         rng = np.random.default_rng(10)
         U, V = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
         rows = rng.random((5, 5))
-        total, l_f, l_s = total_contrastive_loss(U, V, structure_targets(rows),
-                                                 ContrastiveConfig(0.5))
+        total, l_f, l_s = total_contrastive_loss(U, V, structure_targets(rows), 0.5)
         assert total.value == pytest.approx(l_f.value + l_s.value, rel=1e-14)
         assert l_f.value == pytest.approx(
             feature_contrastive_loss(U, V, 0.5).value, rel=1e-14)
@@ -180,8 +180,8 @@ def tape_infonce(sim, t):
 
 
 def tape_feature_term(U, V, t):
-    u = row_normalize(U, objective.NORM_EPS)
-    v = row_normalize(V, objective.NORM_EPS)
+    u = row_normalize(U)
+    v = row_normalize(V)
     return tape_infonce(ad.matmul(u, ad.transpose(v)), t)
 
 
@@ -190,7 +190,7 @@ def tape_structure_term(X, diffusion, t):
     row-normalized diffusion: every n×n intermediate on the tape."""
     D = np.asarray(diffusion, dtype=np.float64)
     rows = D / np.maximum(np.linalg.norm(D, axis=1, keepdims=True), objective.NORM_EPS)
-    a = row_normalize(ad.sigmoid(ad.matmul(X, ad.transpose(X))), objective.NORM_EPS)
+    a = row_normalize(ad.sigmoid(ad.matmul(X, ad.transpose(X))))
     return tape_infonce(ad.matmul(a, ad.transpose(ad.constant(rows))), t)
 
 

@@ -58,6 +58,6 @@ def test_build_diffusion_runs_through_the_wrapped_solve_and_topk(monkeypatch):
     for name in calls:
         monkeypatch.setattr(structure_path, name, counting(name))
     edges = np.array([[0, 1], [1, 2], [3, 4]])
-    downstream.build_diffusion(edges, 5, structure_path.PPRConfig(alpha=0.2, k=2))
+    downstream.build_diffusion(edges, 5, 0.2, 2)
     assert calls["ppr_closed_form"] == 1
     assert calls["knn_sparsify"] >= 1

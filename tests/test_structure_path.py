@@ -11,7 +11,6 @@ from graphcomplete import experiment, structure_path
 from graphcomplete.autodiff import ShapeError
 from graphcomplete.nn import ParamStore, glorot
 from graphcomplete.structure_path import (
-    PPRConfig,
     build_diffusion,
     knn_sparsify,
     normalize_adjacency,
@@ -175,10 +174,12 @@ class TestPPR:
             ppr_closed_form(np.array([[0.0, 5.0], [5.0, 0.0]]), 0.1)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="alpha"):
-            PPRConfig(alpha=0.0, k=20)
-        with pytest.raises(ValueError, match="negative"):
-            PPRConfig(alpha=0.1, k=-1)
+        for alpha, k, message in ((0.0, 20, "alpha 0.0 outside"), (1.0, 20, "alpha 1.0 outside"),
+                                  (np.nan, 20, "alpha nan outside"),
+                                  (0.1, -1, "k -1 must be nonnegative"),
+                                  (0.1, np.nan, "k nan must be nonnegative")):
+            with pytest.raises(ValueError, match=message):
+                build_diffusion(np.array([[0, 1]]), 2, alpha, k)
 
 
 class TestKnnSparsify:
@@ -342,21 +343,21 @@ class TestBuildDiffusion:
     def test_topk_is_sparsified_dense(self):
         rng = np.random.default_rng(19)
         edges = random_graph(rng, 9)
-        topk = build_diffusion(edges, 9, PPRConfig(alpha=0.2, k=3))
+        topk = build_diffusion(edges, 9, 0.2, 3)
         self.assert_is_oracle(topk, edges, 9, 0.2, 3)
         assert np.diff(topk.indptr).max() <= 3
 
     def test_k_zero_keeps_everything(self):
         rng = np.random.default_rng(20)
         edges = random_graph(rng, 6)
-        topk = build_diffusion(edges, 6, PPRConfig(alpha=0.2, k=0))
+        topk = build_diffusion(edges, 6, 0.2, 0)
         self.assert_is_oracle(topk, edges, 6, 0.2, 6)
 
     @pytest.mark.parametrize("k", [0, 1, 20])
     def test_several_blocks_bit_identical_to_dense_reference(self, k):
         n = 2 * structure_path.BLOCK_ROWS + 37
         edges = sparse_graph(np.random.default_rng(21), n)
-        topk = build_diffusion(edges, n, PPRConfig(alpha=0.15, k=k))
+        topk = build_diffusion(edges, n, 0.15, k)
         dense = dense_ppr_reference(normalize_adjacency(edges, n).toarray(), 0.15)
         expected = sp.csr_array(knn_sparsify(dense, k if k else n))
         for part in ("indptr", "indices"):
@@ -370,15 +371,15 @@ class TestBuildDiffusion:
         edges = sparse_graph(np.random.default_rng(22), n)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            topk = build_diffusion(edges, n, PPRConfig(alpha=0.2, k=n + 5))
+            topk = build_diffusion(edges, n, 0.2, n + 5)
         assert [str(w.message) for w in caught] == [f"k={n + 5} exceeds {n} columns; keeping all"]
-        everything = build_diffusion(edges, n, PPRConfig(alpha=0.2, k=0))
+        everything = build_diffusion(edges, n, 0.2, 0)
         for part in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(topk, part), getattr(everything, part))
 
     def test_empty_graph_gives_empty_matrix(self):
         with pytest.warns(UserWarning, match="exceeds 0 columns"):
-            topk = build_diffusion(np.zeros((0, 2), dtype=np.int64), 0, PPRConfig(0.1, 20))
+            topk = build_diffusion(np.zeros((0, 2), dtype=np.int64), 0, 0.1, 20)
         assert isinstance(topk, sp.csr_array) and topk.shape == (0, 0)
 
     def test_one_dense_array_live(self):
@@ -388,7 +389,7 @@ class TestBuildDiffusion:
         edges = sparse_graph(np.random.default_rng(23), n, degree=7.0)
         tracemalloc.start()
         try:
-            build_diffusion(edges, n, PPRConfig(alpha=0.1, k=20))
+            build_diffusion(edges, n, 0.1, 20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
