@@ -141,8 +141,10 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    pos = a.value > 0
-    return _node(np.where(pos, a.value, 0.0), [(a, lambda g: g * pos)])
+    # branch-free, unlike where(a > 0, a, 0.0); += 0.0 turns fmax's -0.0 into where's +0.0
+    out = np.fmax(a.value, 0.0)
+    out += 0.0
+    return _node(out, [(a, lambda g: g * (out > 0))])
 
 
 def logistic(x: np.ndarray) -> np.ndarray:

@@ -55,6 +55,8 @@ from .structure_path import (
     normalize_adjacency,
     positional_features,
     ppnp_forward,
+    ppnp_hidden,
+    ppnp_output,
 )
 
 if TYPE_CHECKING:   # experiment imports this module, so only type checkers import it back
@@ -222,7 +224,9 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
     never sees a test label.  Model selection is best validation accuracy
     with the configured patience.  Returns the checkpointed best state.
     a_norm's Operator (its transpose) is built once, for every epoch's
-    training and evaluation forwards.
+    training and evaluation forwards.  Everything below the dropout (fusion,
+    ReLU(A·X·W0)) is built once per parameter state: the validation forward
+    after a step and the next epoch's training forward share it on the tape.
     """
     n, d = x_view.shape
     use_fusion = z_view is not None
@@ -238,13 +242,12 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
         init_fusion(store, d, cfg.attention_dim, init_rng)
     optim = Optimizer(store, cfg.down_lr, cfg.down_weight_decay)
 
-    def inputs() -> Tensor:
-        return attention_fuse(x_view, z_view, store).fused if use_fusion else constant(x_view)
+    def hidden_and_eval_logits() -> tuple[Tensor, np.ndarray]:
+        x = attention_fuse(x_view, z_view, store).fused if use_fusion else constant(x_view)
+        hidden = ppnp_hidden(op, x, store, "gcn")
+        return hidden, ppnp_output(op, hidden, store, "gcn").value
 
-    def eval_logits() -> np.ndarray:
-        return gcn_forward(op, inputs(), store).value
-
-    logits0 = eval_logits()
+    hidden, logits0 = hidden_and_eval_logits()
     best = {
         "val": evaluate(logits0, labels_trainval, val_idx),
         "epoch": -1,
@@ -254,15 +257,16 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
     curve = []
     since_best = 0
     for epoch in range(cfg.down_max_epochs):
-        logits = gcn_forward(op, inputs(), store, dropout=cfg.down_dropout, rng=drop_rng)
+        logits = ppnp_output(op, hidden, store, "gcn", cfg.down_dropout, drop_rng)
         loss = cross_entropy_loss(logits, labels_trainval, train_idx, num_classes)
         if not np.isfinite(loss.value):
             raise FloatingPointError(f"non-finite classifier loss at epoch {epoch}")
         curve.append(float(loss.value))
         backward(loss)
         optim.step()
+        del hidden, logits, loss   # free this epoch's tape before the next one is built
 
-        logits_eval = eval_logits()
+        hidden, logits_eval = hidden_and_eval_logits()
         val_acc = evaluate(logits_eval, labels_trainval, val_idx)
         if val_acc > best["val"]:
             best = {"val": val_acc, "epoch": epoch,

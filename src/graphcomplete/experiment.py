@@ -102,7 +102,6 @@ class ExperimentConfig:
             values, kind = (getattr(self, f.name),), type(f.default)
             if kind is tuple:
                 values, kind = tuple(values[0]), type(f.default[0])
-                object.__setattr__(self, f.name, values)
             interval = _RANGES.get(f.name)
             for v in values:   # a number's range first, so a NaN int setting is out of range
                 if interval and isinstance(v, (int, float)) and not _inside(v, interval):
@@ -110,6 +109,11 @@ class ExperimentConfig:
                 if (not isinstance(v, (int, float) if kind is float else kind)   # an int is a float
                         or isinstance(v, bool) != (kind is bool)):   # a bool is only a bool
                     raise TypeError(f"{f.name}: expected {kind.__name__}, got {v!r}")
+            try:   # stored as float, so equal values (1, 1.0, np.float64) share a digest
+                values = tuple(map(float, values)) if kind is float else values
+            except OverflowError:
+                raise ValueError(f"{f.name} outside the float range") from None
+            object.__setattr__(self, f.name, values if isinstance(f.default, tuple) else values[0])
         nf, ne = len(self.feature_missing), len(self.edge_missing)
         if not (nf and ne) or (nf != ne and 1 not in (nf, ne)):
             raise ValueError(f"cannot pair {nf} feature rates with {ne} edge rates")

@@ -100,19 +100,29 @@ def positional_features(n: int, store: ParamStore) -> Tensor:
     return add_rowvec(w, store["pos.b"])
 
 
+def ppnp_hidden(op: Operator, features, store: ParamStore, prefix: str) -> Tensor:
+    """The net's lower layer, ReLU(A · X · W0): everything below the dropout."""
+    x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=np.float64))
+    return relu(propagate(op, matmul(x, store[f"{prefix}.W0"])))
+
+
+def ppnp_output(op: Operator, hidden: Tensor, store: ParamStore, prefix: str,
+                dropout: float = 0.0, rng=None) -> Tensor:
+    """The net's upper layer, A · drop(H) · W1, over a hidden layer from ppnp_hidden."""
+    if dropout > 0.0:
+        if rng is None:
+            raise ValueError("dropout requires a generator")
+        hidden = mul(hidden, Tensor(dropout_mask(hidden.value.shape, dropout, rng)))
+    return propagate(op, matmul(hidden, store[f"{prefix}.W1"]))
+
+
 def ppnp_forward(op: Operator, features, store: ParamStore, prefix: str = "ppnp",
                  dropout: float = 0.0, rng=None) -> Tensor:
     """Two propagation layers: A · ReLU(A · X · W0) · W1, no biases, with A
     the matrix of the Operator op (built once per training phase).
 
     The downstream classifier is this net under prefix "gcn" (gcn.W0, gcn.W1)."""
-    x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=np.float64))
-    h = relu(propagate(op, matmul(x, store[f"{prefix}.W0"])))
-    if dropout > 0.0:
-        if rng is None:
-            raise ValueError("dropout requires a generator")
-        h = mul(h, Tensor(dropout_mask(h.value.shape, dropout, rng)))
-    return propagate(op, matmul(h, store[f"{prefix}.W1"]))
+    return ppnp_output(op, ppnp_hidden(op, features, store, prefix), store, prefix, dropout, rng)
 
 
 def build_diffusion(edges: np.ndarray, n: int, alpha: float, k: int) -> sp.csr_array:

@@ -12,8 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from graphcomplete.autodiff import ShapeError, Tensor, _node, unit_rows
-from graphcomplete.nn import ParamStore
+from graphcomplete.autodiff import (
+    Operator, ShapeError, Tensor, _node, backward, constant, unit_rows,
+)
+from graphcomplete.downstream import cross_entropy_loss, evaluate, gcn_forward
+from graphcomplete.fusion import attention_fuse, init_fusion
+from graphcomplete.nn import Optimizer, ParamStore, glorot
+from graphcomplete.rng import STREAM_DOWNSTREAM_DROPOUT, STREAM_DOWNSTREAM_INIT, make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +103,62 @@ def row_normalize(a: Tensor) -> Tensor:
     """Scale each row to unit L2 norm, flooring the denominator at NORM_EPS."""
     out, vjp = unit_rows(a.value)
     return _node(out, [(a, vjp)])
+
+
+# ---------------------------------------------------------------------------
+# classifier
+
+
+def fit_downstream_two_forwards(x_view, z_view, a_norm, labels_trainval, num_classes,
+                                train_idx, val_idx, cfg, seed):
+    """The classifier fit with two whole forwards per epoch, each from the inputs.
+
+    Same contract and return value as downstream._fit_downstream, which shares
+    one lower layer between the validation forward after a step and the next
+    epoch's training forward; this loop rebuilds fusion and both layers for each.
+    """
+    n, d = x_view.shape
+    use_fusion = z_view is not None
+    op = Operator(a_norm)
+    init_rng = make_rng(seed, STREAM_DOWNSTREAM_INIT)
+    drop_rng = make_rng(seed, STREAM_DOWNSTREAM_DROPOUT)
+    store = ParamStore()
+    store.add("gcn.W0", glorot(init_rng, d, cfg.gcn_hidden))
+    store.add("gcn.W1", glorot(init_rng, cfg.gcn_hidden, num_classes))
+    if use_fusion:
+        init_fusion(store, d, cfg.attention_dim, init_rng)
+    optim = Optimizer(store, cfg.down_lr, cfg.down_weight_decay)
+
+    def inputs() -> Tensor:
+        return attention_fuse(x_view, z_view, store).fused if use_fusion else constant(x_view)
+
+    def eval_logits() -> np.ndarray:
+        return gcn_forward(op, inputs(), store).value
+
+    logits0 = eval_logits()
+    best = {"val": evaluate(logits0, labels_trainval, val_idx), "epoch": -1,
+            "logits": logits0, "params": store.snapshot()}
+    curve = []
+    since_best = 0
+    for epoch in range(cfg.down_max_epochs):
+        logits = gcn_forward(op, inputs(), store, dropout=cfg.down_dropout, rng=drop_rng)
+        loss = cross_entropy_loss(logits, labels_trainval, train_idx, num_classes)
+        curve.append(float(loss.value))
+        backward(loss)
+        optim.step()
+        logits_eval = eval_logits()
+        val_acc = evaluate(logits_eval, labels_trainval, val_idx)
+        if val_acc > best["val"]:
+            best = {"val": val_acc, "epoch": epoch,
+                    "logits": logits_eval, "params": store.snapshot()}
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= cfg.down_patience:
+                break
+    store.restore(best["params"])
+    weights = attention_fuse(x_view, z_view, store).weights.value if use_fusion else None
+    return store, best, tuple(curve), weights
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from graphcomplete.rng import STREAM_DROPOUT, STREAM_INIT, make_rng
 from graphcomplete.structure_path import normalize_adjacency, ppnp_forward
 
 from conftest import ReferenceAdam, ZeroFilledStore, bits, gradcheck, sbm_fixture
+from oracles import fit_downstream_two_forwards
 
 
 def gcn_store(d, h, c, seed=0):
@@ -321,6 +322,49 @@ class TestReconstructionComposition:
                          baseline.logits, baseline.metrics.loss_curve])
         for ours, zero_filled in zip(*runs):
             np.testing.assert_array_equal(bits(ours), bits(zero_filled))
+
+
+class TestSharedLowerLayer:
+    # each fit against the loop that rebuilt fusion and both layers for every
+    # forward: dropout off and on, weight decay off and on, an early stop, no epochs
+    @pytest.mark.parametrize("overrides", [
+        dict(down_dropout=0.0, down_weight_decay=0.0),
+        dict(down_dropout=0.5),
+        dict(down_dropout=0.3, down_weight_decay=1e-2, down_patience=3),
+        dict(down_max_epochs=0),
+    ], ids=["no-dropout-no-decay", "dropout", "decay-early-stop", "no-epochs"])
+    def test_bit_identical_to_two_forwards_per_epoch(self, overrides):
+        ds = gc.apply_mask(sbm_fixture(), gc.MaskSpec(0.3, 0.3, "entry", 0))
+        cfg = quick_config(**{"epochs": 3, "down_max_epochs": 40, **overrides})
+        splits = gc.make_splits(ds, seed=2)
+        state = gc.run_reconstruction(ds, cfg, seed=2)
+        redacted = ds.labels.copy()
+        redacted[splits.test] = -1
+        fits = [
+            (train_downstream(state, ds.labels, ds.num_classes, splits, cfg, seed=2),
+             (state.imputed, state.propagated, downstream_propagation_matrix(state.diffusion_topk))),
+            (train_gcn_baseline(ds, splits, cfg, seed=2),
+             (ds.features, None, normalize_adjacency(ds.edges, ds.n))),
+        ]
+        for result, (x_view, z_view, a_norm) in fits:
+            store, best, curve, weights = fit_downstream_two_forwards(
+                x_view, z_view, a_norm, redacted, ds.num_classes,
+                splits.train, splits.val, cfg, 2)
+            np.testing.assert_array_equal(bits(result.metrics.loss_curve), bits(curve))
+            np.testing.assert_array_equal(bits(result.logits), bits(best["logits"]))
+            assert result.metrics.best_epoch == best["epoch"]
+            assert result.store.names() == store.names()
+            for name in store.names():
+                np.testing.assert_array_equal(bits(result.store[name].value),
+                                              bits(store[name].value))
+            if z_view is None:
+                assert result.fusion_weights is None and weights is None
+            else:
+                np.testing.assert_array_equal(bits(result.fusion_weights), bits(weights))
+            if "down_patience" in overrides:
+                assert 0 < len(curve) < cfg.down_max_epochs
+            if cfg.down_max_epochs == 0:
+                assert curve == () and best["epoch"] == -1
 
 
 class TestCollapseWarning:

@@ -93,6 +93,8 @@ class TestConfig:
         ("ppnp_hidden", 0, "ppnp_hidden"),
         ("gcn_hidden", 0, "gcn_hidden"),
         ("attention_dim", 0, "attention_dim"),
+        ("recon_lr", 10**400, "^recon_lr outside the float range$"),
+        ("edge_missing", (0.1, -10**400), "^edge_missing outside the float range$"),
     ])
     def test_bad_value_names_its_field(self, dataset_dir, key, value, message):
         with pytest.raises(ValueError, match=message):
@@ -147,6 +149,20 @@ class TestConfig:
     def test_int_accepted_for_float_setting(self):
         cfg = ExperimentConfig(temperature=2, feature_missing=[0, 1], down_lr=1)
         assert (cfg.temperature, cfg.feature_missing, cfg.down_lr) == (2, (0, 1), 1)
+
+    @pytest.mark.parametrize("key, given, plain", [
+        ("recon_lr", 1, 1.0),
+        ("temperature", np.float64(2), 2.0),
+        ("feature_missing", (np.float64(0.3),), (0.3,)),
+        ("edge_missing", (0, 1), (0.0, 1.0)),
+    ], ids=["int", "numpy-scalar", "numpy-element", "int-elements"])
+    def test_equal_values_share_a_digest(self, key, given, plain):
+        # a float setting is stored as float, whatever type the equal value came as
+        cfg, ref = ExperimentConfig(**{key: given}), ExperimentConfig(**{key: plain})
+        assert cfg.canonical_text() == ref.canonical_text()
+        assert cfg.digest() == ref.digest()
+        values = getattr(cfg, key)
+        assert all(type(v) is float for v in (values if isinstance(values, tuple) else (values,)))
 
     def test_nan_rejected_for_every_ranged_setting(self):
         for key in experiment._RANGES:
