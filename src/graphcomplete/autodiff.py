@@ -52,6 +52,11 @@ def constant(value) -> Tensor:
     return Tensor(value, requires_grad=False)
 
 
+def as_tensor(x) -> Tensor:
+    """The one array-or-Tensor coercion: x itself if a Tensor, else a gradient-free leaf."""
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
 def _node(value, parents) -> Tensor:
     live = [(p, vjp) for p, vjp in parents if p.requires_grad]
     return Tensor(value, requires_grad=bool(live), _parents=live)
@@ -249,16 +254,11 @@ def where_mask(mask: np.ndarray, a, b) -> Tensor:
     Either side may be a plain ndarray; gradients flow only into Tensor
     sides, and only through the entries they supply.
     """
-    av = a.value if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
-    bv = b.value if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape or mask.shape != av.shape:
-        raise ShapeError(f"where_mask: {mask.shape} / {av.shape} / {bv.shape}")
-    parents = []
-    if isinstance(a, Tensor):
-        parents.append((a, lambda g: g * mask))
-    if isinstance(b, Tensor):
-        parents.append((b, lambda g: g * ~mask))
-    return _node(np.where(mask, av, bv), parents)
+    a, b = as_tensor(a), as_tensor(b)
+    if a.value.shape != b.value.shape or mask.shape != a.value.shape:
+        raise ShapeError(f"where_mask: {mask.shape} / {a.value.shape} / {b.value.shape}")
+    return _node(np.where(mask, a.value, b.value),
+                 [(a, lambda g: g * mask), (b, lambda g: g * ~mask)])
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -292,7 +292,6 @@ def sum_all(a: Tensor) -> Tensor:
 def fused_scalar(value, grads) -> Tensor:
     """One node for a scalar computed with its gradients, grads = [(input, dvalue/dinput)].
 
-    The vjp scales each stored gradient by the upstream scalar; non-Tensor inputs are skipped.
+    The vjp scales each stored gradient by the upstream scalar; array inputs get none.
     """
-    return _node(np.float64(value), [(x, lambda g, d=d: g * d) for x, d in grads
-                                     if isinstance(x, Tensor)])
+    return _node(np.float64(value), [(as_tensor(x), lambda g, d=d: g * d) for x, d in grads])

@@ -5,7 +5,9 @@ edge set, and optional per-node class labels.  Values behind ``mask == False``
 are stored as 0.0 and carry no information; the mask alone says what is
 observed.
 
-On-disk layout (one directory per dataset, all ids 0-based):
+On-disk layout (one directory per dataset, all ids 0-based).  In each ``.tsv``
+file a whitespace-only line is skipped; any other line is split on tabs, and an
+empty field (a leading, trailing or doubled tab) makes the line malformed:
 
 * ``features.tsv`` -- one row per node: node id, then d tab-separated decimals
 * ``edges.tsv``    -- one edge per line as ``u<TAB>v`` with ``u < v``
@@ -137,63 +139,66 @@ class Splits:
 # on-disk ingestion
 
 
+def _tsv_lines(path: str, kind: str):
+    """The one line rule of the dataset files: yields ("path:lineno", fields) per line,
+    skipping a whitespace-only line and rejecting one with an empty field as malformed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if not all(fields):
+                raise DatasetFormatError(f"{path}:{lineno}: malformed {kind} line")
+            yield f"{path}:{lineno}", fields
+
+
 def _parse_numbered_matrix(path: str, kind: str) -> np.ndarray:
     rows = []
     expected_cols = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            try:
-                node = int(parts[0])
-                vals = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: malformed {kind} line") from exc
-            if node != len(rows):
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: expected node id {len(rows)}, got {node}"
-                )
-            if expected_cols is None:
-                expected_cols = len(vals)
-                if expected_cols == 0:
-                    raise DatasetFormatError(f"{path}:{lineno}: row has no values")
-            elif len(vals) != expected_cols:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: expected {expected_cols} values, got {len(vals)}"
-                )
-            rows.append(vals)
+    for where, parts in _tsv_lines(path, kind):
+        try:
+            node = int(parts[0])
+            vals = [float(v) for v in parts[1:]]
+        except ValueError as exc:
+            raise DatasetFormatError(f"{where}: malformed {kind} line") from exc
+        if node != len(rows):
+            raise DatasetFormatError(f"{where}: expected node id {len(rows)}, got {node}")
+        if expected_cols is None:
+            expected_cols = len(vals)
+            if expected_cols == 0:
+                raise DatasetFormatError(f"{where}: row has no values")
+        elif len(vals) != expected_cols:
+            raise DatasetFormatError(f"{where}: expected {expected_cols} values, got {len(vals)}")
+        rows.append(vals)
     if not rows:
         raise DatasetFormatError(f"{path}: empty file")
     return np.asarray(rows, dtype=np.float64)
 
 
+def _parse_pair(where: str, parts: list[str], kind: str) -> tuple[int, int]:
+    """A line of exactly two integer fields, else a malformed-line error."""
+    try:
+        u, v = map(int, parts)
+    except ValueError:
+        raise DatasetFormatError(f"{where}: malformed {kind} line") from None
+    return u, v
+
+
 def _parse_edges(path: str, n: int) -> np.ndarray:
     pairs = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DatasetFormatError(f"{path}:{lineno}: malformed edge line")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: malformed edge line") from exc
-            if u == v:
-                raise DatasetFormatError(f"{path}:{lineno}: self-loop {u}")
-            if u > v:
-                raise DatasetFormatError(f"{path}:{lineno}: edge not in u < v order")
-            if not (0 <= u < n and 0 <= v < n):
-                raise DatasetFormatError(f"{path}:{lineno}: node id out of range")
-            if (u, v) in seen:
-                raise DatasetFormatError(f"{path}:{lineno}: duplicate edge {u} {v}")
-            seen.add((u, v))
-            pairs.append((u, v))
+    for where, parts in _tsv_lines(path, "edge"):
+        u, v = _parse_pair(where, parts, "edge")
+        if u == v:
+            raise DatasetFormatError(f"{where}: self-loop {u}")
+        if u > v:
+            raise DatasetFormatError(f"{where}: edge not in u < v order")
+        if not (0 <= u < n and 0 <= v < n):
+            raise DatasetFormatError(f"{where}: node id out of range")
+        if (u, v) in seen:
+            raise DatasetFormatError(f"{where}: duplicate edge {u} {v}")
+        seen.add((u, v))
+        pairs.append((u, v))
     return canonical_edges(pairs) if pairs else np.zeros((0, 2), dtype=np.int64)
 
 
@@ -224,26 +229,15 @@ def load_dataset(path: str) -> GraphDataset:
     labels_path = os.path.join(path, "labels.tsv")
     if os.path.exists(labels_path):
         labels = np.full(n, -1, dtype=np.int64)
-        with open(labels_path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DatasetFormatError(f"{labels_path}:{lineno}: malformed label line")
-                try:
-                    node, cls = int(parts[0]), int(parts[1])
-                except ValueError as exc:
-                    raise DatasetFormatError(f"{labels_path}:{lineno}: malformed label line") from exc
-                if not (0 <= node < n):
-                    raise DatasetFormatError(f"{labels_path}:{lineno}: node id out of range")
-                if cls < 0:
-                    raise DatasetFormatError(f"{labels_path}:{lineno}: negative class id")
-                if labels[node] >= 0:
-                    raise DatasetFormatError(f"{labels_path}:{lineno}: duplicate label for "
-                                             f"node {node}")
-                labels[node] = cls
+        for where, parts in _tsv_lines(labels_path, "label"):
+            node, cls = _parse_pair(where, parts, "label")
+            if not (0 <= node < n):
+                raise DatasetFormatError(f"{where}: node id out of range")
+            if cls < 0:
+                raise DatasetFormatError(f"{where}: negative class id")
+            if labels[node] >= 0:
+                raise DatasetFormatError(f"{where}: duplicate label for node {node}")
+            labels[node] = cls
         num_classes = int(labels.max()) + 1 if np.any(labels >= 0) else 0
 
     meta_path = os.path.join(path, "meta.json")

@@ -52,11 +52,13 @@ from .rng import (
 )
 from .structure_path import (
     build_diffusion,
+    init_ppnp,
     normalize_adjacency,
     positional_features,
     ppnp_forward,
     ppnp_hidden,
     ppnp_output,
+    symmetric_normalize,
 )
 
 if TYPE_CHECKING:   # experiment imports this module, so only type checkers import it back
@@ -128,8 +130,7 @@ def run_reconstruction(ds: GraphDataset, cfg: ExperimentConfig, seed: int) -> Re
     init_mlp2(store, "imputer", (d, cfg.imputer_hidden, d), init_rng)
     store.add("pos.W", glorot(init_rng, n, cfg.pe_hidden))
     store.add("pos.b", np.zeros((1, cfg.pe_hidden)))
-    store.add("ppnp.W0", glorot(init_rng, cfg.pe_hidden, cfg.ppnp_hidden))
-    store.add("ppnp.W1", glorot(init_rng, cfg.ppnp_hidden, d))
+    init_ppnp(store, "ppnp", (cfg.pe_hidden, cfg.ppnp_hidden, d), init_rng)
     optim = Optimizer(store, cfg.recon_lr, cfg.recon_weight_decay)
 
     history = np.zeros((cfg.epochs, 3))
@@ -200,17 +201,14 @@ def evaluate(logits: np.ndarray, labels: np.ndarray, idx: np.ndarray) -> float:
 
 
 def downstream_propagation_matrix(diffusion_topk) -> sp.csr_array:
-    """Symmetrize the sparsified diffusion and symmetric-normalize it.
+    """Symmetrize the sparsified diffusion and symmetric_normalize it.
 
     Top-k selection breaks symmetry, and the classifier assumes a symmetric
     operator, so entries are reconciled with an elementwise maximum first.
     The diffusion's own diagonal keeps every row sum positive.
     """
     m = sp.csr_array(diffusion_topk)
-    m = m.maximum(m.T)
-    rowsum = np.asarray(m.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(np.maximum(rowsum, 1e-12))
-    return sp.csr_array(sp.diags_array(inv_sqrt) @ m @ sp.diags_array(inv_sqrt))
+    return symmetric_normalize(m.maximum(m.T))
 
 
 def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
@@ -236,8 +234,7 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
 
     store = ParamStore()
     # classifier params first: a fusion-free baseline draws identical values
-    store.add("gcn.W0", glorot(init_rng, d, cfg.gcn_hidden))
-    store.add("gcn.W1", glorot(init_rng, cfg.gcn_hidden, num_classes))
+    init_ppnp(store, "gcn", (d, cfg.gcn_hidden, num_classes), init_rng)
     if use_fusion:
         init_fusion(store, d, cfg.attention_dim, init_rng)
     optim = Optimizer(store, cfg.down_lr, cfg.down_weight_decay)

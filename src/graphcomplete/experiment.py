@@ -187,9 +187,9 @@ def _coerce(name: str, raw):
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key=value lines; # starts a comment; keys must be config fields."""
+    """Flat key=value lines; # starts a comment; keys must be config fields, each set once."""
     known = {f.name for f in fields(ExperimentConfig)}
-    out = {}
+    out, set_on = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -200,7 +200,9 @@ def parse_config_file(path: str) -> dict:
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _coerce(key, value)
+            if key in set_on:
+                raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {set_on[key]}")
+            out[key], set_on[key] = _coerce(key, value), lineno
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, matmul, sigmoid, transpose, where_mask
+from .autodiff import ShapeError, Tensor, as_tensor, matmul, sigmoid, transpose, where_mask
 from .nn import ParamStore, mlp2_forward
 
 
@@ -35,5 +35,5 @@ def impute_features(features: np.ndarray, feature_mask: np.ndarray,
 
 def decode_structure(completed) -> Tensor:
     """Inner-product decoder: logistic of the feature Gram matrix."""
-    x = completed if isinstance(completed, Tensor) else Tensor(np.asarray(completed, dtype=np.float64))
+    x = as_tensor(completed)
     return sigmoid(matmul(x, transpose(x)))

@@ -17,6 +17,7 @@ from .autodiff import (
     Tensor,
     add,
     add_rowvec,
+    as_tensor,
     concat_cols,
     matmul,
     mul_colvec,
@@ -58,8 +59,7 @@ def _gate(view: Tensor, store: ParamStore, side: str) -> Tensor:
 
 def attention_fuse(feature_view, structure_view, store: ParamStore) -> FusionOut:
     """Combine the two views row by row with learned convex weights."""
-    x = feature_view if isinstance(feature_view, Tensor) else Tensor(np.asarray(feature_view, dtype=np.float64))
-    z = structure_view if isinstance(structure_view, Tensor) else Tensor(np.asarray(structure_view, dtype=np.float64))
+    x, z = as_tensor(feature_view), as_tensor(structure_view)
     if x.value.shape != z.value.shape:
         raise ShapeError(f"views differ: {x.value.shape} vs {z.value.shape}")
     gates = concat_cols(_gate(x, store, "f"), _gate(z, store, "s"))

@@ -9,15 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (
-    ShapeError,
-    Tensor,
-    add_rowvec,
-    constant,
-    matmul,
-    mul,
-    relu,
-)
+from .autodiff import ShapeError, Tensor, add_rowvec, as_tensor, constant, matmul, mul, relu
 
 
 class ParamStore:
@@ -79,11 +71,19 @@ def init_mlp2(store: ParamStore, prefix: str, dims: tuple[int, int, int],
     store.add(f"{prefix}.b2", np.zeros((1, b)))
 
 
-def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout multiplier: zeros with probability rate, else 1/(1-rate)."""
-    if not (0.0 <= rate < 1.0):
+def apply_dropout(h: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """The one dropout rule: inverted dropout on the tape, zeroing each entry with
+    probability rate and scaling the rest by 1/(1-rate).
+
+    rate must lie in [0, 1); at rate 0, h is returned and nothing is drawn.
+    """
+    if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    if rate == 0.0:
+        return h
+    if rng is None:
+        raise ValueError(f"dropout rate {rate} requires a generator")
+    return mul(h, constant((rng.random(h.value.shape) >= rate) / (1.0 - rate)))
 
 
 def mlp2_forward(store: ParamStore, prefix: str, X,
@@ -91,16 +91,11 @@ def mlp2_forward(store: ParamStore, prefix: str, X,
                  rng: np.random.Generator | None = None) -> Tensor:
     """ReLU(X·W1 + b1)·W2 + b2 on the tape.
 
-    Dropout (inverted, training only) is applied after the hidden activation
-    when a rate and generator are given.
+    Dropout (apply_dropout, training only) follows the hidden activation.
     """
-    x = X if isinstance(X, Tensor) else constant(X)
-    h = relu(add_rowvec(matmul(x, store[f"{prefix}.W1"]), store[f"{prefix}.b1"]))
-    if dropout > 0.0:
-        if rng is None:
-            raise ValueError("dropout requires a generator")
-        h = mul(h, constant(dropout_mask(h.value.shape, dropout, rng)))
-    return add_rowvec(matmul(h, store[f"{prefix}.W2"]), store[f"{prefix}.b2"])
+    h = relu(add_rowvec(matmul(as_tensor(X), store[f"{prefix}.W1"]), store[f"{prefix}.b1"]))
+    return add_rowvec(matmul(apply_dropout(h, dropout, rng), store[f"{prefix}.W2"]),
+                      store[f"{prefix}.b2"])
 
 
 # ---------------------------------------------------------------------------

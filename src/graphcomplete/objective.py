@@ -17,13 +17,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse as sp
 
-from .autodiff import NORM_EPS, Tensor, add, fused_scalar, logistic, unit_rows
+from .autodiff import NORM_EPS, Tensor, add, as_tensor, fused_scalar, logistic, unit_rows
 
 BLOCK_ROWS = 64
-
-
-def _value(x) -> np.ndarray:
-    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
 def structure_targets(diffusion) -> sp.csr_array:
@@ -56,8 +52,8 @@ def _infonce_block(sim: np.ndarray, r0: int, temperature: float):
 
 def feature_contrastive_loss(completed, propagated, temperature: float) -> Tensor:
     """InfoNCE between completed feature rows and propagated representations."""
-    u, u_vjp = unit_rows(_value(completed))
-    v, v_vjp = unit_rows(_value(propagated))
+    u, u_vjp = unit_rows(as_tensor(completed).value)
+    v, v_vjp = unit_rows(as_tensor(propagated).value)
     rows = np.empty(len(u))
     du = np.empty_like(u)
     dv = np.zeros_like(v)
@@ -76,7 +72,7 @@ def structure_contrastive_loss(completed, targets, temperature: float) -> Tensor
     a time.  targets is structure_targets(diffusion), built once per phase;
     its transpose is built once per call and shared by every row block.
     """
-    x = _value(completed)
+    x = as_tensor(completed).value
     targets_t = targets.T
     rows = np.empty(len(x))
     dx = np.zeros_like(x)

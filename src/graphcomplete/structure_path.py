@@ -16,27 +16,28 @@ import warnings
 import numpy as np
 from scipy import sparse as sp
 
-from .autodiff import Operator, ShapeError, Tensor, add_rowvec, matmul, mul, propagate, relu
-from .nn import ParamStore, dropout_mask
+from .autodiff import Operator, ShapeError, Tensor, add_rowvec, as_tensor, matmul, propagate, relu
+from .nn import ParamStore, apply_dropout, glorot
 
 BLOCK_ROWS = 256   # rows per block of the diffusion's mirror and top-k passes
 
 
-def normalize_adjacency(edges: np.ndarray, n: int) -> sp.csr_array:
-    """Symmetric normalization of the self-looped adjacency, as sparse.
+def symmetric_normalize(m) -> sp.csr_array:
+    """The one symmetric normalization, D^{-1/2} M D^{-1/2} with D M's row sums floored at 1e-12."""
+    inv_sqrt = 1.0 / np.sqrt(np.maximum(np.asarray(m.sum(axis=1)).ravel(), 1e-12))
+    return sp.csr_array(sp.diags_array(inv_sqrt) @ m @ sp.diags_array(inv_sqrt))
 
-    Returns D^{-1/2} (A + I) D^{-1/2} with D the degree matrix of A + I.
+
+def normalize_adjacency(edges: np.ndarray, n: int) -> sp.csr_array:
+    """symmetric_normalize of the self-looped adjacency A + I, as sparse.
+
     Spectral radius is at most 1, which makes the diffusion below converge.
-    Isolated nodes keep degree 1 from the self-loop.
+    Isolated nodes keep degree 1 from the self-loop, so the floor never acts.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
     cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
-    vals = np.ones(rows.size)
-    a_loop = sp.csr_array((vals, (rows, cols)), shape=(n, n))
-    inv_sqrt = 1.0 / np.sqrt(np.asarray(a_loop.sum(axis=1)).ravel())
-    norm = sp.diags_array(inv_sqrt) @ a_loop @ sp.diags_array(inv_sqrt)
-    return sp.csr_array(norm)
+    return symmetric_normalize(sp.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n)))
 
 
 def ppr_closed_form(a_norm, alpha: float) -> np.ndarray:
@@ -100,20 +101,24 @@ def positional_features(n: int, store: ParamStore) -> Tensor:
     return add_rowvec(w, store["pos.b"])
 
 
+def init_ppnp(store: ParamStore, prefix: str, dims: tuple[int, int, int],
+              rng: np.random.Generator) -> None:
+    """The one initialization of the propagation net's weights, no biases:
+    dims = (input, hidden, output), drawn W0 then W1."""
+    a, h, b = dims
+    store.add(f"{prefix}.W0", glorot(rng, a, h))
+    store.add(f"{prefix}.W1", glorot(rng, h, b))
+
+
 def ppnp_hidden(op: Operator, features, store: ParamStore, prefix: str) -> Tensor:
     """The net's lower layer, ReLU(A · X · W0): everything below the dropout."""
-    x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=np.float64))
-    return relu(propagate(op, matmul(x, store[f"{prefix}.W0"])))
+    return relu(propagate(op, matmul(as_tensor(features), store[f"{prefix}.W0"])))
 
 
 def ppnp_output(op: Operator, hidden: Tensor, store: ParamStore, prefix: str,
                 dropout: float = 0.0, rng=None) -> Tensor:
     """The net's upper layer, A · drop(H) · W1, over a hidden layer from ppnp_hidden."""
-    if dropout > 0.0:
-        if rng is None:
-            raise ValueError("dropout requires a generator")
-        hidden = mul(hidden, Tensor(dropout_mask(hidden.value.shape, dropout, rng)))
-    return propagate(op, matmul(hidden, store[f"{prefix}.W1"]))
+    return propagate(op, matmul(apply_dropout(hidden, dropout, rng), store[f"{prefix}.W1"]))
 
 
 def ppnp_forward(op: Operator, features, store: ParamStore, prefix: str = "ppnp",

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +46,43 @@ class TestRoundTrip:
         assert not (tmp_path / "ds" / "mask.tsv").exists()
         back = gc.load_dataset(str(tmp_path / "ds"))
         assert back.feature_mask.all()
+
+
+# a valid two-node dataset, one text per file the loader reads line by line
+DATASET_TEXTS = {
+    "features.tsv": ("feature", "0\t1.0\t2.0\n1\t3.0\t4.0\n"),
+    "mask.tsv": ("mask", "0\t1\t0\n1\t1\t1\n"),
+    "edges.tsv": ("edge", "0\t1\n"),
+    "labels.tsv": ("label", "0\t0\n1\t1\n"),
+}
+
+
+class TestLineRule:
+    """Every dataset file reads its lines by one rule."""
+
+    def load_with(self, tmp_path, name=None, text=None):
+        for f, (_, body) in DATASET_TEXTS.items():
+            (tmp_path / f).write_text(text if f == name else body)
+        return gc.load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("name", DATASET_TEXTS)
+    def test_whitespace_only_line_is_skipped(self, tmp_path, name):
+        first, *rest = DATASET_TEXTS[name][1].splitlines(keepends=True)
+        ds = self.load_with(tmp_path, name, first + " \t \n\n" + "".join(rest) + "  \n")
+        clean = self.load_with(tmp_path)
+        for got, want in zip(dataclasses.astuple(ds), dataclasses.astuple(clean)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", DATASET_TEXTS)
+    @pytest.mark.parametrize("damage", ["trailing", "doubled", "leading"])
+    def test_empty_field_is_malformed(self, tmp_path, name, damage):
+        kind, text = DATASET_TEXTS[name]
+        first, *rest = text.splitlines(keepends=True)
+        bad = {"trailing": first.replace("\n", "\t\n"),
+               "doubled": first.replace("\t", "\t\t", 1),
+               "leading": "\t" + first}[damage]
+        with pytest.raises(DatasetFormatError, match=rf"{re.escape(name)}:1: malformed {kind} line"):
+            self.load_with(tmp_path, name, bad + "".join(rest))
 
 
 class TestLoadErrors:

@@ -19,7 +19,7 @@ from graphcomplete.downstream import (
     train_gcn_baseline,
 )
 from graphcomplete.experiment import ExperimentConfig
-from graphcomplete.nn import ParamStore, dropout_mask, glorot, init_mlp2
+from graphcomplete.nn import ParamStore, apply_dropout, glorot, init_mlp2
 from graphcomplete.rng import STREAM_DROPOUT, STREAM_INIT, make_rng
 from graphcomplete.structure_path import normalize_adjacency, ppnp_forward
 
@@ -259,8 +259,7 @@ def per_call_structure_term(completed, diffusion, temperature):
 def per_call_ppnp(diffusion, x, store, dropout=0.0, rng=None):
     """The structure path's net with Mᵀ rebuilt on every propagate."""
     h = ad.relu(ad.propagate(ad.Operator(diffusion), ad.matmul(x, store["ppnp.W0"])))
-    if dropout > 0.0:
-        h = ad.mul(h, ad.constant(dropout_mask(h.value.shape, dropout, rng)))
+    h = apply_dropout(h, dropout, rng)
     return ad.propagate(ad.Operator(diffusion), ad.matmul(h, store["ppnp.W1"]))
 
 

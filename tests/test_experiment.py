@@ -275,6 +275,11 @@ dump_embeddings = true
             with pytest.raises(ValueError, match=rf":2: unknown key '{key}'"):
                 parse_config_file(path)
 
+    def test_key_set_twice_reports_both_lines(self, tmp_path):
+        path = self.write(tmp_path, "epochs = 5\nepochs = 7\n")
+        with pytest.raises(ValueError, match=r"run\.conf:2: key 'epochs' already set on line 1"):
+            parse_config_file(path)
+
     def test_missing_equals_reports_line(self, tmp_path):
         path = self.write(tmp_path, "dataset x\n")
         with pytest.raises(ValueError, match=r":1: expected key=value"):

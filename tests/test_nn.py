@@ -1,18 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import graphcomplete.autodiff as ad
 from graphcomplete import rng as rngmod
+from graphcomplete.feature_path import impute_features
 from graphcomplete.nn import (
     Optimizer,
     ParamStore,
-    dropout_mask,
+    apply_dropout,
     glorot,
     init_mlp2,
     mlp2_forward,
 )
+from graphcomplete.structure_path import init_ppnp, ppnp_forward
 
 from conftest import ReferenceAdam, ZeroFilledStore, bits
 from oracles import cosine_matrix, finite_diff_grad
@@ -107,22 +110,54 @@ class TestMLP:
             mlp2_forward(store, "m", np.ones((2, 2)), dropout=0.5)
 
 
-class TestDropoutMask:
+class TestApplyDropout:
     def test_values_are_zero_or_inverse_keep(self):
         rng = np.random.default_rng(4)
-        m = dropout_mask((50, 50), 0.3, rng)
+        m = apply_dropout(ad.constant(np.ones((50, 50))), 0.3, rng).value
         vals = np.unique(m)
         assert set(np.round(vals, 12)) <= {0.0, round(1 / 0.7, 12)}
         # roughly the right drop fraction
         assert abs((m == 0).mean() - 0.3) < 0.05
 
-    def test_rate_zero_is_all_ones(self):
+    def test_rate_zero_returns_input_and_draws_nothing(self):
         rng = np.random.default_rng(5)
-        np.testing.assert_array_equal(dropout_mask((3, 3), 0.0, rng), np.ones((3, 3)))
+        h = ad.constant(np.ones((3, 3)))
+        assert apply_dropout(h, 0.0, rng) is h
+        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
     def test_rate_one_rejected(self):
-        with pytest.raises(ValueError):
-            dropout_mask((2, 2), 1.0, np.random.default_rng(6))
+        with pytest.raises(ValueError, match=r"dropout rate 1\.0 outside"):
+            apply_dropout(ad.constant(np.ones((2, 2))), 1.0, np.random.default_rng(6))
+
+
+def dropout_callers():
+    """Each public forward that takes a dropout rate, as (rate, generator) -> output."""
+    store = ParamStore()
+    init_mlp2(store, "imputer", (3, 4, 3), np.random.default_rng(0))
+    init_ppnp(store, "ppnp", (3, 4, 2), np.random.default_rng(1))
+    x = np.arange(15.0).reshape(5, 3)
+    mask = x % 2 == 0
+    op = ad.Operator(np.eye(5))
+    return {
+        "mlp2_forward": lambda rate, rng: mlp2_forward(store, "imputer", x, rate, rng),
+        "impute_features": lambda rate, rng: impute_features(x * mask, mask, store, rate, rng),
+        "ppnp_forward": lambda rate, rng: ppnp_forward(op, x, store, "ppnp", rate, rng),
+    }
+
+
+class TestDropoutRateChecked:
+    """Every forward with dropout checks the rate through apply_dropout."""
+
+    @pytest.mark.parametrize("caller", ["mlp2_forward", "impute_features", "ppnp_forward"])
+    @pytest.mark.parametrize("rate", [-0.5, float("nan")])
+    def test_rate_outside_unit_interval_is_named(self, caller, rate):
+        with pytest.raises(ValueError, match=re.escape(f"dropout rate {rate} outside [0, 1)")):
+            dropout_callers()[caller](rate, np.random.default_rng(2))
+
+    @pytest.mark.parametrize("caller", ["mlp2_forward", "impute_features", "ppnp_forward"])
+    def test_rate_one_without_generator_names_the_rate(self, caller):
+        with pytest.raises(ValueError, match=r"dropout rate 1\.0 outside"):
+            dropout_callers()[caller](1.0, None)
 
 
 class TestOptimizer:
