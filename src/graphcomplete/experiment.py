@@ -3,15 +3,16 @@
 A run is a grid of (missing-rate pair, seed) cells.  Each cell masks the
 dataset, trains the reconstruction pipeline and/or the zero-fill baseline,
 and reports split accuracies.  Cells are independent jobs; a bounded worker
-pool may execute them concurrently, but a single collector writes all files
-in submission order, so outputs are byte-identical across reruns.
+pool may execute them concurrently, but the collector hands each finished
+cell in sweep order to one writer, which builds all of the cell's files, and
+then lets the cell go, so outputs are byte-identical across reruns.
 
 ExperimentConfig is the one settings object: it declares every setting once,
 with its default, help text and range, and both training phases read its keys
 directly.  On disk it is a flat key=value text file; each key is also a
 command-line flag (``--`` plus the key with dashes for underscores), and flags
-override the file.  Every output file embeds the config digest and the seed
-it came from.
+override the file.  Every output file embeds the config digest, which covers
+every setting but out and workers, and the seed it came from.
 """
 
 from __future__ import annotations
@@ -153,6 +154,8 @@ class ExperimentConfig:
     def canonical_text(self) -> str:
         lines = []
         for f in sorted(fields(self), key=lambda f: f.name):
+            if f.name in ("out", "workers"):   # where and how fast, never what
+                continue
             v = getattr(self, f.name)
             if isinstance(v, tuple):
                 v = ",".join(repr(x) for x in v)
@@ -180,7 +183,7 @@ def _coerce(name: str, raw):
     kind = type(default[0]) if isinstance(default, tuple) else type(default)
     try:
         if isinstance(default, tuple):
-            return tuple(kind(x) for x in raw.split(",") if x != "")
+            return tuple(kind(x) for x in raw.split(","))   # an empty entry fails
         return kind(raw)
     except ValueError:
         raise ValueError(f"{name}: expected {kind.__name__} values, got {raw!r}") from None
@@ -219,30 +222,61 @@ def make_config(file_values: dict | None = None, overrides: dict | None = None) 
 # artifact writers
 
 
-def _write_tsv(path: str, header: str, matrix, columns: str | None = None) -> None:
-    """The one table format of the per-cell artifacts, tab-separated, values to
-    12 significant digits: a '# header' line, the column names if given, then
-    one line per row of a dense matrix (node id, the row's values) or per
-    stored entry of a sparse one (u, v, weight), in row-major order."""
+def _write_tsv(path: str, header: str, matrix, columns: str | None = None,
+               sep: str = "\t", digits: int = 12) -> None:
+    """The one table format of the per-cell artifacts: a '# header' line, the
+    column names if given, then one line per row of a dense matrix (row index,
+    the row's values) or per stored entry of a sparse one (u, v, weight), in
+    row-major order, fields joined by sep, values to that many significant
+    digits.  The file's directory is made when the file is written."""
     if sp.issparse(matrix):
         coo = sp.coo_array(matrix)
         order = np.lexsort((coo.col, coo.row))
         keys, values = np.column_stack((coo.row, coo.col))[order], coo.data[order, None]
     else:
         keys, values = np.arange(len(matrix))[:, None], np.asarray(matrix)
+    spec = f".{digits}g"
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {header}\n")
         if columns:
             fh.write(f"{columns}\n")
         for key, row in zip(keys, values):
-            fh.write("\t".join([*map(str, key), *(format(v, ".12g") for v in row)]) + "\n")
+            fh.write(sep.join([*map(str, key), *(format(v, spec) for v in row)]) + "\n")
 
 
-def _write_loss_csv(path: str, header: str, columns: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {header}\n{columns}\n")
-        for row in rows:
-            fh.write(",".join(format(v, ".10g") for v in row) + "\n")
+def _write_cell(runs, accs: dict, cfg: ExperimentConfig, cell, recon, results) -> None:
+    """Write one finished cell: its rows of the open runs.csv, its loss curves
+    and, when asked for, its embeddings and structure, and add its test
+    accuracies to accs for the summary.  Every per-cell path is built here."""
+    tag, fr, er, seed = cell
+    head = f"config={cfg.digest()} seed={seed} feature_missing={fr:g} edge_missing={er:g}"
+    if recon is not None:
+        _write_tsv(os.path.join(cfg.out, "losses", f"recon_{tag}.csv"), head,
+                   recon.loss_history, "epoch,feature_term,structure_term,total", ",", 10)
+    for method, res in results.items():
+        m = res.metrics
+        runs.write(f"{fr:g},{er:g},{seed},{method},"
+                   f"{m.test_accuracy:.10g},{m.val_accuracy:.10g},"
+                   f"{m.train_accuracy:.10g},{m.best_epoch}\n")
+        runs.flush()
+        accs.setdefault((fr, er, method), []).append(m.test_accuracy)
+        _write_tsv(os.path.join(cfg.out, "losses", f"downstream_{tag}_{method}.csv"),
+                   f"{head} method={method}", np.asarray(m.loss_curve)[:, None],
+                   "epoch,loss", ",", 10)
+    if recon is not None and cfg.dump_embeddings:
+        cell_dir = os.path.join(cfg.out, "embeddings", tag)
+        fusion_out = attention_fuse(recon.imputed, recon.propagated, results[RECON_METHOD].store)
+        for view, matrix in (("fused", fusion_out.fused.value),
+                             ("imputed", recon.imputed),
+                             ("propagated", recon.propagated)):
+            _write_tsv(os.path.join(cell_dir, f"{view}.tsv"), f"{head} view={view}", matrix)
+        _write_tsv(os.path.join(cell_dir, "fusion_weights.tsv"),
+                   f"{head} view=weights", fusion_out.weights.value,
+                   "node\tw_feature\tw_structure")
+    if recon is not None and cfg.dump_structure:
+        _write_tsv(os.path.join(cfg.out, "structure", f"{tag}.tsv"), head,
+                   recon.diffusion_topk)
 
 
 # ---------------------------------------------------------------------------
@@ -273,69 +307,29 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if not cfg.dataset:
         raise ValueError("dataset path is required")
     ds = load_dataset(cfg.dataset)
-    digest = cfg.digest()
-    out = cfg.out
-    os.makedirs(out, exist_ok=True)
-    losses_dir = os.path.join(out, "losses")
-    os.makedirs(losses_dir, exist_ok=True)
-    if cfg.dump_embeddings:
-        os.makedirs(os.path.join(out, "embeddings"), exist_ok=True)
-    if cfg.dump_structure:
-        os.makedirs(os.path.join(out, "structure"), exist_ok=True)
+    os.makedirs(cfg.out, exist_ok=True)
 
     accs: dict[tuple, list] = {}
-    runs_path = os.path.join(out, "runs.csv")
+    runs_path = os.path.join(cfg.out, "runs.csv")
 
-    with open(runs_path, "w", encoding="utf-8") as runs:
-        runs.write(f"# config={digest}\n")
+    with open(runs_path, "w", encoding="utf-8") as runs, \
+            ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        runs.write(f"# config={cfg.digest()}\n")
         runs.write("feature_missing,edge_missing,seed,method,"
                    "test_accuracy,val_accuracy,train_accuracy,best_epoch\n")
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [(cell, pool.submit(_run_cell, ds, cfg, *cell[1:]))
-                       for cell in cfg.cells()]
-            for (tag, fr, er, seed), fut in futures:
-                try:
-                    recon, results = fut.result()
-                except Exception as exc:
-                    pool.shutdown(cancel_futures=True)   # else leaving the pool runs every queued cell
-                    raise RuntimeError(
-                        f"cell feature_missing={fr} edge_missing={er} seed={seed} failed: {exc}"
-                    ) from exc
-                head = f"config={digest} seed={seed} feature_missing={fr:g} edge_missing={er:g}"
-                if recon is not None:
-                    _write_loss_csv(
-                        os.path.join(losses_dir, f"recon_{tag}.csv"), head,
-                        "epoch,feature_term,structure_term,total",
-                        [(e, *row) for e, row in enumerate(recon.loss_history)])
-                for method, res in results.items():
-                    m = res.metrics
-                    runs.write(f"{fr:g},{er:g},{seed},{method},"
-                               f"{m.test_accuracy:.10g},{m.val_accuracy:.10g},"
-                               f"{m.train_accuracy:.10g},{m.best_epoch}\n")
-                    runs.flush()
-                    accs.setdefault((fr, er, method), []).append(m.test_accuracy)
-                    _write_loss_csv(
-                        os.path.join(losses_dir, f"downstream_{tag}_{method}.csv"),
-                        f"{head} method={method}", "epoch,loss",
-                        list(enumerate(res.metrics.loss_curve)))
-                if recon is not None and cfg.dump_embeddings:
-                    cell_dir = os.path.join(out, "embeddings", tag)
-                    os.makedirs(cell_dir, exist_ok=True)
-                    res = results[RECON_METHOD]
-                    fusion_out = attention_fuse(recon.imputed, recon.propagated, res.store)
-                    for view, matrix in (("fused", fusion_out.fused.value),
-                                         ("imputed", recon.imputed),
-                                         ("propagated", recon.propagated)):
-                        _write_tsv(os.path.join(cell_dir, f"{view}.tsv"),
-                                   f"{head} view={view}", matrix)
-                    _write_tsv(os.path.join(cell_dir, "fusion_weights.tsv"),
-                               f"{head} view=weights", fusion_out.weights.value,
-                               "node\tw_feature\tw_structure")
-                if recon is not None and cfg.dump_structure:
-                    _write_tsv(os.path.join(out, "structure", f"{tag}.tsv"), head,
-                               recon.diffusion_topk)
+        cells = cfg.cells()
+        finished = pool.map(lambda cell: _run_cell(ds, cfg, *cell[1:]), cells)
+        for tag, fr, er, seed in cells:
+            try:
+                recon, results = next(finished)   # one that raises cancels the queued cells
+            except Exception as exc:
+                raise RuntimeError(
+                    f"cell feature_missing={fr} edge_missing={er} seed={seed} failed: {exc}"
+                ) from exc
+            _write_cell(runs, accs, cfg, (tag, fr, er, seed), recon, results)
+            del recon, results   # a written cell is let go before the next one is awaited
 
-    summary = {"digest": digest, "config": asdict(cfg), "results": {}}
+    summary = {"digest": cfg.digest(), "config": asdict(cfg), "results": {}}
     for (fr, er, method), values in accs.items():
         key = f"feature_missing={fr:g},edge_missing={er:g}"
         arr = np.asarray(values)
@@ -345,12 +339,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "n": int(arr.size),
             "test_accuracies": [float(v) for v in values],
         }
-    summary_path = os.path.join(out, "summary.json")
+    summary_path = os.path.join(cfg.out, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    return {"paths": {"runs": runs_path, "summary": summary_path, "out": out},
+    return {"paths": {"runs": runs_path, "summary": summary_path, "out": cfg.out},
             "summary": summary}
 
 

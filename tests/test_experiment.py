@@ -304,6 +304,7 @@ dump_embeddings = true
     @pytest.mark.parametrize("key, raw", [
         ("epochs", "2.5"), ("alpha", "high"), ("seeds", "0,x"),
         ("feature_missing", "0.1,a"), ("dump_embeddings", "sometimes"),
+        ("seeds", "0,,1"), ("feature_missing", "0.3,"), ("seeds", ""),
     ])
     def test_unreadable_value_error_names_the_key(self, dataset_dir, key, raw):
         with pytest.raises(ValueError, match=rf"^{key}: expected"):
@@ -379,16 +380,29 @@ class TestRunExperiment:
             assert open(p, "rb").read() == blob, p
 
     def test_workers_do_not_change_outputs(self, dataset_dir, tmp_path):
-        cfg1 = quick_config(dataset_dir, str(tmp_path / "serial"), seeds=(0, 1, 2))
-        cfg4 = quick_config(dataset_dir, str(tmp_path / "pooled"), seeds=(0, 1, 2),
-                            workers=4)
-        run_experiment(cfg1)
-        run_experiment(cfg4)
-        a = open(os.path.join(str(tmp_path / "serial"), "runs.csv")).read()
-        b = open(os.path.join(str(tmp_path / "pooled"), "runs.csv")).read()
-        # the config digest differs (out and workers are config fields);
-        # every result row must not
-        assert a.splitlines()[1:] == b.splitlines()[1:]
+        # the digest leaves out out and workers, so the two trees match byte
+        # for byte but for those two entries of summary.json's config
+        trees = {}
+        for name, workers in (("serial", 1), ("pooled", 4)):
+            root = tmp_path / name
+            run_experiment(quick_config(dataset_dir, str(root), seeds=(0, 1, 2),
+                                        dump_embeddings=True, dump_structure=True,
+                                        workers=workers))
+            trees[name] = {str(p.relative_to(root)): p.read_bytes()
+                           for p in root.rglob("*") if p.is_file()}
+            summary = trees[name]["summary.json"].decode()
+            assert f'"out": {json.dumps(str(root))},' in summary
+            assert f'"workers": {workers}\n' in summary
+            trees[name]["summary.json"] = "".join(
+                line for line in summary.splitlines(keepends=True)
+                if not line.lstrip().startswith(('"out": ', '"workers": ')))
+        serial, pooled = trees["serial"], trees["pooled"]
+        # runs.csv and summary.json, then per cell 3 loss curves, 4 embedding
+        # tables and its structure
+        assert len(serial) == 2 + 3 * (3 + 4 + 1)
+        assert sorted(serial) == sorted(pooled)
+        for name, blob in serial.items():
+            assert pooled[name] == blob, name
 
     def test_baseline_only_matches_direct_call(self, dataset_dir, tmp_path):
         # at a non-default value of every phase setting, each runs.csv row is

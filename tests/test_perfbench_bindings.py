@@ -1,16 +1,22 @@
 """The benchmark's tracer wraps pipeline functions by (owner, attribute) name.
 
 A rename or removal in the package would make its traced runs fail; this pins
-every binding the layer map names, read the way the tracer reads it.
+every binding the layer map names, read the way the tracer reads it, and the
+contract its per-cell timer relies on.
 """
 
+import gc
 import importlib.util
+import inspect
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
 
-from graphcomplete import downstream, structure_path
+import graphcomplete
+from graphcomplete import downstream, experiment, structure_path
+from graphcomplete.data import two_block_features
 
 LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -61,3 +67,46 @@ def test_build_diffusion_runs_through_the_wrapped_solve_and_topk(monkeypatch):
     downstream.build_diffusion(edges, 5, 0.2, 2)
     assert calls["ppr_closed_form"] == 1
     assert calls["knn_sparsify"] >= 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cell_timer_times_compute_only(tmp_path, monkeypatch, workers):
+    # the benchmark's cell_s wraps experiment._run_cell: it must keep its
+    # parameters, be called through the module attribute once per cell and
+    # write nothing itself; and a written cell is let go, so no earlier
+    # cell's ReconState is alive while a later cell's files are written
+    assert list(inspect.signature(experiment._run_cell).parameters) == [
+        "ds", "cfg", "fr", "er", "seed"]
+    data, out = tmp_path / "data", tmp_path / "out"
+    graphcomplete.write_dataset(graphcomplete.generate_sbm(
+        10, 2, 0.5, 0.05, two_block_features(8), 0.3, seed=0), str(data))
+    cfg = experiment.ExperimentConfig(
+        dataset=str(data), out=str(out), feature_missing=(0.3, 0.5), edge_missing=(0.2,),
+        seeds=(0, 1), k=3, epochs=2, imputer_hidden=8, pe_hidden=8, ppnp_hidden=8,
+        gcn_hidden=8, attention_dim=4, down_max_epochs=5, down_patience=5,
+        dump_embeddings=True, dump_structure=True, workers=workers)
+    run_cell, write_tsv = experiment._run_cell, experiment._write_tsv
+    calls, states, written = [], {}, []
+
+    def counted(ds, cfg, fr, er, seed):
+        recon, results = run_cell(ds, cfg, fr, er, seed)
+        tag = f"fr{fr:g}_er{er:g}_seed{seed}"
+        calls.append(tag)
+        assert not [p for p in out.rglob("*") if tag in p.name], tag
+        states[tag] = weakref.ref(recon)
+        return recon, results
+
+    def checked(path, *args, **kwargs):
+        tag = next(tag for tag in states if tag in path)
+        if tag not in written:
+            gc.collect()
+            alive = [earlier for earlier in written if states[earlier]() is not None]
+            assert not alive, f"{alive} still alive while {tag} is written"
+            written.append(tag)
+        write_tsv(path, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "_run_cell", counted)
+    monkeypatch.setattr(experiment, "_write_tsv", checked)
+    experiment.run_experiment(cfg)
+    cells = [name for name, *_ in cfg.cells()]
+    assert sorted(calls) == sorted(cells) and written == cells
