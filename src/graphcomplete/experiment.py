@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -318,16 +319,17 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         runs.write("feature_missing,edge_missing,seed,method,"
                    "test_accuracy,val_accuracy,train_accuracy,best_epoch\n")
         cells = cfg.cells()
-        finished = pool.map(lambda cell: _run_cell(ds, cfg, *cell[1:]), cells)
-        for tag, fr, er, seed in cells:
-            try:
-                recon, results = next(finished)   # one that raises cancels the queued cells
-            except Exception as exc:
-                raise RuntimeError(
-                    f"cell feature_missing={fr} edge_missing={er} seed={seed} failed: {exc}"
-                ) from exc
-            _write_cell(runs, accs, cfg, (tag, fr, er, seed), recon, results)
-            del recon, results   # a written cell is let go before the next one is awaited
+        # closed on the way out, so an error, in a cell or in its writer, cancels the queued cells
+        with closing(pool.map(lambda cell: _run_cell(ds, cfg, *cell[1:]), cells)) as finished:
+            for tag, fr, er, seed in cells:
+                try:
+                    recon, results = next(finished)
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"cell feature_missing={fr} edge_missing={er} seed={seed} failed: {exc}"
+                    ) from exc
+                _write_cell(runs, accs, cfg, (tag, fr, er, seed), recon, results)
+                del recon, results   # a written cell is let go before the next one is awaited
 
     summary = {"digest": cfg.digest(), "config": asdict(cfg), "results": {}}
     for (fr, er, method), values in accs.items():

@@ -1,10 +1,15 @@
 """Shared test helpers: gradient comparison and small fixtures."""
 
+import contextlib
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 import graphcomplete as gc
 from graphcomplete import autodiff as ad
+from graphcomplete import objective
 from graphcomplete.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ParamStore
 from oracles import finite_diff_grad
 
@@ -99,6 +104,27 @@ class ZeroFilledStore(ParamStore):
 def bits(a) -> np.ndarray:
     """The float64 array's bit patterns, for exact comparison (-0.0 != 0.0)."""
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@contextlib.contextmanager
+def row_block_threads(threads: int):
+    """The contrastive terms' row blocks run on `threads` threads (1: inline),
+    whatever this machine's CPU and BLAS thread budget."""
+    saved = objective._BLOCK_THREADS, objective._POOL, objective._IDLE
+    with ThreadPoolExecutor(max(1, threads - 1), "test-row-block") as pool:
+        objective._BLOCK_THREADS, objective._POOL = threads, pool
+        objective._IDLE = threading.Semaphore(threads - 1)
+        try:
+            yield
+        finally:
+            objective._BLOCK_THREADS, objective._POOL, objective._IDLE = saved
+
+
+@pytest.fixture
+def pooled():
+    """The row-block pool forced on at two threads."""
+    with row_block_threads(2):
+        yield
 
 
 @pytest.fixture

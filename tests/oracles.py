@@ -105,6 +105,35 @@ def row_normalize(a: Tensor) -> Tensor:
     return _node(out, [(a, vjp)])
 
 
+def serial_contrastive_terms(X, P, targets, temperature, block_rows):
+    """Both contrastive terms as one plain loop over row blocks, the sums
+    across blocks taken in block order: ((feature loss, dX, dP), (structure
+    loss, dX)).  The package's terms must match these bit for bit however
+    their blocks are scheduled."""
+    from graphcomplete.autodiff import logistic
+    from graphcomplete.objective import _infonce_block
+    u, u_vjp = unit_rows(X)
+    v, v_vjp = unit_rows(P)
+    rows, du, dv = np.empty(len(u)), np.empty_like(u), np.zeros_like(v)
+    for r0 in range(0, len(u), block_rows):
+        blk = slice(r0, r0 + block_rows)
+        rows[blk], ds = _infonce_block(u[blk] @ v.T, r0, temperature)
+        du[blk] = ds @ v
+        dv += ds.T @ u[blk]
+    feature = (rows.sum(), u_vjp(du), v_vjp(dv))
+    targets_t = targets.T
+    rows, dx = np.empty(len(X)), np.zeros_like(X)
+    for r0 in range(0, len(X), block_rows):
+        blk = slice(r0, r0 + block_rows)
+        a = logistic(X[blk] @ X.T)
+        a_hat, a_vjp = unit_rows(a)
+        rows[blk], ds = _infonce_block(np.asarray(targets @ a_hat.T).T, r0, temperature)
+        dg = a_vjp(np.asarray(targets_t @ ds.T).T) * a * (1.0 - a)
+        dx[blk] += dg @ X
+        dx += dg.T @ X[blk]
+    return feature, (rows.sum(), dx)
+
+
 # ---------------------------------------------------------------------------
 # classifier
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from graphcomplete.experiment import (
     run_experiment,
 )
 
+from conftest import row_block_threads
 from oracles import read_embeddings
 
 
@@ -48,6 +50,20 @@ PHASE_SETTINGS = dict(alpha=0.2, k=4, temperature=0.7, imputer_hidden=6, pe_hidd
                       recon_lr=0.02, recon_weight_decay=1e-4, recon_dropout=0.2,
                       down_lr=0.03, down_weight_decay=1e-3, down_dropout=0.3,
                       down_max_epochs=25, down_patience=8)
+
+
+def output_tree(root, workers):
+    """Every output file's bytes by relative path.  summary.json's "out" and
+    "workers" lines, which the digest leaves out, are checked and dropped,
+    so two runs that differ only there give equal trees."""
+    tree = {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    summary = tree["summary.json"].decode()
+    assert f'"out": {json.dumps(str(root))},' in summary
+    assert f'"workers": {workers}\n' in summary
+    tree["summary.json"] = "".join(
+        line for line in summary.splitlines(keepends=True)
+        if not line.lstrip().startswith(('"out": ', '"workers": ')))
+    return tree
 
 
 def read_runs_csv(path):
@@ -380,22 +396,13 @@ class TestRunExperiment:
             assert open(p, "rb").read() == blob, p
 
     def test_workers_do_not_change_outputs(self, dataset_dir, tmp_path):
-        # the digest leaves out out and workers, so the two trees match byte
-        # for byte but for those two entries of summary.json's config
         trees = {}
         for name, workers in (("serial", 1), ("pooled", 4)):
             root = tmp_path / name
             run_experiment(quick_config(dataset_dir, str(root), seeds=(0, 1, 2),
                                         dump_embeddings=True, dump_structure=True,
                                         workers=workers))
-            trees[name] = {str(p.relative_to(root)): p.read_bytes()
-                           for p in root.rglob("*") if p.is_file()}
-            summary = trees[name]["summary.json"].decode()
-            assert f'"out": {json.dumps(str(root))},' in summary
-            assert f'"workers": {workers}\n' in summary
-            trees[name]["summary.json"] = "".join(
-                line for line in summary.splitlines(keepends=True)
-                if not line.lstrip().startswith(('"out": ', '"workers": ')))
+            trees[name] = output_tree(root, workers)
         serial, pooled = trees["serial"], trees["pooled"]
         # runs.csv and summary.json, then per cell 3 loss curves, 4 embedding
         # tables and its structure
@@ -403,6 +410,26 @@ class TestRunExperiment:
         assert sorted(serial) == sorted(pooled)
         for name, blob in serial.items():
             assert pooled[name] == blob, name
+
+    def test_row_block_threads_do_not_change_outputs(self, tmp_path):
+        # at n=256 each contrastive term has 4 row blocks, enough for the pool
+        data = tmp_path / "sbm256"
+        gc.write_dataset(gc.generate_sbm(128, 2, 0.05, 0.005, two_block_features(8), 0.5,
+                                         seed=1), str(data))
+        flags = ["--dataset", str(data), "--seeds", "0,1", "--epochs", "4", "--k", "5",
+                 "--imputer-hidden", "8", "--pe-hidden", "16", "--ppnp-hidden", "8",
+                 "--gcn-hidden", "8", "--attention-dim", "4", "--down-max-epochs", "20",
+                 "--dump-embeddings", "--dump-structure"]
+        trees = {}
+        for threads, workers in ((1, 1), (2, 1), (2, 2), (1, 2)):
+            root = tmp_path / f"threads{threads}_workers{workers}"
+            with row_block_threads(threads):
+                assert main([*flags, "--out", str(root), "--workers", str(workers)]) == 0
+            trees[threads, workers] = output_tree(root, workers)
+        reference = trees.pop((1, 1))
+        assert len(reference) == 2 + 2 * (3 + 4 + 1)
+        for tree in trees.values():
+            assert tree == reference
 
     def test_baseline_only_matches_direct_call(self, dataset_dir, tmp_path):
         # at a non-default value of every phase setting, each runs.csv row is
@@ -487,6 +514,28 @@ class TestRunExperiment:
         cfg = quick_config(dataset_dir, str(tmp_path / "out"), seeds=tuple(range(10)),
                            workers=2)
         with pytest.raises(RuntimeError, match="seed=0 failed: first cell fails"):
+            run_experiment(cfg)
+        assert 1 <= len(ran) <= 1 + cfg.workers
+
+    def test_failed_write_stops_the_sweep(self, dataset_dir, tmp_path, monkeypatch):
+        # an error in the writer cancels the queued cells as well: only the
+        # written cell and those already running get computed.  The first
+        # cell is done at once, so it is written while the others still run.
+        ran = []
+
+        def stub(ds, cfg, fr, er, seed):
+            ran.append(seed)
+            time.sleep(0.2 if seed else 0.0)
+            return None, {}
+
+        def full_disk(*args):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(experiment, "_run_cell", stub)
+        monkeypatch.setattr(experiment, "_write_cell", full_disk)
+        cfg = quick_config(dataset_dir, str(tmp_path / "out"), seeds=tuple(range(10)),
+                           workers=2)
+        with pytest.raises(OSError, match="no space left"):
             run_experiment(cfg)
         assert 1 <= len(ran) <= 1 + cfg.workers
 

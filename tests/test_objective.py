@@ -1,4 +1,11 @@
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,8 +23,8 @@ from graphcomplete.objective import (
     total_contrastive_loss,
 )
 
-from conftest import gradcheck, sbm_fixture
-from oracles import cosine_matrix, row_normalize
+from conftest import bits, gradcheck, row_block_threads, sbm_fixture
+from oracles import cosine_matrix, row_normalize, serial_contrastive_terms
 
 
 def infonce_oracle(U, V, t):
@@ -288,3 +295,173 @@ def test_working_set_stays_within_row_blocks(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 12 * b * n * 8
+
+
+# ---------------------------------------------------------------------------
+# the row blocks on threads.  The tier-1 BLAS default leaves no core to spare
+# on a 2-CPU machine, so these tests force the pool on (conftest.row_block_threads).
+
+def term_bits(term, X, P, targets):
+    """The loss's and every input gradient's bytes."""
+    store = ParamStore()
+    x, p = store.add("x", X.copy()), store.add("p", P.copy())
+    loss = (feature_contrastive_loss(x, p, 0.4) if term == "feature"
+            else structure_contrastive_loss(x, targets, 0.4))
+    ad.backward(loss)
+    return [bits(loss.value).tobytes()] + [bits(t.grad).tobytes() for t in (x, p)
+                                           if t.grad is not None]
+
+
+THREADED_CASES = [   # (n, block rows); None keeps the module constant
+    (2 * objective.BLOCK_ROWS + 37, None),   # 3 blocks: under the floor, inline
+    (2 * objective.BLOCK_ROWS + 37, 16),     # 11 blocks, the last one partial
+    (256, None),                             # 4 blocks: the smallest pooled term
+    (1000, None),
+]
+
+
+@pytest.mark.parametrize("term", ["feature", "structure"])
+@pytest.mark.parametrize("n,rows", THREADED_CASES,
+                         ids=[f"n{n}_rows{rows or 'default'}" for n, rows in THREADED_CASES])
+def test_threaded_blocks_keep_every_bit(monkeypatch, term, n, rows):
+    if rows is not None:
+        monkeypatch.setattr(objective, "BLOCK_ROWS", rows)
+    rng = np.random.default_rng(n)
+    X, P = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
+    X[n // 3] = 0.0
+    D = np.where(rng.random((n, n)) < 8.0 / n, rng.random((n, n)), 0.0)
+    D[n // 2] = 0.0
+    targets = structure_targets(D)
+    threads = []
+    real = objective._infonce_block
+    monkeypatch.setattr(objective, "_infonce_block", lambda *a: (
+        threads.append(threading.current_thread()), real(*a))[1])
+    with row_block_threads(1):
+        inline = term_bits(term, X, P, targets)
+    assert set(threads) == {threading.main_thread()}
+    threads.clear()
+    with row_block_threads(2):
+        pooled = term_bits(term, X, P, targets)
+    blocks = -(-n // objective.BLOCK_ROWS)
+    assert len(threads) == blocks
+    # the caller runs every other block; below 4 blocks it runs them all
+    assert threads.count(threading.main_thread()) == (blocks if blocks < 4 else -(-blocks // 2))
+    feature, structure = serial_contrastive_terms(X, P, targets, 0.4, objective.BLOCK_ROWS)
+    reference = [bits(a).tobytes() for a in (feature if term == "feature" else structure)]
+    assert pooled == inline == reference
+
+
+def test_threaded_blocks_under_contention():
+    # more block threads than cores, two callers sharing the pool as two
+    # --workers cells do, and a thread switch every microsecond: every
+    # caller still gets the inline bits
+    n = 640
+    rng = np.random.default_rng(44)
+    X, P = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
+    targets = structure_targets(sp.random_array((n, n), density=8.0 / n, random_state=rng))
+    with row_block_threads(1):
+        inline = [term_bits(term, X, P, targets) for term in ("feature", "structure")]
+    results = {}
+
+    def caller(i):
+        results[i] = [term_bits(term, X, P, targets)
+                      for _ in range(5) for term in ("feature", "structure")]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with row_block_threads(4):
+            callers = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in callers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == {i: inline * 5 for i in range(2)}
+
+
+@pytest.mark.parametrize("failing", [2, 3], ids=["callers_block", "pools_block"])
+@pytest.mark.parametrize("term", ["feature", "structure"])
+def test_failed_block_leaves_no_block_running(monkeypatch, pooled, term, failing):
+    # one block raises; the error must surface only after every block
+    # already submitted has finished or been cancelled.  On two threads the
+    # caller runs blocks 0, 2, 4, ... and the pool blocks 1, 3, 5, ...
+    b = objective.BLOCK_ROWS
+    n = 20 * b
+    rng = np.random.default_rng(43)
+    X, P = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
+    targets = structure_targets(sp.random_array((n, n), density=5.0 / n, random_state=rng))
+    started, ended = [], []
+    real = objective._infonce_block
+
+    def flaky(sim, r0, temperature):
+        started.append(time.perf_counter())
+        if r0 == failing * b:
+            raise FloatingPointError("failing block")
+        time.sleep(0.02)   # the other blocks are still running when the error arrives
+        out = real(sim, r0, temperature)
+        ended.append(time.perf_counter())
+        return out
+
+    monkeypatch.setattr(objective, "_infonce_block", flaky)
+    with pytest.raises(FloatingPointError, match="failing block"):
+        if term == "feature":
+            feature_contrastive_loss(X, P, 0.5)
+        else:
+            structure_contrastive_loss(X, targets, 0.5)
+    surfaced = time.perf_counter()
+    time.sleep(0.1)   # a block left running would start or end in here
+    assert failing < len(started) < n // b   # no block after the failed one's group ran
+    assert max(started) < surfaced
+    assert len(ended) == len(started) - 1 and max(ended) < surfaced
+    assert objective._IDLE.acquire(blocking=False)   # the call gave its pool thread back
+    objective._IDLE.release()
+
+
+def test_working_set_stays_within_row_blocks_per_thread(monkeypatch, pooled):
+    # the serial test's bound times the thread count: each thread holds one
+    # block's temporaries, and a finished block only its n×d partial sums
+    n, b, threads = 2048, 64, 2
+    monkeypatch.setattr(objective, "BLOCK_ROWS", b)
+    rng = np.random.default_rng(41)
+    X, P = rng.normal(size=(n, 8)), rng.normal(size=(n, 8))
+    D = sp.random_array((n, n), density=5.0 / n, random_state=rng, format="csr")
+    for call in (lambda: feature_contrastive_loss(X, P, 0.5),
+                 lambda: structure_contrastive_loss(X, structure_targets(D), 0.5)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < threads * 12 * b * n * 8
+
+
+PERFBENCH_RUN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+SRC = pathlib.Path(objective.__file__).resolve().parents[1]
+
+BUDGET_PROBE = """
+import importlib.util, json, sys
+sys.path.insert(0, sys.argv[1])
+from graphcomplete import objective
+spec = importlib.util.spec_from_file_location("perfbench_run", sys.argv[2])
+run = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run)
+print(json.dumps([objective._BLOCK_THREADS, run._blas_threads()]))
+"""
+
+
+@pytest.mark.parametrize("blas_threads", ["1", None], ids=["one_blas_thread", "blas_default"])
+def test_thread_budget_is_cpus_over_blas_threads(blas_threads):
+    # the oracle is the thread count each loaded OpenBLAS reports
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    out = subprocess.run([sys.executable, "-c", BUDGET_PROBE, str(SRC), str(PERFBENCH_RUN)],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    threads, counts = json.loads(out.stdout)
+    assert counts and len(set(counts.values())) == 1, counts
+    assert threads == max(1, len(os.sched_getaffinity(0)) // counts.popitem()[1])
