@@ -140,11 +140,6 @@ def mul_colvec(a: Tensor, c: Tensor) -> Tensor:
     )
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _node(a.value * c, [(a, lambda g: g * c)])
-
-
 def relu(a: Tensor) -> Tensor:
     # branch-free, unlike where(a > 0, a, 0.0); += 0.0 turns fmax's -0.0 into where's +0.0
     out = np.fmax(a.value, 0.0)
@@ -236,18 +231,6 @@ def row_softmax(a: Tensor) -> Tensor:
     return _node(out, [(a, vjp)])
 
 
-def row_logsumexp(a: Tensor) -> Tensor:
-    """Per-row log-sum-exp, returned as an n×1 column."""
-    m = a.value.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(a.value - m).sum(axis=1, keepdims=True))
-    av = a.value
-
-    def vjp(g):
-        return g * np.exp(av - lse)   # g times row softmax
-
-    return _node(lse, [(a, vjp)])
-
-
 def where_mask(mask: np.ndarray, a, b) -> Tensor:
     """Entrywise merge: mask picks from a, its complement from b.
 
@@ -282,11 +265,6 @@ def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
         return full
 
     return _node(a.value[:, j0:j1], [(a, vjp)])
-
-
-def sum_all(a: Tensor) -> Tensor:
-    shape = a.value.shape
-    return _node(a.value.sum(), [(a, lambda g: g * np.ones(shape))])
 
 
 def fused_scalar(value, grads) -> Tensor:

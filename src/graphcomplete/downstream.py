@@ -25,18 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy import sparse as sp
 
-from .autodiff import (
-    Operator,
-    Tensor,
-    add,
-    backward,
-    constant,
-    matmul,
-    mul,
-    row_logsumexp,
-    scale,
-    sum_all,
-)
+from .autodiff import Operator, Tensor, backward, fused_scalar
 from .data import GraphDataset, Splits
 # decode_structure is unused here but stays bound: perfbench/layers.py wraps it
 from .feature_path import decode_structure, impute_features  # noqa: F401
@@ -169,20 +158,28 @@ def run_reconstruction(ds: GraphDataset, cfg: ExperimentConfig, seed: int) -> Re
 gcn_forward = partial(ppnp_forward, prefix="gcn")
 
 
-def cross_entropy_loss(logits: Tensor, labels: np.ndarray, idx: np.ndarray,
-                       num_classes: int) -> Tensor:
-    """Mean softmax cross-entropy over the given nodes, on the tape."""
+def cross_entropy_loss(logits: Tensor, labels: np.ndarray, idx: np.ndarray) -> Tensor:
+    """Mean softmax cross-entropy over the idx nodes as one tape node with its exact
+    gradient, summed over an n×1 column weighted 1/|idx| on idx and 0 elsewhere."""
     idx = np.asarray(idx)
     if idx.size == 0:
         raise ValueError("empty train split")
-    n = logits.value.shape[0]
-    onehot = np.zeros((n, num_classes))
-    onehot[idx, labels[idx]] = 1.0
+    z = logits.value
+    n, c = z.shape
+    y = labels[idx]
+    bad = (y < 0) | (y >= c)
+    if bad.any():
+        raise ValueError(f"unlabeled or out-of-range label {y[bad][0]} at node "
+                         f"{idx[bad][0]} in train split ({c} classes)")
+    m = z.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
     w = np.zeros((n, 1))
     w[idx, 0] = 1.0 / idx.size
-    picked = matmul(mul(logits, constant(onehot)), constant(np.ones((num_classes, 1))))
-    per_node = add(row_logsumexp(logits), scale(picked, -1.0))
-    return sum_all(mul(per_node, constant(w)))
+    picked = np.zeros((n, 1))
+    picked[idx, 0] = z[idx, y]
+    grad = w * np.exp(z - lse)
+    grad[idx, y] -= w[idx, 0]
+    return fused_scalar(((lse - picked) * w).sum(), [(logits, grad)])
 
 
 def evaluate(logits: np.ndarray, labels: np.ndarray, idx: np.ndarray) -> float:
@@ -240,7 +237,7 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
     optim = Optimizer(store, cfg.down_lr, cfg.down_weight_decay)
 
     def hidden_and_eval_logits() -> tuple[Tensor, np.ndarray]:
-        x = attention_fuse(x_view, z_view, store).fused if use_fusion else constant(x_view)
+        x = attention_fuse(x_view, z_view, store).fused if use_fusion else x_view
         hidden = ppnp_hidden(op, x, store, "gcn")
         return hidden, ppnp_output(op, hidden, store, "gcn").value
 
@@ -255,7 +252,7 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
     since_best = 0
     for epoch in range(cfg.down_max_epochs):
         logits = ppnp_output(op, hidden, store, "gcn", cfg.down_dropout, drop_rng)
-        loss = cross_entropy_loss(logits, labels_trainval, train_idx, num_classes)
+        loss = cross_entropy_loss(logits, labels_trainval, train_idx)
         if not np.isfinite(loss.value):
             raise FloatingPointError(f"non-finite classifier loss at epoch {epoch}")
         curve.append(float(loss.value))

@@ -26,7 +26,9 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 from scipy import sparse as sp
 
-from .autodiff import NORM_EPS, Tensor, add, as_tensor, fused_scalar, logistic, unit_rows
+from .autodiff import (
+    NORM_EPS, ShapeError, Tensor, add, as_tensor, fused_scalar, logistic, unit_rows,
+)
 
 BLOCK_ROWS = 64
 
@@ -34,7 +36,8 @@ BLOCK_ROWS = 64
 def _block_threads() -> int:
     """Usable CPUs // BLAS threads, the latter read as OpenBLAS reads them at load."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    env = [os.environ.get(var, "") for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]
+    env = [os.environ.get(var, "")
+           for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")]
     return max(1, cpus // next((int(e) for e in env if e.isdigit() and int(e) > 0), cpus))
 
 
@@ -94,8 +97,11 @@ def _infonce_block(sim: np.ndarray, r0: int, temperature: float):
 
 def feature_contrastive_loss(completed, propagated, temperature: float) -> Tensor:
     """InfoNCE between completed feature rows and propagated representations."""
-    u, u_vjp = unit_rows(as_tensor(completed).value)
-    v, v_vjp = unit_rows(as_tensor(propagated).value)
+    x, p = as_tensor(completed).value, as_tensor(propagated).value
+    if x.shape != p.shape:
+        raise ShapeError(f"feature_contrastive_loss: {x.shape} vs {p.shape}")
+    u, u_vjp = unit_rows(x)
+    v, v_vjp = unit_rows(p)
     rows = np.empty(len(u))
     du = np.empty_like(u)
     dv = np.zeros_like(v)
@@ -121,6 +127,8 @@ def structure_contrastive_loss(completed, targets, temperature: float) -> Tensor
     its transpose is built once per call and shared by every row block.
     """
     x = as_tensor(completed).value
+    if targets.shape != (len(x), len(x)):
+        raise ShapeError(f"structure_contrastive_loss: {x.shape} vs targets {targets.shape}")
     targets_t = targets.T
     rows = np.empty(len(x))
     dx = np.zeros_like(x)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from graphcomplete.autodiff import (
-    Operator, ShapeError, Tensor, _node, backward, constant, unit_rows,
+    Operator, ShapeError, Tensor, _node, add, backward, constant, matmul, mul, unit_rows,
 )
-from graphcomplete.downstream import cross_entropy_loss, evaluate, gcn_forward
+from graphcomplete.downstream import evaluate, gcn_forward
 from graphcomplete.fusion import attention_fuse, init_fusion
 from graphcomplete.nn import Optimizer, ParamStore, glorot
 from graphcomplete.rng import STREAM_DOWNSTREAM_DROPOUT, STREAM_DOWNSTREAM_INIT, make_rng
@@ -53,6 +53,51 @@ def ppr_power_iteration(a_norm: np.ndarray, alpha: float,
             return PowerIterationResult(current, it, True)
     warnings.warn(f"diffusion did not reach tol={tol} in {max_iter} iterations")
     return PowerIterationResult(current, max_iter, False)
+
+
+# ---------------------------------------------------------------------------
+# tape ops no pipeline calls
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+    return _node(a.value * c, [(a, lambda g: g * c)])
+
+
+def row_logsumexp(a: Tensor) -> Tensor:
+    """Per-row log-sum-exp, returned as an n×1 column."""
+    m = a.value.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(a.value - m).sum(axis=1, keepdims=True))
+    av = a.value
+
+    def vjp(g):
+        return g * np.exp(av - lse)   # g times row softmax
+
+    return _node(lse, [(a, vjp)])
+
+
+def sum_all(a: Tensor) -> Tensor:
+    shape = a.value.shape
+    return _node(a.value.sum(), [(a, lambda g: g * np.ones(shape))])
+
+
+def tape_cross_entropy(logits: Tensor, labels: np.ndarray, idx: np.ndarray,
+                       num_classes: int) -> Tensor:
+    """Mean softmax cross-entropy over the given nodes, composed from tape ops.
+
+    The fused downstream.cross_entropy_loss must match its loss and gradient
+    bit for bit."""
+    idx = np.asarray(idx)
+    if idx.size == 0:
+        raise ValueError("empty train split")
+    n = logits.value.shape[0]
+    onehot = np.zeros((n, num_classes))
+    onehot[idx, labels[idx]] = 1.0
+    w = np.zeros((n, 1))
+    w[idx, 0] = 1.0 / idx.size
+    picked = matmul(mul(logits, constant(onehot)), constant(np.ones((num_classes, 1))))
+    per_node = add(row_logsumexp(logits), scale(picked, -1.0))
+    return sum_all(mul(per_node, constant(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +189,8 @@ def fit_downstream_two_forwards(x_view, z_view, a_norm, labels_trainval, num_cla
 
     Same contract and return value as downstream._fit_downstream, which shares
     one lower layer between the validation forward after a step and the next
-    epoch's training forward; this loop rebuilds fusion and both layers for each.
+    epoch's training forward; this loop rebuilds fusion and both layers for each,
+    and takes its loss from the tape composition, not the fused node.
     """
     n, d = x_view.shape
     use_fusion = z_view is not None
@@ -171,7 +217,7 @@ def fit_downstream_two_forwards(x_view, z_view, a_norm, labels_trainval, num_cla
     since_best = 0
     for epoch in range(cfg.down_max_epochs):
         logits = gcn_forward(op, inputs(), store, dropout=cfg.down_dropout, rng=drop_rng)
-        loss = cross_entropy_loss(logits, labels_trainval, train_idx, num_classes)
+        loss = tape_cross_entropy(logits, labels_trainval, train_idx, num_classes)
         curve.append(float(loss.value))
         backward(loss)
         optim.step()

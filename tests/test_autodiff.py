@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,7 +9,7 @@ import graphcomplete.autodiff as ad
 from graphcomplete.nn import ParamStore
 
 from conftest import gradcheck
-from oracles import row_normalize
+from oracles import row_logsumexp, row_normalize, scale, sum_all
 
 
 def store_with(rng, **shapes):
@@ -24,7 +27,7 @@ class TestTape:
 
     def test_tape_consumed_twice(self):
         t = ad.Tensor(np.ones(()), requires_grad=True)
-        loss = ad.scale(t, 2.0)
+        loss = scale(t, 2.0)
         ad.backward(loss)
         with pytest.raises(RuntimeError, match="consumed twice"):
             ad.backward(loss)
@@ -37,7 +40,7 @@ class TestTape:
         x = ad.constant(X)
         h = ad.matmul(x, store["W"])
         r = ad.relu(h)
-        loss = ad.sum_all(ad.add(r, r))
+        loss = sum_all(ad.add(r, r))
         ad.backward(loss)
         for node in (h, r, loss, loss._parents[0][0]):
             assert node.grad is None
@@ -51,20 +54,20 @@ class TestTape:
         store = ParamStore()
         used = store.add("used", np.array([[1.0]]))
         unused = store.add("unused", np.array([[1.0]]))
-        ad.backward(ad.sum_all(used))
+        ad.backward(sum_all(used))
         assert unused.grad is None
 
     def test_grads_accumulate_across_fanout(self):
         store = ParamStore()
         p = store.add("p", np.array([[3.0]]))
-        ad.backward(ad.sum_all(ad.add(p, p)))
+        ad.backward(sum_all(ad.add(p, p)))
         np.testing.assert_allclose(p.grad, [[2.0]])
 
     def test_constant_branch_receives_no_grad(self):
         c = ad.constant(np.ones((2, 2)))
         store = ParamStore()
         p = store.add("p", np.ones((2, 2)))
-        ad.backward(ad.sum_all(ad.add(p, c)))
+        ad.backward(sum_all(ad.add(p, c)))
         assert c.grad is None
         np.testing.assert_array_equal(p.grad, np.ones((2, 2)))
 
@@ -73,7 +76,7 @@ class TestTape:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(4, 3))
         store = store_with(rng, W=(3, 2))
-        ad.backward(ad.sum_all(ad.matmul(ad.constant(X), store["W"])))
+        ad.backward(sum_all(ad.matmul(ad.constant(X), store["W"])))
         expected = X.T @ np.ones((4, 2))
         np.testing.assert_allclose(store["W"].grad, expected, rtol=1e-12)
 
@@ -128,7 +131,7 @@ class TestForwardValues:
         from scipy.special import logsumexp
         rng = np.random.default_rng(2)
         x = rng.normal(size=(4, 6)) * 30
-        out = ad.row_logsumexp(ad.constant(x))
+        out = row_logsumexp(ad.constant(x))
         np.testing.assert_allclose(out.value, logsumexp(x, axis=1, keepdims=True),
                                    rtol=1e-12)
 
@@ -165,25 +168,25 @@ class TestGradients:
     def test_add(self):
         rng = np.random.default_rng(10)
         store = store_with(rng, a=(3, 4), b=(3, 4))
-        gradcheck(lambda s: ad.sum_all(ad.mul(ad.add(s["a"], s["b"]), s["a"])),
+        gradcheck(lambda s: sum_all(ad.mul(ad.add(s["a"], s["b"]), s["a"])),
                   store)
 
     def test_add_rowvec(self):
         rng = np.random.default_rng(11)
         store = store_with(rng, a=(3, 4), v=(1, 4))
-        gradcheck(lambda s: ad.sum_all(
+        gradcheck(lambda s: sum_all(
             ad.sigmoid(ad.add_rowvec(s["a"], s["v"]))), store)
 
     def test_mul_colvec(self):
         rng = np.random.default_rng(12)
         store = store_with(rng, a=(3, 4), c=(3, 1))
-        gradcheck(lambda s: ad.sum_all(
+        gradcheck(lambda s: sum_all(
             ad.tanh(ad.mul_colvec(s["a"], s["c"]))), store)
 
     def test_scale(self):
         rng = np.random.default_rng(13)
         store = store_with(rng, a=(2, 3))
-        gradcheck(lambda s: ad.sum_all(ad.scale(ad.sigmoid(s["a"]), -1.7)), store)
+        gradcheck(lambda s: sum_all(scale(ad.sigmoid(s["a"]), -1.7)), store)
 
     def test_relu_away_from_kink(self):
         rng = np.random.default_rng(14)
@@ -191,23 +194,23 @@ class TestGradients:
         vals = rng.normal(size=(4, 4))
         vals[np.abs(vals) < 0.1] = 0.5
         store.add("a", vals)
-        gradcheck(lambda s: ad.sum_all(ad.mul(ad.relu(s["a"]), s["a"])), store)
+        gradcheck(lambda s: sum_all(ad.mul(ad.relu(s["a"]), s["a"])), store)
 
     def test_sigmoid(self):
         rng = np.random.default_rng(15)
         store = store_with(rng, a=(3, 3))
-        gradcheck(lambda s: ad.sum_all(ad.mul(ad.sigmoid(s["a"]),
+        gradcheck(lambda s: sum_all(ad.mul(ad.sigmoid(s["a"]),
                                               ad.sigmoid(s["a"]))), store)
 
     def test_tanh(self):
         rng = np.random.default_rng(16)
         store = store_with(rng, a=(3, 3))
-        gradcheck(lambda s: ad.sum_all(ad.mul(ad.tanh(s["a"]), s["a"])), store)
+        gradcheck(lambda s: sum_all(ad.mul(ad.tanh(s["a"]), s["a"])), store)
 
     def test_matmul_both_sides(self):
         rng = np.random.default_rng(17)
         store = store_with(rng, a=(3, 4), b=(4, 2))
-        gradcheck(lambda s: ad.sum_all(
+        gradcheck(lambda s: sum_all(
             ad.sigmoid(ad.matmul(s["a"], s["b"]))), store)
 
     def test_propagate_dense_and_sparse(self):
@@ -215,20 +218,20 @@ class TestGradients:
         M = rng.normal(size=(4, 4))
         for carrier in (M, sp.csr_array(M)):
             store = store_with(rng, x=(4, 3))
-            gradcheck(lambda s, c=carrier: ad.sum_all(
+            gradcheck(lambda s, c=carrier: sum_all(
                 ad.sigmoid(ad.propagate(ad.Operator(c), s["x"]))), store)
 
     def test_transpose(self):
         rng = np.random.default_rng(20)
         store = store_with(rng, a=(2, 5))
-        gradcheck(lambda s: ad.sum_all(
+        gradcheck(lambda s: sum_all(
             ad.matmul(ad.transpose(s["a"]), s["a"])), store)
 
     def test_row_normalize(self):
         rng = np.random.default_rng(21)
         store = ParamStore()
         store.add("a", rng.normal(size=(4, 3)) + 2.0)
-        gradcheck(lambda s: ad.sum_all(
+        gradcheck(lambda s: sum_all(
             ad.mul(row_normalize(s["a"]), s["a"])), store)
 
     def test_row_normalize_epsilon_floor(self):
@@ -238,29 +241,29 @@ class TestGradients:
         p = store.add("a", np.zeros((1, 3)))
         out = row_normalize(p)
         np.testing.assert_array_equal(out.value, np.zeros((1, 3)))
-        ad.backward(ad.sum_all(out))
+        ad.backward(sum_all(out))
         np.testing.assert_allclose(p.grad, np.full((1, 3), 1e12), rtol=1e-12)
 
     def test_row_softmax(self):
         rng = np.random.default_rng(22)
         store = store_with(rng, a=(3, 4))
-        gradcheck(lambda s: ad.sum_all(
+        gradcheck(lambda s: sum_all(
             ad.mul(ad.row_softmax(s["a"]), s["a"])), store)
 
     def test_row_logsumexp(self):
         rng = np.random.default_rng(23)
         store = store_with(rng, a=(4, 5))
-        gradcheck(lambda s: ad.sum_all(ad.row_logsumexp(s["a"])), store)
+        gradcheck(lambda s: sum_all(row_logsumexp(s["a"])), store)
 
     def test_where_mask_gradient_respects_mask(self):
         rng = np.random.default_rng(25)
         mask = rng.random((3, 4)) > 0.5
         store = store_with(rng, a=(3, 4), b=(3, 4))
-        gradcheck(lambda s: ad.sum_all(
+        gradcheck(lambda s: sum_all(
             ad.sigmoid(ad.where_mask(mask, s["a"], s["b"]))), store)
         # and exactly: grad of the hidden side is zero where mask holds
         p = ParamStore().add("b", rng.normal(size=(3, 4)))
-        ad.backward(ad.sum_all(ad.where_mask(mask, np.zeros((3, 4)), p)))
+        ad.backward(sum_all(ad.where_mask(mask, np.zeros((3, 4)), p)))
         np.testing.assert_array_equal(p.grad[mask], 0.0)
         np.testing.assert_array_equal(p.grad[~mask], 1.0)
 
@@ -271,7 +274,7 @@ class TestGradients:
             cat = ad.concat_cols(s["a"], s["b"])
             left = ad.slice_cols(cat, 0, 2)
             right = ad.slice_cols(cat, 2, 5)
-            return ad.sum_all(ad.mul(ad.matmul(left, ad.transpose(s["a"])),
+            return sum_all(ad.mul(ad.matmul(left, ad.transpose(s["a"])),
                                      ad.matmul(right, ad.transpose(s["b"]))))
         gradcheck(loss, store)
 
@@ -282,5 +285,24 @@ class TestGradients:
         def loss(s):
             h = ad.tanh(ad.matmul(x, s["W1"]))
             out = ad.sigmoid(ad.matmul(h, s["W2"]))
-            return ad.sum_all(ad.mul(out, out))
+            return sum_all(ad.mul(out, out))
         gradcheck(loss, store)
+
+
+def test_every_public_autodiff_name_has_a_caller_in_the_package():
+    # an op that loses its last caller in src/ moves to tests/oracles.py
+    package = pathlib.Path(ad.__file__).resolve().parent
+    tree = ast.parse(pathlib.Path(ad.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    imported = set()
+    for path in package.glob("*.py"):
+        if path.name == "autodiff.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("autodiff", "graphcomplete.autodiff"):
+                imported |= {alias.name for alias in node.names}
+    public = {name for name in defined if not name.startswith("_")}
+    assert public and public <= imported, sorted(public - imported)

@@ -24,7 +24,7 @@ from graphcomplete.rng import STREAM_DROPOUT, STREAM_INIT, make_rng
 from graphcomplete.structure_path import normalize_adjacency, ppnp_forward
 
 from conftest import ReferenceAdam, ZeroFilledStore, bits, gradcheck, sbm_fixture
-from oracles import fit_downstream_two_forwards
+from oracles import fit_downstream_two_forwards, tape_cross_entropy
 
 
 def gcn_store(d, h, c, seed=0):
@@ -118,7 +118,7 @@ class TestCrossEntropy:
     def test_uniform_logits_give_log_num_classes(self):
         logits = ad.constant(np.zeros((3, 2)))
         labels = np.array([0, 1, 0])
-        loss = cross_entropy_loss(logits, labels, np.array([0, 1, 2]), 2)
+        loss = cross_entropy_loss(logits, labels, np.array([0, 1, 2]))
         assert loss.value == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_matches_scalar_oracle(self):
@@ -126,7 +126,7 @@ class TestCrossEntropy:
         raw = rng.normal(size=(6, 4))
         labels = rng.integers(0, 4, size=6)
         idx = np.array([0, 2, 5])
-        loss = cross_entropy_loss(ad.constant(raw), labels, idx, 4)
+        loss = cross_entropy_loss(ad.constant(raw), labels, idx)
         expected = 0.0
         for i in idx:
             expected += math.log(np.exp(raw[i]).sum()) - raw[i, labels[i]]
@@ -137,13 +137,13 @@ class TestCrossEntropy:
         logits[0, 1] = 50.0
         logits[1, 2] = 50.0
         loss = cross_entropy_loss(ad.constant(logits), np.array([1, 2]),
-                                  np.array([0, 1]), 3)
+                                  np.array([0, 1]))
         assert loss.value == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             cross_entropy_loss(ad.constant(np.zeros((2, 2))),
-                               np.array([0, 1]), np.array([], dtype=int), 2)
+                               np.array([0, 1]), np.array([], dtype=int))
 
     def test_gradcheck_through_classifier(self):
         rng = np.random.default_rng(8)
@@ -152,8 +152,52 @@ class TestCrossEntropy:
         labels = np.array([0, 1, 0])
         store = gcn_store(4, 5, 2, seed=9)
         gradcheck(lambda s: cross_entropy_loss(
-            gcn_forward(ad.Operator(sp.csr_array(a)), X, s), labels, np.array([0, 2]), 2),
+            gcn_forward(ad.Operator(sp.csr_array(a)), X, s), labels, np.array([0, 2])),
             store)
+
+
+def cross_entropy_cases():
+    """(name, logits, labels, idx): the fused loss must match the tape composition."""
+    rng = np.random.default_rng(11)
+    big = rng.choice([-50.0, 50.0], size=(6, 3))
+    underflow = rng.normal(size=(5, 4))
+    underflow[2] = [0.0, -800.0, -900.0, -1000.0]
+    return [
+        ("two-classes", rng.normal(size=(8, 2)), rng.integers(0, 2, 8), np.array([0, 3, 5, 6])),
+        ("five-classes", rng.normal(size=(12, 5)) * 3, rng.integers(0, 5, 12), np.arange(0, 12, 2)),
+        ("single-train-node", rng.normal(size=(4, 3)), np.array([2, 0, 1, 1]), np.array([2])),
+        ("class-absent-from-training", rng.normal(size=(6, 4)),
+         np.array([0, 1, 3, 0, 1, 2]), np.array([0, 1, 3, 4])),
+        ("unsorted-idx", rng.normal(size=(9, 3)), rng.integers(0, 3, 9), np.array([7, 2, 8, 0, 4])),
+        ("plus-minus-50", big, np.array([0, 1, 2, 0, 1, 2]), np.array([5, 1, 2, 3])),
+        ("negative-zero", np.full((4, 3), -0.0), np.array([1, 0, 2, 1]), np.array([0, 2, 3])),
+        ("underflowing-row", underflow, np.array([0, 3, 0, 1, 2]), np.array([2, 0, 4])),
+    ]
+
+
+@pytest.mark.parametrize("name, logits, labels, idx", cross_entropy_cases(),
+                         ids=[case[0] for case in cross_entropy_cases()])
+def test_fused_cross_entropy_matches_tape_bit_for_bit(name, logits, labels, idx):
+    results = []
+    for loss_fn in (lambda t: cross_entropy_loss(t, labels, idx),
+                    lambda t: tape_cross_entropy(t, labels, idx, logits.shape[1])):
+        leaf = ad.Tensor(logits.copy(), requires_grad=True)
+        loss = loss_fn(leaf)
+        ad.backward(loss)
+        results.append((bits(loss.value), bits(leaf.grad)))
+    (loss_f, grad_f), (loss_t, grad_t) = results
+    np.testing.assert_array_equal(loss_f, loss_t)
+    np.testing.assert_array_equal(grad_f, grad_t)
+
+
+@pytest.mark.parametrize("label, node", [(-1, 1), (3, 1), (7, 0)])
+def test_cross_entropy_rejects_unlabeled_or_out_of_range_train_node(label, node):
+    # a redacted test node (-1) or a label past the last class must not train as a class
+    logits = ad.constant(np.array([[1.0, 2.0, 3.0], [0.5, 0.1, 0.2]]))
+    labels = np.array([2, 2])
+    labels[node] = label
+    with pytest.raises(ValueError, match=f"label {label} at node {node} in train split"):
+        cross_entropy_loss(logits, labels, np.array([0, 1]))
 
 
 class TestEvaluate:

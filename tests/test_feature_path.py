@@ -7,6 +7,7 @@ from graphcomplete.feature_path import decode_structure, impute_features
 from graphcomplete.nn import ParamStore, init_mlp2
 
 from conftest import gradcheck
+from oracles import sum_all
 
 SIGMOID_1 = 0.7310585786300049  # logistic(1), frozen reference value
 
@@ -64,14 +65,14 @@ class TestImpute:
         store = imputer_store(3, seed=5)
         mask = rng.random((4, 3)) > 0.5
         X = np.where(mask, rng.normal(size=(4, 3)), 0.0)
-        ad.backward(ad.sum_all(impute_features(X, mask, store)))
+        ad.backward(sum_all(impute_features(X, mask, store)))
         grads_merged = {k: t.grad.copy() for k, t in store.items()}
         store.zero_grad()
 
         # summing the raw network output over just the missing entries
         # must produce the same parameter gradients
         pred = mlp2_forward(store, "imputer", X)
-        missing_sum = ad.sum_all(ad.where_mask(mask, np.zeros_like(X), pred))
+        missing_sum = sum_all(ad.where_mask(mask, np.zeros_like(X), pred))
         ad.backward(missing_sum)
         for k, t in store.items():
             np.testing.assert_allclose(grads_merged[k], t.grad, rtol=1e-12)
@@ -80,7 +81,7 @@ class TestImpute:
         rng = np.random.default_rng(6)
         store = imputer_store(3, seed=7)
         X = rng.normal(size=(4, 3))
-        ad.backward(ad.sum_all(impute_features(X, np.ones_like(X, dtype=bool), store)))
+        ad.backward(sum_all(impute_features(X, np.ones_like(X, dtype=bool), store)))
         for _, t in store.items():
             np.testing.assert_array_equal(t.grad, np.zeros_like(t.value))
 
@@ -93,7 +94,7 @@ class TestImpute:
         # move hidden preactivations off the ReLU kink (all-zero rows would
         # otherwise sit exactly at it and break the central difference)
         store["imputer.b1"].value = 0.3 + np.abs(rng.normal(size=(1, 6)))
-        gradcheck(lambda s: ad.sum_all(
+        gradcheck(lambda s: sum_all(
             ad.sigmoid(impute_features(X, mask, s))), store)
 
     def test_mask_shape_checked(self):
@@ -130,4 +131,4 @@ class TestDecode:
         rng = np.random.default_rng(11)
         store = ParamStore()
         store.add("x", rng.normal(size=(4, 3)))
-        gradcheck(lambda s: ad.sum_all(decode_structure(s["x"])), store)
+        gradcheck(lambda s: sum_all(decode_structure(s["x"])), store)

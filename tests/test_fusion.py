@@ -10,6 +10,7 @@ from graphcomplete.fusion import attention_fuse, init_fusion
 from graphcomplete.nn import ParamStore
 
 from conftest import gradcheck
+from oracles import sum_all
 
 SIGMOID_2 = 0.8807970779778823  # logistic(2), frozen reference value
 
@@ -132,7 +133,7 @@ class TestGradients:
         store = ParamStore()
         init_fusion(store, 3, 4, np.random.default_rng(14))
         out = attention_fuse(x, z, store)
-        ad.backward(ad.sum_all(ad.sigmoid(out.fused)))
+        ad.backward(sum_all(ad.sigmoid(out.fused)))
         for name, t in store.items():
             assert np.abs(t.grad).max() > 0.0, name
 
@@ -141,7 +142,7 @@ class TestGradients:
         x, z = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         store = ParamStore()
         init_fusion(store, 3, 3, np.random.default_rng(16))
-        gradcheck(lambda s: ad.sum_all(
+        gradcheck(lambda s: sum_all(
             ad.sigmoid(attention_fuse(x, z, s).fused)), store)
 
     def test_gradcheck_through_weights(self):
@@ -150,7 +151,7 @@ class TestGradients:
         store = ParamStore()
         init_fusion(store, 2, 3, np.random.default_rng(18))
         ones = ad.constant(np.arange(1.0, 5.0).reshape(4, 1))
-        gradcheck(lambda s: ad.sum_all(
+        gradcheck(lambda s: sum_all(
             ad.mul_colvec(attention_fuse(x, z, s).weights, ones)), store)
 
 

@@ -18,7 +18,7 @@ from graphcomplete.nn import (
 from graphcomplete.structure_path import init_ppnp, ppnp_forward
 
 from conftest import ReferenceAdam, ZeroFilledStore, bits
-from oracles import cosine_matrix, finite_diff_grad
+from oracles import cosine_matrix, finite_diff_grad, sum_all
 
 
 class TestParamStore:
@@ -246,7 +246,7 @@ class TestOptimizer:
         for _ in range(5):
             for store in stores:
                 p = store["p"]
-                ad.backward(ad.sum_all(ad.add(ad.mul(p, c), ad.mul(p, p))))
+                ad.backward(sum_all(ad.add(ad.mul(p, c), ad.mul(p, p))))
             first = [store["p"].grad[0, 0] for store in stores]
             assert first[0] == 0.0 and np.signbit(first[0]) and not np.signbit(first[1])
             for opt in opts:
@@ -273,7 +273,7 @@ class TestOptimizer:
         p = store.add("p", np.array([[5.0]]))
         opt = Optimizer(store, 0.1)
         for _ in range(200):
-            loss = ad.sum_all(ad.mul(p, p))
+            loss = sum_all(ad.mul(p, p))
             ad.backward(loss)
             opt.step()
         assert abs(p.value[0, 0]) < 0.05

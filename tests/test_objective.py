@@ -24,7 +24,9 @@ from graphcomplete.objective import (
 )
 
 from conftest import bits, gradcheck, row_block_threads, sbm_fixture
-from oracles import cosine_matrix, row_normalize, serial_contrastive_terms
+from oracles import (
+    cosine_matrix, row_logsumexp, row_normalize, scale, serial_contrastive_terms, sum_all,
+)
 
 
 def infonce_oracle(U, V, t):
@@ -150,6 +152,22 @@ class TestStructureTerm:
                   store)
 
 
+@pytest.mark.parametrize("term, first, second, shapes", [
+    (feature_contrastive_loss, (100, 8), (150, 8), r"\(100, 8\) vs \(150, 8\)"),
+    (feature_contrastive_loss, (150, 8), (100, 8), r"\(150, 8\) vs \(100, 8\)"),
+    (structure_contrastive_loss, (100, 8), (120, 100), r"\(100, 8\) vs targets \(120, 100\)"),
+], ids=["feature-fewer-completed", "feature-more-completed", "structure-targets"])
+def test_mismatched_shapes_raise_before_any_block(monkeypatch, term, first, second, shapes):
+    def no_blocks(block, n):
+        raise AssertionError("a row block ran")
+    monkeypatch.setattr(objective, "_row_blocks", no_blocks)
+    rng = np.random.default_rng(12)
+    other = (rng.normal(size=second) if term is feature_contrastive_loss
+             else structure_targets(rng.random(second)))
+    with pytest.raises(ad.ShapeError, match=shapes):
+        term(rng.normal(size=first), other, 0.5)
+
+
 class TestTotal:
     def test_sum_of_parts(self):
         rng = np.random.default_rng(10)
@@ -180,10 +198,10 @@ class TestTotal:
 def tape_infonce(sim, t):
     """Row log-sum-exp minus the diagonal, summed; the diagonal is read
     through a mask product so only generic tape ops are involved."""
-    s = ad.scale(sim, 1.0 / t)
+    s = scale(sim, 1.0 / t)
     n = s.shape[0]
     diag = ad.matmul(ad.mul(s, ad.constant(np.eye(n))), ad.constant(np.ones((n, 1))))
-    return ad.sum_all(ad.add(ad.row_logsumexp(s), ad.scale(diag, -1.0)))
+    return sum_all(ad.add(row_logsumexp(s), scale(diag, -1.0)))
 
 
 def tape_feature_term(U, V, t):
@@ -453,13 +471,16 @@ print(json.dumps([objective._BLOCK_THREADS, run._blas_threads()]))
 """
 
 
-@pytest.mark.parametrize("blas_threads", ["1", None], ids=["one_blas_thread", "blas_default"])
-def test_thread_budget_is_cpus_over_blas_threads(blas_threads):
+@pytest.mark.parametrize("blas_env", [
+    {"OPENBLAS_NUM_THREADS": "1"},
+    {},
+    {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"},
+], ids=["one_blas_thread", "blas_default", "goto_before_omp"])
+def test_thread_budget_is_cpus_over_blas_threads(blas_env):
     # the oracle is the thread count each loaded OpenBLAS reports
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    env.update(blas_env)
     out = subprocess.run([sys.executable, "-c", BUDGET_PROBE, str(SRC), str(PERFBENCH_RUN)],
                          env=env, capture_output=True, text=True, check=True, timeout=120)
     threads, counts = json.loads(out.stdout)

@@ -20,7 +20,7 @@ from graphcomplete.structure_path import (
 )
 
 from conftest import bits, gradcheck
-from oracles import ppr_power_iteration
+from oracles import ppr_power_iteration, sum_all
 
 PATH_EDGE = np.array([[0, 1]])  # 2-node path graph
 
@@ -270,7 +270,7 @@ class TestPositionalFeatures:
         store = ParamStore()
         store.add("pos.W", np.ones((3, 2)))
         store.add("pos.b", np.zeros((1, 2)))
-        ad.backward(ad.sum_all(positional_features(3, store)))
+        ad.backward(sum_all(positional_features(3, store)))
         np.testing.assert_array_equal(store["pos.W"].grad, np.ones((3, 2)))
         np.testing.assert_array_equal(store["pos.b"].grad, np.full((1, 2), 3.0))
 
@@ -326,7 +326,7 @@ class TestPPNP:
         a = normalize_adjacency(random_graph(rng, 5), 5).toarray()
         X = rng.normal(size=(5, 3)) + 0.1
         store = self.ppnp_store((3, 4, 2), seed=18)
-        gradcheck(lambda s: ad.sum_all(
+        gradcheck(lambda s: sum_all(
             ad.sigmoid(ppnp_forward(ad.Operator(sp.csr_array(a)), X, s))), store)
 
 
