@@ -129,17 +129,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _node(av * bv, [(a, lambda g: g * bv), (b, lambda g: g * av)])
 
 
-def mul_colvec(a: Tensor, c: Tensor) -> Tensor:
-    """a (n×m) scaled per row by a column c (n×1)."""
-    if c.value.shape != (a.value.shape[0], 1):
-        raise ShapeError(f"mul_colvec: {a.value.shape} vs {c.value.shape}")
-    av, cv = a.value, c.value
-    return _node(
-        av * cv,
-        [(a, lambda g: g * cv), (c, lambda g: (g * av).sum(axis=1, keepdims=True))],
-    )
-
-
 def relu(a: Tensor) -> Tensor:
     # branch-free, unlike where(a > 0, a, 0.0); += 0.0 turns fmax's -0.0 into where's +0.0
     out = np.fmax(a.value, 0.0)
@@ -155,11 +144,6 @@ def logistic(x: np.ndarray) -> np.ndarray:
 def sigmoid(a: Tensor) -> Tensor:
     out = logistic(a.value)
     return _node(out, [(a, lambda g: g * out * (1.0 - out))])
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.value)
-    return _node(out, [(a, lambda g: g * (1.0 - out * out))])
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +204,6 @@ def unit_rows(x: np.ndarray):
     return out, vjp
 
 
-def row_softmax(a: Tensor) -> Tensor:
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        return out * (g - (g * out).sum(axis=1, keepdims=True))
-
-    return _node(out, [(a, vjp)])
-
-
 def where_mask(mask: np.ndarray, a, b) -> Tensor:
     """Entrywise merge: mask picks from a, its complement from b.
 
@@ -242,29 +215,6 @@ def where_mask(mask: np.ndarray, a, b) -> Tensor:
         raise ShapeError(f"where_mask: {mask.shape} / {a.value.shape} / {b.value.shape}")
     return _node(np.where(mask, a.value, b.value),
                  [(a, lambda g: g * mask), (b, lambda g: g * ~mask)])
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.value.shape[0] != b.value.shape[0]:
-        raise ShapeError(f"concat_cols: {a.value.shape} vs {b.value.shape}")
-    k = a.value.shape[1]
-    return _node(
-        np.hstack([a.value, b.value]),
-        [(a, lambda g: g[:, :k]), (b, lambda g: g[:, k:])],
-    )
-
-
-def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
-    if not (0 <= j0 < j1 <= a.value.shape[1]):
-        raise ShapeError(f"slice_cols: [{j0}:{j1}] of {a.value.shape}")
-    shape = a.value.shape
-
-    def vjp(g):
-        full = np.zeros(shape)
-        full[:, j0:j1] = g
-        return full
-
-    return _node(a.value[:, j0:j1], [(a, vjp)])
 
 
 def fused_scalar(value, grads) -> Tensor:

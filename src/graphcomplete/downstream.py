@@ -158,19 +158,25 @@ def run_reconstruction(ds: GraphDataset, cfg: ExperimentConfig, seed: int) -> Re
 gcn_forward = partial(ppnp_forward, prefix="gcn")
 
 
+def _split_labels(labels: np.ndarray, idx, num_classes: int, split: str):
+    """(idx, labels[idx]) for a non-empty split whose every label is one of the classes."""
+    idx = np.asarray(idx)
+    if idx.size == 0:
+        raise ValueError(f"empty {split} split")
+    y = labels[idx]
+    bad = (y < 0) | (y >= num_classes)
+    if bad.any():
+        raise ValueError(f"unlabeled or out-of-range label {y[bad][0]} at node "
+                         f"{idx[bad][0]} in {split} split ({num_classes} classes)")
+    return idx, y
+
+
 def cross_entropy_loss(logits: Tensor, labels: np.ndarray, idx: np.ndarray) -> Tensor:
     """Mean softmax cross-entropy over the idx nodes as one tape node with its exact
     gradient, summed over an n×1 column weighted 1/|idx| on idx and 0 elsewhere."""
-    idx = np.asarray(idx)
-    if idx.size == 0:
-        raise ValueError("empty train split")
     z = logits.value
     n, c = z.shape
-    y = labels[idx]
-    bad = (y < 0) | (y >= c)
-    if bad.any():
-        raise ValueError(f"unlabeled or out-of-range label {y[bad][0]} at node "
-                         f"{idx[bad][0]} in train split ({c} classes)")
+    idx, y = _split_labels(labels, idx, c, "train")
     m = z.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
     w = np.zeros((n, 1))
@@ -186,15 +192,12 @@ def evaluate(logits: np.ndarray, labels: np.ndarray, idx: np.ndarray) -> float:
     """Fraction of idx nodes whose argmax logit matches the label.
 
     argmax takes the first maximum, so ties resolve toward the smaller
-    class index.
+    class index.  A label below 0 or at least the logits' class count raises,
+    as in cross_entropy_loss.
     """
-    idx = np.asarray(idx)
-    if idx.size == 0:
-        raise ValueError("empty evaluation split")
-    if np.any(labels[idx] < 0):
-        raise ValueError("unlabeled node in evaluation split")
+    idx, y = _split_labels(labels, idx, logits.shape[1], "evaluation")
     pred = np.argmax(logits[idx], axis=1)
-    return float(np.mean(pred == labels[idx]))
+    return float(np.mean(pred == y))
 
 
 def downstream_propagation_matrix(diffusion_topk) -> sp.csr_array:
@@ -272,7 +275,7 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
                 break
 
     store.restore(best["params"])
-    weights = attention_fuse(x_view, z_view, store).weights.value if use_fusion else None
+    weights = attention_fuse(x_view, z_view, store).weights if use_fusion else None
     return store, best, tuple(curve), weights
 
 

@@ -273,7 +273,7 @@ def _write_cell(runs, accs: dict, cfg: ExperimentConfig, cell, recon, results) -
                              ("propagated", recon.propagated)):
             _write_tsv(os.path.join(cell_dir, f"{view}.tsv"), f"{head} view={view}", matrix)
         _write_tsv(os.path.join(cell_dir, "fusion_weights.tsv"),
-                   f"{head} view=weights", fusion_out.weights.value,
+                   f"{head} view=weights", fusion_out.weights,
                    "node\tw_feature\tw_structure")
     if recon is not None and cfg.dump_structure:
         _write_tsv(os.path.join(cfg.out, "structure", f"{tag}.tsv"), head,

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from graphcomplete.autodiff import (
-    Operator, ShapeError, Tensor, _node, add, backward, constant, matmul, mul, unit_rows,
+    Operator, ShapeError, Tensor, _node, add, add_rowvec, as_tensor, backward, constant,
+    matmul, mul, unit_rows,
 )
 from graphcomplete.downstream import evaluate, gcn_forward
-from graphcomplete.fusion import attention_fuse, init_fusion
+from graphcomplete.fusion import init_fusion
 from graphcomplete.nn import Optimizer, ParamStore, glorot
 from graphcomplete.rng import STREAM_DOWNSTREAM_DROPOUT, STREAM_DOWNSTREAM_INIT, make_rng
 
@@ -98,6 +99,77 @@ def tape_cross_entropy(logits: Tensor, labels: np.ndarray, idx: np.ndarray,
     picked = matmul(mul(logits, constant(onehot)), constant(np.ones((num_classes, 1))))
     per_node = add(row_logsumexp(logits), scale(picked, -1.0))
     return sum_all(mul(per_node, constant(w)))
+
+
+def mul_colvec(a: Tensor, c: Tensor) -> Tensor:
+    """a (n×m) scaled per row by a column c (n×1)."""
+    if c.value.shape != (a.value.shape[0], 1):
+        raise ShapeError(f"mul_colvec: {a.value.shape} vs {c.value.shape}")
+    av, cv = a.value, c.value
+    return _node(
+        av * cv,
+        [(a, lambda g: g * cv), (c, lambda g: (g * av).sum(axis=1, keepdims=True))],
+    )
+
+
+def tanh(a: Tensor) -> Tensor:
+    out = np.tanh(a.value)
+    return _node(out, [(a, lambda g: g * (1.0 - out * out))])
+
+
+def row_softmax(a: Tensor) -> Tensor:
+    shifted = a.value - a.value.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=1, keepdims=True)
+
+    def vjp(g):
+        return out * (g - (g * out).sum(axis=1, keepdims=True))
+
+    return _node(out, [(a, vjp)])
+
+
+def concat_cols(a: Tensor, b: Tensor) -> Tensor:
+    if a.value.shape[0] != b.value.shape[0]:
+        raise ShapeError(f"concat_cols: {a.value.shape} vs {b.value.shape}")
+    k = a.value.shape[1]
+    return _node(
+        np.hstack([a.value, b.value]),
+        [(a, lambda g: g[:, :k]), (b, lambda g: g[:, k:])],
+    )
+
+
+def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
+    if not (0 <= j0 < j1 <= a.value.shape[1]):
+        raise ShapeError(f"slice_cols: [{j0}:{j1}] of {a.value.shape}")
+    shape = a.value.shape
+
+    def vjp(g):
+        full = np.zeros(shape)
+        full[:, j0:j1] = g
+        return full
+
+    return _node(a.value[:, j0:j1], [(a, vjp)])
+
+
+def _gate(view: Tensor, store: ParamStore, side: str) -> Tensor:
+    proj = add_rowvec(matmul(view, store[f"fusion.proj_{side}.W"]),
+                      store[f"fusion.proj_{side}.b"])
+    return tanh(matmul(proj, store[f"fusion.score_{side}"]))
+
+
+def tape_attention_fuse(feature_view, structure_view, store: ParamStore):
+    """Attention fusion composed from tape ops: (fused, weights), both tape tensors.
+
+    The fused fusion.attention_fuse must match its rows, weights and the
+    gradients into the six fusion parameters bit for bit."""
+    x, z = as_tensor(feature_view), as_tensor(structure_view)
+    if x.value.shape != z.value.shape:
+        raise ShapeError(f"views differ: {x.value.shape} vs {z.value.shape}")
+    gates = concat_cols(_gate(x, store, "f"), _gate(z, store, "s"))
+    weights = row_softmax(gates)
+    fused = add(mul_colvec(x, slice_cols(weights, 0, 1)),
+                mul_colvec(z, slice_cols(weights, 1, 2)))
+    return fused, weights
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +262,7 @@ def fit_downstream_two_forwards(x_view, z_view, a_norm, labels_trainval, num_cla
     Same contract and return value as downstream._fit_downstream, which shares
     one lower layer between the validation forward after a step and the next
     epoch's training forward; this loop rebuilds fusion and both layers for each,
-    and takes its loss from the tape composition, not the fused node.
+    and takes its fusion and its loss from the tape compositions, not the fused nodes.
     """
     n, d = x_view.shape
     use_fusion = z_view is not None
@@ -205,7 +277,7 @@ def fit_downstream_two_forwards(x_view, z_view, a_norm, labels_trainval, num_cla
     optim = Optimizer(store, cfg.down_lr, cfg.down_weight_decay)
 
     def inputs() -> Tensor:
-        return attention_fuse(x_view, z_view, store).fused if use_fusion else constant(x_view)
+        return tape_attention_fuse(x_view, z_view, store)[0] if use_fusion else constant(x_view)
 
     def eval_logits() -> np.ndarray:
         return gcn_forward(op, inputs(), store).value
@@ -232,7 +304,7 @@ def fit_downstream_two_forwards(x_view, z_view, a_norm, labels_trainval, num_cla
             if since_best >= cfg.down_patience:
                 break
     store.restore(best["params"])
-    weights = attention_fuse(x_view, z_view, store).weights.value if use_fusion else None
+    weights = tape_attention_fuse(x_view, z_view, store)[1].value if use_fusion else None
     return store, best, tuple(curve), weights
 
 

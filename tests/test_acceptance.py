@@ -155,7 +155,7 @@ def test_acceptance_3_invariants(capsys):
     gc.init_fusion(store, 6, 4, np.random.default_rng(5))
     x, z = rng.normal(size=(7, 6)), rng.normal(size=(7, 6))
     out = gc.attention_fuse(x, z, store)
-    w = out.weights.value
+    w = out.weights
     hull_lo = np.minimum(x, z) - 1e-12
     hull_hi = np.maximum(x, z) + 1e-12
     checks["fusion convexity and normalization"] = bool(

@@ -9,7 +9,10 @@ import graphcomplete.autodiff as ad
 from graphcomplete.nn import ParamStore
 
 from conftest import gradcheck
-from oracles import row_logsumexp, row_normalize, scale, sum_all
+from oracles import (
+    concat_cols, mul_colvec, row_logsumexp, row_normalize, row_softmax, scale, slice_cols,
+    sum_all, tanh,
+)
 
 
 def store_with(rng, **shapes):
@@ -104,12 +107,12 @@ class TestShapeChecks:
         a = ad.constant(np.ones((2, 3)))
         c = ad.constant(np.ones((1, 3)))
         with pytest.raises(ad.ShapeError):
-            ad.mul_colvec(a, c)
+            mul_colvec(a, c)
 
     def test_slice_cols_bounds(self):
         a = ad.constant(np.ones((2, 3)))
         with pytest.raises(ad.ShapeError):
-            ad.slice_cols(a, 2, 5)
+            slice_cols(a, 2, 5)
 
 
 class TestForwardValues:
@@ -124,7 +127,7 @@ class TestForwardValues:
 
     def test_row_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
-        out = ad.row_softmax(ad.constant(rng.normal(size=(5, 4)) * 50))
+        out = row_softmax(ad.constant(rng.normal(size=(5, 4)) * 50))
         np.testing.assert_allclose(out.value.sum(axis=1), np.ones(5), rtol=1e-12)
 
     def test_row_logsumexp_matches_scipy(self):
@@ -181,7 +184,7 @@ class TestGradients:
         rng = np.random.default_rng(12)
         store = store_with(rng, a=(3, 4), c=(3, 1))
         gradcheck(lambda s: sum_all(
-            ad.tanh(ad.mul_colvec(s["a"], s["c"]))), store)
+            tanh(mul_colvec(s["a"], s["c"]))), store)
 
     def test_scale(self):
         rng = np.random.default_rng(13)
@@ -205,7 +208,7 @@ class TestGradients:
     def test_tanh(self):
         rng = np.random.default_rng(16)
         store = store_with(rng, a=(3, 3))
-        gradcheck(lambda s: sum_all(ad.mul(ad.tanh(s["a"]), s["a"])), store)
+        gradcheck(lambda s: sum_all(ad.mul(tanh(s["a"]), s["a"])), store)
 
     def test_matmul_both_sides(self):
         rng = np.random.default_rng(17)
@@ -248,7 +251,7 @@ class TestGradients:
         rng = np.random.default_rng(22)
         store = store_with(rng, a=(3, 4))
         gradcheck(lambda s: sum_all(
-            ad.mul(ad.row_softmax(s["a"]), s["a"])), store)
+            ad.mul(row_softmax(s["a"]), s["a"])), store)
 
     def test_row_logsumexp(self):
         rng = np.random.default_rng(23)
@@ -271,9 +274,9 @@ class TestGradients:
         rng = np.random.default_rng(26)
         store = store_with(rng, a=(3, 2), b=(3, 3))
         def loss(s):
-            cat = ad.concat_cols(s["a"], s["b"])
-            left = ad.slice_cols(cat, 0, 2)
-            right = ad.slice_cols(cat, 2, 5)
+            cat = concat_cols(s["a"], s["b"])
+            left = slice_cols(cat, 0, 2)
+            right = slice_cols(cat, 2, 5)
             return sum_all(ad.mul(ad.matmul(left, ad.transpose(s["a"])),
                                      ad.matmul(right, ad.transpose(s["b"]))))
         gradcheck(loss, store)
@@ -283,20 +286,26 @@ class TestGradients:
         store = store_with(rng, W1=(3, 4), W2=(4, 2))
         x = ad.constant(rng.normal(size=(5, 3)))
         def loss(s):
-            h = ad.tanh(ad.matmul(x, s["W1"]))
+            h = tanh(ad.matmul(x, s["W1"]))
             out = ad.sigmoid(ad.matmul(h, s["W2"]))
             return sum_all(ad.mul(out, out))
         gradcheck(loss, store)
 
 
-def test_every_public_autodiff_name_has_a_caller_in_the_package():
-    # an op that loses its last caller in src/ moves to tests/oracles.py
-    package = pathlib.Path(ad.__file__).resolve().parent
-    tree = ast.parse(pathlib.Path(ad.__file__).read_text(encoding="utf-8"))
+def top_level_names(path: pathlib.Path) -> set:
+    """The functions, classes and assigned names a module defines at top level."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     defined = {node.name for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
-                for target in node.targets if isinstance(target, ast.Name)}
+    return defined | {target.id for node in tree.body if isinstance(node, ast.Assign)
+                      for target in node.targets if isinstance(target, ast.Name)}
+
+
+def test_every_public_autodiff_name_has_a_caller_in_the_package():
+    # an op that loses its last caller in src/ moves to tests/oracles.py, and
+    # leaves autodiff in the same change: each op has exactly one definition
+    package = pathlib.Path(ad.__file__).resolve().parent
+    defined = top_level_names(pathlib.Path(ad.__file__))
     imported = set()
     for path in package.glob("*.py"):
         if path.name == "autodiff.py":
@@ -306,3 +315,5 @@ def test_every_public_autodiff_name_has_a_caller_in_the_package():
                 imported |= {alias.name for alias in node.names}
     public = {name for name in defined if not name.startswith("_")}
     assert public and public <= imported, sorted(public - imported)
+    oracles = top_level_names(pathlib.Path(__file__).resolve().parent / "oracles.py")
+    assert not oracles & defined, sorted(oracles & defined)

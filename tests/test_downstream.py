@@ -232,6 +232,15 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="unlabeled"):
             evaluate(logits, np.array([0, -1]), np.arange(2))
 
+    @pytest.mark.parametrize("label, node", [(-1, 1), (3, 1), (7, 0)])
+    def test_unlabeled_or_out_of_range_label_rejected(self, label, node):
+        # a label past the last class must not score as a wrong prediction
+        logits = np.array([[1.0, 2.0, 3.0], [0.5, 0.1, 0.2]])
+        labels = np.array([2, 2])
+        labels[node] = label
+        with pytest.raises(ValueError, match=f"label {label} at node {node} in evaluation split"):
+            evaluate(logits, labels, np.array([0, 1]))
+
 
 class TestPropagationMatrix:
     def test_matches_dense_oracle(self):

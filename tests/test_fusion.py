@@ -9,8 +9,8 @@ from graphcomplete import experiment
 from graphcomplete.fusion import attention_fuse, init_fusion
 from graphcomplete.nn import ParamStore
 
-from conftest import gradcheck
-from oracles import sum_all
+from conftest import bits, gradcheck
+from oracles import mul_colvec, sum_all, tape_attention_fuse
 
 SIGMOID_2 = 0.8807970779778823  # logistic(2), frozen reference value
 
@@ -54,14 +54,14 @@ class TestWeights:
         rng = np.random.default_rng(0)
         x, z = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
         out, _ = fused(x, z, store=zero_score_store(3))
-        np.testing.assert_array_equal(out.weights.value, np.full((5, 2), 0.5))
+        np.testing.assert_array_equal(out.weights, np.full((5, 2), 0.5))
         np.testing.assert_allclose(out.fused.value, 0.5 * (x + z), rtol=1e-15)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         x, z = rng.normal(size=(7, 4)), rng.normal(size=(7, 4))
         out, _ = fused(x, z, seed=2)
-        np.testing.assert_allclose(out.weights.value.sum(axis=1),
+        np.testing.assert_allclose(out.weights.sum(axis=1),
                                    np.ones(7), atol=1e-12)
 
     def test_weights_strictly_inside_gate_range(self):
@@ -70,7 +70,7 @@ class TestWeights:
         rng = np.random.default_rng(3)
         x, z = rng.normal(size=(6, 3)) * 5, rng.normal(size=(6, 3)) * 5
         out, _ = fused(x, z, seed=4)
-        w = out.weights.value
+        w = out.weights
         assert w.min() >= 1.0 - SIGMOID_2 - 1e-12
         assert w.max() <= SIGMOID_2 + 1e-12
         assert w.min() > 0.0
@@ -79,10 +79,10 @@ class TestWeights:
         rng = np.random.default_rng(5)
         x, z = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         out, _ = fused(x, z, store=saturated_store(3, favor="f"))
-        np.testing.assert_allclose(out.weights.value[:, 0],
+        np.testing.assert_allclose(out.weights[:, 0],
                                    np.full(4, SIGMOID_2), rtol=1e-15)
         out, _ = fused(x, z, store=saturated_store(3, favor="s"))
-        np.testing.assert_allclose(out.weights.value[:, 1],
+        np.testing.assert_allclose(out.weights[:, 1],
                                    np.full(4, SIGMOID_2), rtol=1e-15)
 
 
@@ -97,7 +97,7 @@ class TestFusedRows:
         rng = np.random.default_rng(8)
         x, z = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
         out, _ = fused(x, z, seed=9)
-        w = out.weights.value
+        w = out.weights
         expected = w[:, :1] * x + w[:, 1:] * z
         np.testing.assert_allclose(out.fused.value, expected, rtol=1e-14)
         lo = np.minimum(x, z) - 1e-12
@@ -115,7 +115,7 @@ class TestFusedRows:
         store["fusion.score_s"].value = store["fusion.score_f"].value.copy()
         a = attention_fuse(x, z, store)
         b = attention_fuse(z, x, store)
-        np.testing.assert_allclose(a.weights.value, b.weights.value[:, ::-1],
+        np.testing.assert_allclose(a.weights, b.weights[:, ::-1],
                                    rtol=1e-14)
         np.testing.assert_allclose(a.fused.value, b.fused.value, rtol=1e-14)
 
@@ -124,6 +124,16 @@ class TestFusedRows:
         init_fusion(store, 3, 4, np.random.default_rng(12))
         with pytest.raises(ShapeError, match="views differ"):
             attention_fuse(np.ones((4, 3)), np.ones((5, 3)), store)
+
+    @pytest.mark.parametrize("side", ["feature_view", "structure_view"])
+    def test_view_requiring_grad_rejected(self, side):
+        # the fused node has no vjp into a view, so such a view would lose its gradient
+        store = ParamStore()
+        init_fusion(store, 3, 4, np.random.default_rng(12))
+        views = {"feature_view": ad.constant(np.ones((4, 3))), "structure_view": np.ones((4, 3))}
+        views[side] = ad.Tensor(np.ones((4, 3)), requires_grad=True)
+        with pytest.raises(ValueError, match=f"{side} requires grad"):
+            attention_fuse(store=store, **views)
 
 
 class TestGradients:
@@ -151,8 +161,56 @@ class TestGradients:
         store = ParamStore()
         init_fusion(store, 2, 3, np.random.default_rng(18))
         ones = ad.constant(np.arange(1.0, 5.0).reshape(4, 1))
+        # the package never differentiates through the weights; the tape composition does
         gradcheck(lambda s: sum_all(
-            ad.mul_colvec(attention_fuse(x, z, s).weights, ones)), store)
+            mul_colvec(tape_attention_fuse(x, z, s)[1], ones)), store)
+
+
+def fusion_cases():
+    """(name, x, z, {parameter: value}, W): attention_fuse must match the tape
+    composition under a downstream weight W."""
+    rng = np.random.default_rng(21)
+    x, z = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+    zero_x, zero_z = x.copy(), z.copy()
+    zero_x[2], zero_z[2] = 0.0, 0.0
+    neg_x, neg_z = x.copy(), z.copy()
+    neg_x[1], neg_z[4] = -0.0, -0.0
+    W = rng.normal(size=(3, 2))
+    return [
+        ("random", x, z, {}, W),
+        ("zero-row", zero_x, zero_z, {}, W),
+        # a positive W makes every upstream entry positive, so a -0.0 row sums to -0.0
+        ("negative-zero-row", neg_x, neg_z, {}, np.abs(W)),
+        ("gate-bias-plus-50", x, z, {"fusion.proj_f.b": np.full((1, 4), 50.0),
+                                     "fusion.proj_s.b": np.full((1, 4), -50.0)}, W),
+        ("gate-bias-minus-50", x, z, {"fusion.proj_f.b": np.full((1, 4), -50.0),
+                                      "fusion.proj_s.b": np.full((1, 4), 50.0)}, W),
+        ("single-node", x[:1], z[:1], {}, W),
+        ("single-feature", x[:, :1], z[:, :1], {}, W[:1]),
+    ]
+
+
+@pytest.mark.parametrize("name, x, z, overrides, W", fusion_cases(),
+                         ids=[case[0] for case in fusion_cases()])
+def test_fused_attention_matches_tape_bit_for_bit(name, x, z, overrides, W):
+    results = []
+    for tape in (False, True):
+        store = ParamStore()
+        init_fusion(store, x.shape[1], 4, np.random.default_rng(22))
+        for key, value in overrides.items():
+            store[key].value = value.copy()
+        w = store.add("down.W", W.copy())
+        if tape:
+            fused, weights = tape_attention_fuse(x, z, store)
+            weights = weights.value
+        else:
+            out = attention_fuse(x, z, store)
+            fused, weights = out.fused, out.weights
+        ad.backward(sum_all(ad.sigmoid(ad.matmul(fused, w))))
+        results.append([bits(fused.value), bits(weights)]
+                       + [bits(t.grad) for _, t in store.items()])
+    for ours, tape in zip(*results):
+        np.testing.assert_array_equal(ours, tape)
 
 
 class TestExport:
@@ -162,7 +220,7 @@ class TestExport:
         out, _ = fused(x, z, seed=20)
         path = str(tmp_path / "weights.tsv")
         # the fusion-weights artifact: the weights through the artifact writer
-        experiment._write_tsv(path, "run 1", out.weights.value, "node\tw_feature\tw_structure")
+        experiment._write_tsv(path, "run 1", out.weights, "node\tw_feature\tw_structure")
         lines = open(path).read().splitlines()
         assert lines[0] == "# run 1"
         assert lines[1] == "node\tw_feature\tw_structure"
@@ -170,5 +228,5 @@ class TestExport:
         for i, line in enumerate(lines[2:]):
             node, wf, ws = line.split("\t")
             assert int(node) == i
-            assert float(wf) == pytest.approx(out.weights.value[i, 0], rel=1e-11)
+            assert float(wf) == pytest.approx(out.weights[i, 0], rel=1e-11)
             assert float(wf) + float(ws) == pytest.approx(1.0, abs=1e-11)

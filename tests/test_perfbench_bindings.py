@@ -18,6 +18,8 @@ import graphcomplete
 from graphcomplete import downstream, experiment, structure_path
 from graphcomplete.data import two_block_features
 
+from conftest import sbm_fixture
+
 LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
@@ -110,3 +112,24 @@ def test_cell_timer_times_compute_only(tmp_path, monkeypatch, workers):
     experiment.run_experiment(cfg)
     cells = [name for name, *_ in cfg.cells()]
     assert sorted(calls) == sorted(cells) and written == cells
+
+
+def test_first_classifier_tape_node_counts(monkeypatch):
+    # the tape the benchmark walks: the classifier's loss over its two layers
+    # (9 nodes), plus one fused attention node over its six parameters
+    ds = graphcomplete.apply_mask(sbm_fixture(), graphcomplete.MaskSpec(0.3, 0.3, "entry", 0))
+    splits = graphcomplete.make_splits(ds, seed=0)
+    cfg = experiment.ExperimentConfig(k=3, epochs=0, imputer_hidden=8, pe_hidden=8,
+                                      ppnp_hidden=8, gcn_hidden=8, attention_dim=4,
+                                      down_max_epochs=1)
+    backward, sizes = downstream.backward, []
+
+    def counted(root):
+        sizes.append(LAYER_MAP.tape_size(root)[0])
+        backward(root)
+
+    monkeypatch.setattr(downstream, "backward", counted)
+    graphcomplete.train_gcn_baseline(ds, splits, cfg, seed=0)
+    state = graphcomplete.run_reconstruction(ds, cfg, seed=0)
+    graphcomplete.train_downstream(state, ds.labels, ds.num_classes, splits, cfg, seed=0)
+    assert sizes == [9, 16]
