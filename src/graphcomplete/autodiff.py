@@ -18,6 +18,9 @@ Conventions:
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse as sp
+
+from . import pool
 
 NORM_EPS = 1e-12   # floor on a row norm before dividing by it
 
@@ -154,7 +157,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul: {a.value.shape} vs {b.value.shape}")
     av, bv = a.value, b.value
-    return _node(av @ bv, [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)])
+    # the forward and both vjps make the same number of multiply-adds
+    if av.shape[0] * av.shape[1] * bv.shape[1] <= pool.DENSE_SPLIT:
+        return _node(av @ bv, [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)])
+    return _node(pool.matmul_rows(av, bv), [(a, lambda g: pool.matmul_rows(g, bv.T)),
+                                            (b, lambda g: pool.matmul_rows(av.T, g))])
 
 
 class Operator:
@@ -162,21 +169,31 @@ class Operator:
     transpose Mt, built once here.
 
     A training phase wraps its matrix once and hands the Operator to every
-    propagate call, so no epoch rebuilds Mᵀ for the vjp.
+    propagate call, so no epoch rebuilds Mᵀ for the vjp.  For a float64 CSR
+    M, whose large products propagate splits by rows, nnz is M's stored
+    entries and Mt_csr the transpose as CSR, which sums each row in the order
+    Mt (CSC) scatters it; otherwise nnz is 0 and Mt_csr None.
     """
 
-    __slots__ = ("M", "Mt")
+    __slots__ = ("M", "Mt", "Mt_csr", "nnz")
 
     def __init__(self, M):
         self.M, self.Mt = M, M.T
+        csr = sp.issparse(M) and M.format == "csr" and M.dtype == np.float64
+        # the unsplit vjp keeps Mt: at the classifier's shapes its product is faster
+        self.Mt_csr = sp.csr_array(self.Mt) if csr else None
+        self.nnz = M.nnz if csr else 0
 
 
 def propagate(op: Operator, x: Tensor) -> Tensor:
-    """op.M @ x; the vjp multiplies by the Operator's prebuilt op.Mt."""
-    M, Mt = op.M, op.Mt
-    if M.shape[1] != x.value.shape[0]:
-        raise ShapeError(f"propagate: {M.shape} vs {x.value.shape}")
-    return _node(np.asarray(M @ x.value), [(x, lambda g: np.asarray(Mt @ g))])
+    """op.M @ x; the vjp multiplies by the Operator's prebuilt transpose."""
+    M, Mt, xv = op.M, op.Mt, x.value
+    if xv.ndim != 2 or M.shape[1] != xv.shape[0]:
+        raise ShapeError(f"propagate: {M.shape} vs {xv.shape}")
+    if op.nnz * xv.shape[1] <= pool.SPARSE_SPLIT:
+        return _node(np.asarray(M @ xv), [(x, lambda g: np.asarray(Mt @ g))])
+    Mt_csr = op.Mt_csr
+    return _node(pool.csr_rows(M, xv), [(x, lambda g: pool.csr_rows(Mt_csr, g))])
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -9,6 +9,9 @@ classifier with masked cross-entropy, early-stopping on validation accuracy.
 
 Both phases read their settings from one ExperimentConfig (the object the
 command line builds too) and pass its values on as plain arguments.
+run_reconstruction, train_downstream and train_gcn_baseline make their BLAS
+calls on one thread (pool.one_blas_thread), so their results do not depend
+on OPENBLAS_NUM_THREADS.
 
 Test labels are structurally out of reach of training code: the fit routine
 receives a label array with test entries redacted, and test accuracy is
@@ -32,6 +35,7 @@ from .feature_path import decode_structure, impute_features  # noqa: F401
 from .fusion import attention_fuse, init_fusion
 from .nn import Optimizer, ParamStore, glorot, init_mlp2
 from .objective import structure_targets, total_contrastive_loss
+from .pool import one_blas_thread
 from .rng import (
     STREAM_DOWNSTREAM_DROPOUT,
     STREAM_DOWNSTREAM_INIT,
@@ -95,6 +99,7 @@ class DownstreamResult:
 # reconstruction phase
 
 
+@one_blas_thread()
 def run_reconstruction(ds: GraphDataset, cfg: ExperimentConfig, seed: int) -> ReconState:
     """Train both reconstruction paths against the contrastive objective.
 
@@ -299,6 +304,7 @@ def _fit_and_score(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
                             fusion_weights=weights, store=store)
 
 
+@one_blas_thread()
 def train_downstream(recon: ReconState, labels: np.ndarray, num_classes: int,
                      splits: Splits, cfg: ExperimentConfig, seed: int) -> DownstreamResult:
     """Supervised phase on the frozen reconstructions; reports test accuracy
@@ -308,6 +314,7 @@ def train_downstream(recon: ReconState, labels: np.ndarray, num_classes: int,
                           labels, num_classes, splits, cfg, seed)
 
 
+@one_blas_thread()
 def train_gcn_baseline(ds: GraphDataset, splits: Splits, cfg: ExperimentConfig,
                        seed: int) -> DownstreamResult:
     """Plain classifier on the dataset as stored: zero-filled features and

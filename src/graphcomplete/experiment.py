@@ -5,7 +5,9 @@ dataset, trains the reconstruction pipeline and/or the zero-fill baseline,
 and reports split accuracies.  Cells are independent jobs; a bounded worker
 pool may execute them concurrently, but the collector hands each finished
 cell in sweep order to one writer, which builds all of the cell's files, and
-then lets the cell go, so outputs are byte-identical across reruns.
+then lets the cell go, so outputs are byte-identical across reruns.  The
+whole sweep runs its BLAS calls on one thread (pool.one_blas_thread), so they
+are also byte-identical across OPENBLAS_NUM_THREADS settings.
 
 ExperimentConfig is the one settings object: it declares every setting once,
 with its default, help text and range, and both training phases read its keys
@@ -32,6 +34,7 @@ from scipy import sparse as sp
 from .data import GraphDataset, MaskSpec, load_dataset, make_splits, apply_mask
 from .downstream import run_reconstruction, train_downstream, train_gcn_baseline
 from .fusion import attention_fuse
+from .pool import one_blas_thread
 
 RECON_METHOD = "recon-gcn"
 BASELINE_METHOD = "zerofill-gcn"
@@ -299,6 +302,7 @@ def _run_cell(ds: GraphDataset, cfg: ExperimentConfig, fr: float, er: float, see
     return recon, results
 
 
+@one_blas_thread()
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute the sweep and write runs.csv, loss curves, summary.json.
 

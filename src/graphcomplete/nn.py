@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import pool
 from .autodiff import ShapeError, Tensor, add_rowvec, as_tensor, constant, matmul, mul, relu
 
 
@@ -108,6 +109,25 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def _adam_rows(name: str, value, g, m, v, a, b, steps) -> None:
+    """Adam's update of these rows of one parameter into a, b scratch, m and v
+    updated in place; steps = (lr, weight decay, 1 - β1^t, 1 - β2^t)."""
+    lr, wd, m_corr, v_corr = steps
+    if wd:
+        g = np.add(g, np.multiply(wd, value, out=b), out=b)
+    # m = β1·m + (1 − β1)·g;  v = β2·v + ((1 − β2)·g)·g
+    np.multiply(m, ADAM_BETA1, out=m)
+    m += np.multiply(1 - ADAM_BETA1, g, out=a)
+    np.multiply(v, ADAM_BETA2, out=v)
+    v += np.multiply(np.multiply(1 - ADAM_BETA2, g, out=a), g, out=a)
+    # new = p − (lr·m̂) / (√v̂ + eps), g no longer needed
+    np.multiply(lr, np.divide(m, m_corr, out=a), out=a)
+    a /= np.add(np.sqrt(np.divide(v, v_corr, out=b), out=b), ADAM_EPS, out=b)
+    np.subtract(value, a, out=a)
+    if not np.all(np.isfinite(a)):
+        raise FloatingPointError(f"non-finite update for parameter {name!r}")
+
+
 class Optimizer:
     """Adam over a ParamStore, weight decay added to the gradient; a None grad
     counts as zero, and every grad is reset to None after each step.
@@ -116,7 +136,9 @@ class Optimizer:
     computed in two scratch arrays allocated for that parameter and step (no
     buffer outlives the step), in the evaluation order of the textbook
     expression, so results are bit-identical to it; the new value is
-    checked finite before the parameter is rebound to it.
+    checked finite before the parameter is rebound to it.  A parameter of more
+    than pool.ADAM_SPLIT entries is updated in two row halves, the second on
+    an idle pool thread; the update is elementwise, so no bit changes.
     """
 
     def __init__(self, store: ParamStore, learning_rate: float, weight_decay: float = 0.0):
@@ -131,26 +153,17 @@ class Optimizer:
         self._t = 0
 
     def step(self) -> None:
-        lr, wd = self.learning_rate, self.weight_decay
         self._t += 1
-        m_corr = 1 - ADAM_BETA1 ** self._t
-        v_corr = 1 - ADAM_BETA2 ** self._t
+        steps = (self.learning_rate, self.weight_decay,
+                 1 - ADAM_BETA1 ** self._t, 1 - ADAM_BETA2 ** self._t)
         for name, p in self.store.items():
-            m, v = self._m[name], self._v[name]
-            a, b = np.empty_like(p.value), np.empty_like(p.value)
-            g = p.grad if p.grad is not None else np.zeros_like(p.value)
-            if wd:
-                g = np.add(g, np.multiply(wd, p.value, out=b), out=b)
-            # m = β1·m + (1 − β1)·g;  v = β2·v + ((1 − β2)·g)·g
-            np.multiply(m, ADAM_BETA1, out=m)
-            m += np.multiply(1 - ADAM_BETA1, g, out=a)
-            np.multiply(v, ADAM_BETA2, out=v)
-            v += np.multiply(np.multiply(1 - ADAM_BETA2, g, out=a), g, out=a)
-            # new = p − (lr·m̂) / (√v̂ + eps), g no longer needed
-            np.multiply(lr, np.divide(m, m_corr, out=a), out=a)
-            a /= np.add(np.sqrt(np.divide(v, v_corr, out=b), out=b), ADAM_EPS, out=b)
-            np.subtract(p.value, a, out=a)
-            if not np.all(np.isfinite(a)):
-                raise FloatingPointError(f"non-finite update for parameter {name!r}")
+            m, v, value = self._m[name], self._v[name], p.value
+            a, b = np.empty_like(value), np.empty_like(value)
+            g = p.grad if p.grad is not None else np.zeros_like(value)
+            if value.size <= pool.ADAM_SPLIT:
+                _adam_rows(name, value, g, m, v, a, b, steps)
+            else:
+                pool.split_rows(lambda s: _adam_rows(name, value[s], g[s], m[s], v[s],
+                                                     a[s], b[s], steps), len(value))
             p.value = a
         self.store.zero_grad()

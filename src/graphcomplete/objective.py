@@ -10,8 +10,8 @@ other node is a negative.
 Each term is one tape op that walks the similarity matrix in blocks of
 BLOCK_ROWS rows, computing loss and exact gradient in one pass (as in
 FlashAttention, Dao et al. 2022): no working array exceeds BLOCK_ROWS × n.
-Given 4 or more blocks and spare cores (usable CPUs // BLAS threads), the
-calling thread shares them with the idle threads of a process-wide pool, so
+Given 4 or more blocks and spare cores, the calling thread shares them with
+the idle threads of the package's one compute pool (pool._row_blocks), so
 concurrent cells never wait on each other's blocks.  Each block writes only
 its own rows and returns its partial sums, which the caller adds in block
 order as the serial loop did, so the threads change no bit.
@@ -19,52 +19,15 @@ order as the serial loop did, so the threads change no bit.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
-
 import numpy as np
 from scipy import sparse as sp
 
 from .autodiff import (
     NORM_EPS, ShapeError, Tensor, add, as_tensor, fused_scalar, logistic, unit_rows,
 )
+from .pool import _row_blocks
 
 BLOCK_ROWS = 64
-
-
-def _block_threads() -> int:
-    """Usable CPUs // BLAS threads, the latter read as OpenBLAS reads them at load."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    env = [os.environ.get(var, "")
-           for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")]
-    return max(1, cpus // next((int(e) for e in env if e.isdigit() and int(e) > 0), cpus))
-
-
-_BLOCK_THREADS = _block_threads()
-_POOL = ThreadPoolExecutor(max(1, _BLOCK_THREADS - 1), "row-block")   # the caller is one more
-_IDLE = threading.Semaphore(_BLOCK_THREADS - 1)   # pool threads that no call holds
-
-
-def _row_blocks(block, n: int):
-    """block(r0) for r0 = 0, BLOCK_ROWS, ... below n, yielded in that order.  Given
-    4 or more blocks, the caller runs them with the pool threads no call holds."""
-    starts = range(0, n, BLOCK_ROWS)
-    helpers = 0
-    while len(starts) >= 4 and helpers < _BLOCK_THREADS - 1 and _IDLE.acquire(blocking=False):
-        helpers += 1
-    try:
-        for i in range(0, len(starts), helpers + 1):
-            group = [_POOL.submit(block, r0) for r0 in starts[i + 1:i + helpers + 1]]
-            try:
-                yield block(starts[i])
-                for f in group:
-                    yield f.result()
-            finally:   # on an error, cancel the group's queued blocks and await its running ones
-                wait([f for f in group if not f.cancel()])
-    finally:
-        for _ in range(helpers):
-            _IDLE.release()
 
 
 def structure_targets(diffusion) -> sp.csr_array:
@@ -114,7 +77,7 @@ def feature_contrastive_loss(completed, propagated, temperature: float) -> Tenso
 
     # each ds stays alive through the next block, as in a plain loop: freed at
     # once, glibc trims and refaults it every block (14x the page faults at n=4000)
-    for ds, part in _row_blocks(block, len(u)):
+    for ds, part in _row_blocks(block, len(u), BLOCK_ROWS):
         dv += part
     return fused_scalar(rows.sum(), [(completed, u_vjp(du)), (propagated, v_vjp(dv))])
 
@@ -141,7 +104,7 @@ def structure_contrastive_loss(completed, targets, temperature: float) -> Tensor
         dg = a_vjp(np.asarray(targets_t @ ds.T).T) * a * (1.0 - a)
         return blk, dg @ x, dg.T @ x[blk]
 
-    for blk, own, spread in _row_blocks(block, len(x)):
+    for blk, own, spread in _row_blocks(block, len(x), BLOCK_ROWS):
         dx[blk] += own
         dx += spread
     return fused_scalar(rows.sum(), [(completed, dx)])

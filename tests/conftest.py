@@ -9,7 +9,7 @@ import pytest
 
 import graphcomplete as gc
 from graphcomplete import autodiff as ad
-from graphcomplete import objective
+from graphcomplete import pool
 from graphcomplete.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ParamStore
 from oracles import finite_diff_grad
 
@@ -108,21 +108,37 @@ def bits(a) -> np.ndarray:
 
 @contextlib.contextmanager
 def row_block_threads(threads: int):
-    """The contrastive terms' row blocks run on `threads` threads (1: inline),
-    whatever this machine's CPU and BLAS thread budget."""
-    saved = objective._BLOCK_THREADS, objective._POOL, objective._IDLE
-    with ThreadPoolExecutor(max(1, threads - 1), "test-row-block") as pool:
-        objective._BLOCK_THREADS, objective._POOL = threads, pool
-        objective._IDLE = threading.Semaphore(threads - 1)
+    """The compute pool runs work on `threads` threads (1: inline), whatever
+    this machine's CPU and BLAS thread budget."""
+    saved = pool._BLOCK_THREADS, pool._POOL, pool._IDLE
+    with ThreadPoolExecutor(max(1, threads - 1), "test-row-block") as executor:
+        pool._BLOCK_THREADS, pool._POOL = threads, executor
+        pool._IDLE = threading.Semaphore(threads - 1)
         try:
             yield
         finally:
-            objective._BLOCK_THREADS, objective._POOL, objective._IDLE = saved
+            pool._BLOCK_THREADS, pool._POOL, pool._IDLE = saved
+
+
+@contextlib.contextmanager
+def forced_splits():
+    """Every dense product, CSR product and Adam update splits, whatever its
+    size, with the pool on at two threads."""
+    names = ("DENSE_SPLIT", "SPARSE_SPLIT", "ADAM_SPLIT")
+    saved = [getattr(pool, name) for name in names]
+    with row_block_threads(2):
+        for name in names:
+            setattr(pool, name, 0)
+        try:
+            yield
+        finally:
+            for name, value in zip(names, saved):
+                setattr(pool, name, value)
 
 
 @pytest.fixture
 def pooled():
-    """The row-block pool forced on at two threads."""
+    """The compute pool forced on at two threads."""
     with row_block_threads(2):
         yield
 

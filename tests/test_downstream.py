@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 import graphcomplete as gc
 import graphcomplete.autodiff as ad
-from graphcomplete import downstream, objective
+from graphcomplete import downstream, objective, pool
 from graphcomplete.data import two_block_features
 from graphcomplete.downstream import (
     cross_entropy_loss,
@@ -324,31 +324,33 @@ class TestReconstructionComposition:
         cfg = ExperimentConfig(epochs=5, recon_dropout=0.2, recon_weight_decay=1e-4)
         seed = 4
         n, d = ds.features.shape
-        topk = gc.build_diffusion(ds.edges, n, cfg.alpha, cfg.k)
-        init_rng = make_rng(seed, STREAM_INIT)
-        drop_rng = make_rng(seed, STREAM_DROPOUT)
-        store = ParamStore()
-        init_mlp2(store, "imputer", (d, cfg.imputer_hidden, d), init_rng)
-        store.add("pos.W", glorot(init_rng, n, cfg.pe_hidden))
-        store.add("pos.b", np.zeros((1, cfg.pe_hidden)))
-        store.add("ppnp.W0", glorot(init_rng, cfg.pe_hidden, cfg.ppnp_hidden))
-        store.add("ppnp.W1", glorot(init_rng, cfg.ppnp_hidden, d))
-        adam = ReferenceAdam(store, cfg.recon_lr, cfg.recon_weight_decay)
-        temperature = cfg.temperature
-        history = []
-        for _ in range(cfg.epochs):
-            completed = gc.impute_features(ds.features, ds.feature_mask, store,
-                                           dropout=cfg.recon_dropout, rng=drop_rng)
-            propagated = per_call_ppnp(topk, gc.positional_features(n, store), store,
-                                       cfg.recon_dropout, drop_rng)
-            l_f = objective.feature_contrastive_loss(completed, propagated, temperature)
-            l_s = per_call_structure_term(completed, topk, temperature)
-            total = ad.add(l_f, l_s)
-            history.append((float(l_f.value), float(l_s.value), float(total.value)))
-            ad.backward(total)
-            adam.step()
-        imputed = gc.impute_features(ds.features, ds.feature_mask, store).value
-        propagated = per_call_ppnp(topk, gc.positional_features(n, store), store).value
+        # on one BLAS thread, as run_reconstruction runs
+        with pool.one_blas_thread():
+            topk = gc.build_diffusion(ds.edges, n, cfg.alpha, cfg.k)
+            init_rng = make_rng(seed, STREAM_INIT)
+            drop_rng = make_rng(seed, STREAM_DROPOUT)
+            store = ParamStore()
+            init_mlp2(store, "imputer", (d, cfg.imputer_hidden, d), init_rng)
+            store.add("pos.W", glorot(init_rng, n, cfg.pe_hidden))
+            store.add("pos.b", np.zeros((1, cfg.pe_hidden)))
+            store.add("ppnp.W0", glorot(init_rng, cfg.pe_hidden, cfg.ppnp_hidden))
+            store.add("ppnp.W1", glorot(init_rng, cfg.ppnp_hidden, d))
+            adam = ReferenceAdam(store, cfg.recon_lr, cfg.recon_weight_decay)
+            temperature = cfg.temperature
+            history = []
+            for _ in range(cfg.epochs):
+                completed = gc.impute_features(ds.features, ds.feature_mask, store,
+                                               dropout=cfg.recon_dropout, rng=drop_rng)
+                propagated = per_call_ppnp(topk, gc.positional_features(n, store), store,
+                                           cfg.recon_dropout, drop_rng)
+                l_f = objective.feature_contrastive_loss(completed, propagated, temperature)
+                l_s = per_call_structure_term(completed, topk, temperature)
+                total = ad.add(l_f, l_s)
+                history.append((float(l_f.value), float(l_s.value), float(total.value)))
+                ad.backward(total)
+                adam.step()
+            imputed = gc.impute_features(ds.features, ds.feature_mask, store).value
+            propagated = per_call_ppnp(topk, gc.positional_features(n, store), store).value
 
         state = gc.run_reconstruction(ds, cfg, seed=seed)
         np.testing.assert_array_equal(bits(state.loss_history), bits(np.array(history)))
@@ -455,7 +457,8 @@ class TestDegenerateInputs:
             warnings.simplefilter("always")
             state, _ = probe_cell(ds, k=20)
         assert [str(w.message) for w in caught] == ["k=20 exceeds 10 columns; keeping all"]
-        every = gc.ppr_closed_form(normalize_adjacency(ds.edges, ds.n), 0.1)
+        with pool.one_blas_thread():   # on one BLAS thread, as run_reconstruction solves
+            every = gc.ppr_closed_form(normalize_adjacency(ds.edges, ds.n), 0.1)
         np.testing.assert_array_equal(bits(state.diffusion_topk.toarray()), bits(every))
 
     def test_two_member_classes_cannot_be_split(self):

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 import graphcomplete as gc
 import graphcomplete.autodiff as ad
-from graphcomplete import objective
+from graphcomplete import objective, pool
 from graphcomplete.nn import ParamStore
 from graphcomplete.objective import (
     feature_contrastive_loss,
@@ -316,8 +316,8 @@ def test_working_set_stays_within_row_blocks(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the row blocks on threads.  The tier-1 BLAS default leaves no core to spare
-# on a 2-CPU machine, so these tests force the pool on (conftest.row_block_threads).
+# the row blocks on threads.  A machine's budget may leave no core to spare,
+# so these tests force the pool on (conftest.row_block_threads).
 
 def term_bits(term, X, P, targets):
     """The loss's and every input gradient's bytes."""
@@ -434,8 +434,8 @@ def test_failed_block_leaves_no_block_running(monkeypatch, pooled, term, failing
     assert failing < len(started) < n // b   # no block after the failed one's group ran
     assert max(started) < surfaced
     assert len(ended) == len(started) - 1 and max(ended) < surfaced
-    assert objective._IDLE.acquire(blocking=False)   # the call gave its pool thread back
-    objective._IDLE.release()
+    assert pool._IDLE.acquire(blocking=False)   # the call gave its pool thread back
+    pool._IDLE.release()
 
 
 def test_working_set_stays_within_row_blocks_per_thread(monkeypatch, pooled):
@@ -463,11 +463,11 @@ SRC = pathlib.Path(objective.__file__).resolve().parents[1]
 BUDGET_PROBE = """
 import importlib.util, json, sys
 sys.path.insert(0, sys.argv[1])
-from graphcomplete import objective
+from graphcomplete import pool
 spec = importlib.util.spec_from_file_location("perfbench_run", sys.argv[2])
 run = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(run)
-print(json.dumps([objective._BLOCK_THREADS, run._blas_threads()]))
+print(json.dumps([pool._BLOCK_THREADS, bool(pool._openblas_threads()), run._blas_threads()]))
 """
 
 
@@ -477,12 +477,18 @@ print(json.dumps([objective._BLOCK_THREADS, run._blas_threads()]))
     {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"},
 ], ids=["one_blas_thread", "blas_default", "goto_before_omp"])
 def test_thread_budget_is_cpus_over_blas_threads(blas_env):
-    # the oracle is the thread count each loaded OpenBLAS reports
+    # where the BLAS thread count can be set, the package runs BLAS on one
+    # thread and the budget is the usable CPUs; elsewhere it is the usable
+    # CPUs over the thread count each loaded OpenBLAS reports
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
     env.update(blas_env)
     out = subprocess.run([sys.executable, "-c", BUDGET_PROBE, str(SRC), str(PERFBENCH_RUN)],
                          env=env, capture_output=True, text=True, check=True, timeout=120)
-    threads, counts = json.loads(out.stdout)
+    threads, settable, counts = json.loads(out.stdout)
+    cpus = len(os.sched_getaffinity(0))
+    if settable:
+        assert threads == cpus
+        return
     assert counts and len(set(counts.values())) == 1, counts
-    assert threads == max(1, len(os.sched_getaffinity(0)) // counts.popitem()[1])
+    assert threads == max(1, cpus // counts.popitem()[1])
