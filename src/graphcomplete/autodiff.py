@@ -157,43 +157,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul: {a.value.shape} vs {b.value.shape}")
     av, bv = a.value, b.value
-    # the forward and both vjps make the same number of multiply-adds
-    if av.shape[0] * av.shape[1] * bv.shape[1] <= pool.DENSE_SPLIT:
-        return _node(av @ bv, [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)])
-    return _node(pool.matmul_rows(av, bv), [(a, lambda g: pool.matmul_rows(g, bv.T)),
-                                            (b, lambda g: pool.matmul_rows(av.T, g))])
+    return _node(pool.matmul(av, bv), [(a, lambda g: pool.matmul(g, bv.T)),
+                                       (b, lambda g: pool.matmul(av.T, g))])
 
 
 class Operator:
     """A gradient-free propagation matrix M (dense or sparse) with its
-    transpose Mt, built once here.
+    transpose Mt, built once here, and nnz, M's stored entries if sparse,
+    else 0, for pool.sparse_matmul's size decision.
 
     A training phase wraps its matrix once and hands the Operator to every
-    propagate call, so no epoch rebuilds Mᵀ for the vjp.  For a float64 CSR
-    M, whose large products propagate splits by rows, nnz is M's stored
-    entries and Mt_csr the transpose as CSR, which sums each row in the order
-    Mt (CSC) scatters it; otherwise nnz is 0 and Mt_csr None.
+    propagate call, so no epoch rebuilds Mᵀ for the vjp or counts M's entries.
     """
 
-    __slots__ = ("M", "Mt", "Mt_csr", "nnz")
+    __slots__ = ("M", "Mt", "nnz")
 
     def __init__(self, M):
         self.M, self.Mt = M, M.T
-        csr = sp.issparse(M) and M.format == "csr" and M.dtype == np.float64
-        # the unsplit vjp keeps Mt: at the classifier's shapes its product is faster
-        self.Mt_csr = sp.csr_array(self.Mt) if csr else None
-        self.nnz = M.nnz if csr else 0
+        self.nnz = M.nnz if sp.issparse(M) else 0
 
 
 def propagate(op: Operator, x: Tensor) -> Tensor:
     """op.M @ x; the vjp multiplies by the Operator's prebuilt transpose."""
-    M, Mt, xv = op.M, op.Mt, x.value
+    M, Mt, nnz, xv = op.M, op.Mt, op.nnz, x.value
     if xv.ndim != 2 or M.shape[1] != xv.shape[0]:
         raise ShapeError(f"propagate: {M.shape} vs {xv.shape}")
-    if op.nnz * xv.shape[1] <= pool.SPARSE_SPLIT:
-        return _node(np.asarray(M @ xv), [(x, lambda g: np.asarray(Mt @ g))])
-    Mt_csr = op.Mt_csr
-    return _node(pool.csr_rows(M, xv), [(x, lambda g: pool.csr_rows(Mt_csr, g))])
+    return _node(pool.sparse_matmul(M, xv, nnz), [(x, lambda g: pool.sparse_matmul(Mt, g, nnz))])
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -331,6 +331,8 @@ def make_splits(ds: GraphDataset, seed: int = 0) -> Splits:
     """Per-class stratified 60/20/20 train/val/test partition of the labeled nodes."""
     if ds.labels is None:
         raise ValueError("dataset has no labels to split")
+    if not np.any(ds.labels >= 0):
+        raise ValueError("dataset has no labeled node to split")
     rng = make_rng(seed, STREAM_SPLITS)
     train, val, test = [], [], []
     for c in range(ds.num_classes):

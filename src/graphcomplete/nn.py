@@ -163,7 +163,7 @@ class Optimizer:
             if value.size <= pool.ADAM_SPLIT:
                 _adam_rows(name, value, g, m, v, a, b, steps)
             else:
-                pool.split_rows(lambda s: _adam_rows(name, value[s], g[s], m[s], v[s],
-                                                     a[s], b[s], steps), len(value))
+                pool.split_halves(lambda s: _adam_rows(name, value[s], g[s], m[s], v[s],
+                                                       a[s], b[s], steps), len(value))
             p.value = a
         self.store.zero_grad()

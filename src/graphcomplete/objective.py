@@ -10,11 +10,12 @@ other node is a negative.
 Each term is one tape op that walks the similarity matrix in blocks of
 BLOCK_ROWS rows, computing loss and exact gradient in one pass (as in
 FlashAttention, Dao et al. 2022): no working array exceeds BLOCK_ROWS × n.
-Given 4 or more blocks and spare cores, the calling thread shares them with
-the idle threads of the package's one compute pool (pool._row_blocks), so
-concurrent cells never wait on each other's blocks.  Each block writes only
-its own rows and returns its partial sums, which the caller adds in block
-order as the serial loop did, so the threads change no bit.
+Given 4 or more blocks, _blocks hands them to the package's one compute
+pool runner (pool._row_blocks), which shares them between the caller and
+the idle pool threads, so concurrent cells never wait on each other's
+blocks; fewer run in a plain map.  Each block writes only its own rows and
+returns its partial sums, which the caller adds in block order as the
+serial loop did, so the threads change no bit.
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ from .autodiff import (
 from .pool import _row_blocks
 
 BLOCK_ROWS = 64
+
+
+def _blocks(block, n: int):
+    """map(block, each row block's first row), on the pool given 4 or more."""
+    starts = range(0, n, BLOCK_ROWS)
+    return (_row_blocks if len(starts) >= 4 else map)(block, starts)
 
 
 def structure_targets(diffusion) -> sp.csr_array:
@@ -77,7 +84,7 @@ def feature_contrastive_loss(completed, propagated, temperature: float) -> Tenso
 
     # each ds stays alive through the next block, as in a plain loop: freed at
     # once, glibc trims and refaults it every block (14x the page faults at n=4000)
-    for ds, part in _row_blocks(block, len(u), BLOCK_ROWS):
+    for ds, part in _blocks(block, len(u)):
         dv += part
     return fused_scalar(rows.sum(), [(completed, u_vjp(du)), (propagated, v_vjp(dv))])
 
@@ -104,7 +111,7 @@ def structure_contrastive_loss(completed, targets, temperature: float) -> Tensor
         dg = a_vjp(np.asarray(targets_t @ ds.T).T) * a * (1.0 - a)
         return blk, dg @ x, dg.T @ x[blk]
 
-    for blk, own, spread in _row_blocks(block, len(x), BLOCK_ROWS):
+    for blk, own, spread in _blocks(block, len(x)):
         dx[blk] += own
         dx += spread
     return fused_scalar(rows.sum(), [(completed, dx)])

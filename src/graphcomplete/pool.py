@@ -8,24 +8,27 @@ the bytes a run writes do not depend on OPENBLAS_NUM_THREADS, and the spare
 cores go to this module's pool instead.  Where no setter is found (another BLAS
 build), nothing is set and the budget below is divided by the BLAS threads.
 
-The budget is the usable CPUs: the calling thread plus a pool of the rest.  A
-call takes only pool threads that no other call holds (never waiting for one),
-so concurrent --workers cells never queue behind each other's work.  Two kinds
-of work use it, each writing only into arrays its caller allocated:
+The budget is the usable CPUs: the calling thread plus a pool of the rest.
+_row_blocks, the pool's one runner, maps over given items: the caller runs
+them with the pool threads no other call holds (never waiting for one), so
+concurrent --workers cells never queue behind each other's work, and each
+item writes only into arrays its caller allocated.  The contrastive terms'
+row blocks use it (objective.py), and so does split_halves, which splits in
+two halves the work below above its size (one comparison, so small graphs
+pay nothing) and runs it whole when no pool thread is free:
 
-- _row_blocks: the contrastive terms' row blocks, given 4 or more of them;
-- split_rows: a product or an Adam update split by output rows, the caller
-  running the first half and an idle pool thread the second.  matmul_rows and
-  csr_rows are the two products.  Callers split only above the sizes below,
-  decided by one comparison, so small graphs pay nothing for it.
+- matmul: a dense product, split by output rows at a multiple of DENSE_ALIGN;
+- sparse_matmul: a sparse product, split by the columns of its dense operand;
+- the Adam update of a large parameter, split by rows (nn.Optimizer).
 
 No split changes a bit: every output element keeps its operands and its
-reduction order.  A CSR product sums each row on its own, and an Adam update
-is elementwise.  OpenBLAS groups a dense product's output rows into runs of
-a few rows and computes edge rows with other kernels, so a dense split falls
-on a multiple of DENSE_ALIGN rows, where every row keeps its kernel.  Below
-about 1M multiply-adds OpenBLAS switches to a small-matrix kernel, so
-DENSE_SPLIT keeps both halves far above that.
+reduction order.  An Adam update is elementwise.  A sparse product, CSR or
+CSC, sums each output entry from its own column of the dense operand, in the
+matrix's stored order, whatever the other columns.  OpenBLAS groups a dense
+product's output rows into runs of a few rows and computes edge rows with
+other kernels, so a dense split falls on a multiple of DENSE_ALIGN rows, where
+every row keeps its kernel.  Below about 1M multiply-adds OpenBLAS switches to
+a small-matrix kernel, so DENSE_SPLIT keeps both halves far above that.
 """
 
 from __future__ import annotations
@@ -37,11 +40,10 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvecs
 
 # a product or update is split when its size exceeds these
 DENSE_SPLIT = 50_000_000   # multiply-adds of a dense product
-SPARSE_SPLIT = 4_000_000   # stored entries x columns of a CSR product
+SPARSE_SPLIT = 4_000_000   # stored entries x columns of a sparse product
 ADAM_SPLIT = 1 << 18       # entries of a parameter, for its Adam update
 DENSE_ALIGN = 24           # a dense split falls on a multiple of this many rows
 
@@ -86,67 +88,63 @@ _POOL = ThreadPoolExecutor(max(1, _BLOCK_THREADS - 1), "row-block")   # the call
 _IDLE = threading.Semaphore(_BLOCK_THREADS - 1)   # pool threads that no call holds
 
 
-def _row_blocks(block, n: int, rows: int):
-    """block(r0) for r0 = 0, rows, 2*rows, ... below n, yielded in that order.
-    Given 4 or more blocks, the caller runs them with the pool threads no call holds."""
-    starts = range(0, n, rows)
+def _row_blocks(fn, items, whole=None):
+    """map(fn, items), yielded in order, the caller running the items with the
+    pool threads no call holds, or [fn(whole)] if whole is given and none is
+    free; an error surfaces once the items already running on the pool have
+    ended (queued ones are cancelled), and the pool threads are given back."""
     helpers = 0
-    while len(starts) >= 4 and helpers < _BLOCK_THREADS - 1 and _IDLE.acquire(blocking=False):
+    while helpers < min(len(items), _BLOCK_THREADS) - 1 and _IDLE.acquire(blocking=False):
         helpers += 1
+    if not helpers and whole is not None:
+        items = [whole]
     try:
-        for i in range(0, len(starts), helpers + 1):
-            group = [_POOL.submit(block, r0) for r0 in starts[i + 1:i + helpers + 1]]
+        for i in range(0, len(items), helpers + 1):
+            group = [_POOL.submit(fn, item) for item in items[i + 1:i + helpers + 1]]
             try:
-                yield block(starts[i])
+                yield fn(items[i])
                 for f in group:
                     yield f.result()
-            finally:   # on an error, cancel the group's queued blocks and await its running ones
+            finally:   # on an error, cancel the group's queued items and await its running ones
                 wait([f for f in group if not f.cancel()])
     finally:
         for _ in range(helpers):
             _IDLE.release()
 
 
-def split_rows(half, rows: int, align: int = 1) -> None:
-    """half(slice(0, mid)) on the caller and half(slice(mid, rows)) on an idle
-    pool thread, mid the multiple of align nearest below rows / 2; with no idle
-    thread, or mid 0, half(slice(0, rows)) on the caller.  An error from either
-    half surfaces once both have ended, and the pool thread is given back."""
-    mid = rows // 2 // align * align
-    if not mid or not _IDLE.acquire(blocking=False):
-        half(slice(0, rows))
-        return
-    try:
-        other = _POOL.submit(half, slice(mid, rows))
-        try:
-            half(slice(0, mid))
-        finally:
-            wait([other])
-        other.result()
-    finally:
-        _IDLE.release()
+def split_halves(fn, n: int, align: int = 1) -> list:
+    """[fn(slice(0, mid)), fn(slice(mid, n))] through _row_blocks, mid the
+    multiple of align nearest below n / 2; [fn(slice(0, n))] if mid is 0 or
+    no pool thread is free."""
+    mid = n // 2 // align * align
+    return list(_row_blocks(fn, [slice(0, mid), slice(mid, n)] if mid else [], slice(0, n)))
 
 
-def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, its output rows split as split_rows splits them."""
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b; above DENSE_SPLIT multiply-adds, its output rows split in halves
+    at a multiple of DENSE_ALIGN rows."""
+    if a.shape[0] * a.shape[1] * b.shape[1] <= DENSE_SPLIT:
+        return a @ b
     out = np.empty((a.shape[0], b.shape[1]))
-    split_rows(lambda s: np.matmul(a[s], b, out=out[s]), len(out), DENSE_ALIGN)
+    split_halves(lambda s: np.matmul(a[s], b, out=out[s]), len(out), DENSE_ALIGN)
     return out
 
 
-def csr_rows(m, x: np.ndarray) -> np.ndarray:
-    """m @ x for a float64 CSR m, summed as scipy sums it (each output row
-    from zero, in the row's stored order), its output rows split as split_rows
-    splits them."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    out = np.zeros((m.shape[0], x.shape[1]))
+def sparse_matmul(m, x: np.ndarray, nnz: int) -> np.ndarray:
+    """m @ x as an ndarray, for m sparse with nnz stored entries or dense with
+    nnz 0; above SPARSE_SPLIT stored entries x columns, x's columns split in halves."""
+    if nnz * x.shape[1] <= SPARSE_SPLIT:
+        return np.asarray(m @ x)
+    n = x.shape[1]
+    out = np.empty((m.shape[0], n))
 
-    def half(s):
-        csr_matvecs(s.stop - s.start, m.shape[1], x.shape[1], m.indptr[s.start:s.stop + 1],
-                    m.indices, m.data, x.ravel(), out[s].ravel())
+    def part(s):
+        if s == slice(0, n):   # no pool thread free: the product whole, uncopied
+            return np.asarray(m @ x)
+        out[:, s] = m @ x[:, s]
+        return out
 
-    split_rows(half, len(out))
-    return out
+    return split_halves(part, n)[-1]
 
 
 _pin_lock = threading.Lock()

@@ -18,6 +18,7 @@ from scipy import sparse as sp
 
 from .autodiff import Operator, ShapeError, Tensor, add_rowvec, as_tensor, matmul, propagate, relu
 from .nn import ParamStore, apply_dropout, glorot
+from .pool import one_blas_thread
 
 BLOCK_ROWS = 256   # rows per block of the diffusion's mirror and top-k passes
 
@@ -40,6 +41,7 @@ def normalize_adjacency(edges: np.ndarray, n: int) -> sp.csr_array:
     return symmetric_normalize(sp.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n)))
 
 
+@one_blas_thread()
 def ppr_closed_form(a_norm, alpha: float) -> np.ndarray:
     """Exact diffusion: alpha * (I - (1-alpha) * a_norm)^{-1}; a_norm dense or sparse.
 
@@ -130,6 +132,7 @@ def ppnp_forward(op: Operator, features, store: ParamStore, prefix: str = "ppnp"
     return ppnp_output(op, ppnp_hidden(op, features, store, prefix), store, prefix, dropout, rng)
 
 
+@one_blas_thread()
 def build_diffusion(edges: np.ndarray, n: int, alpha: float, k: int) -> sp.csr_array:
     """Normalized adjacency -> closed-form diffusion -> top-k rows, as sparse.
 

@@ -122,7 +122,7 @@ def row_block_threads(threads: int):
 
 @contextlib.contextmanager
 def forced_splits():
-    """Every dense product, CSR product and Adam update splits, whatever its
+    """Every dense product, sparse product and Adam update splits, whatever its
     size, with the pool on at two threads."""
     names = ("DENSE_SPLIT", "SPARSE_SPLIT", "ADAM_SPLIT")
     saved = [getattr(pool, name) for name in names]

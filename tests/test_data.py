@@ -267,6 +267,19 @@ class TestSplits:
         with pytest.raises(ValueError, match="at least 3"):
             gc.make_splits(ds)
 
+    @pytest.mark.parametrize("meta", [True, False], ids=["with_meta", "without_meta"])
+    def test_no_labeled_node_rejected(self, tmp_path, meta):
+        # an empty labels.tsv loads as every node unlabeled, its class count
+        # from meta.json or, without one, 0
+        gc.write_dataset(random_dataset(seed=14), str(tmp_path / "ds"))
+        (tmp_path / "ds" / "labels.tsv").write_text("")
+        if not meta:
+            (tmp_path / "ds" / "meta.json").unlink()
+        ds = gc.load_dataset(str(tmp_path / "ds"))
+        assert np.all(ds.labels == -1) and ds.num_classes == (3 if meta else 0)
+        with pytest.raises(ValueError, match="dataset has no labeled node to split"):
+            gc.make_splits(ds)
+
     def test_deterministic(self):
         ds = random_dataset(seed=13, n=30)
         a = gc.make_splits(ds, seed=5)

@@ -158,9 +158,9 @@ class TestStructureTerm:
     (structure_contrastive_loss, (100, 8), (120, 100), r"\(100, 8\) vs targets \(120, 100\)"),
 ], ids=["feature-fewer-completed", "feature-more-completed", "structure-targets"])
 def test_mismatched_shapes_raise_before_any_block(monkeypatch, term, first, second, shapes):
-    def no_blocks(block, n):
+    def no_blocks(*args):
         raise AssertionError("a row block ran")
-    monkeypatch.setattr(objective, "_row_blocks", no_blocks)
+    monkeypatch.setattr(objective, "_blocks", no_blocks)
     rng = np.random.default_rng(12)
     other = (rng.normal(size=second) if term is feature_contrastive_loss
              else structure_targets(rng.random(second)))

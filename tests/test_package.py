@@ -6,7 +6,9 @@ or a parameter added here, or one that comes back, must be a deliberate
 change to these lists.
 """
 
+import ast
 import inspect
+import pathlib
 import types
 
 import graphcomplete as gc
@@ -97,3 +99,20 @@ def test_parameter_names_are_pinned():
         is_error = isinstance(value, type) and issubclass(value, Exception)
         found[name] = None if is_error else " ".join(inspect.signature(value).parameters)
     assert found == PARAMETERS
+
+
+def test_no_module_imports_a_private_scipy_module():
+    # a private module (scipy.sparse._sparsetools) may be renamed in any
+    # scipy release, and import graphcomplete would fail with it
+    imported = []
+    for path in pathlib.Path(gc.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported += [(path.name, f"{node.module}.{alias.name}") for alias in node.names]
+    private = [(name, module) for name, module in imported
+               if module.split(".")[0] == "scipy"
+               and any(part.startswith("_") for part in module.split(".")[1:])]
+    assert any(module.startswith("scipy.") for _, module in imported)
+    assert not private, private

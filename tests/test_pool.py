@@ -1,6 +1,6 @@
-"""The compute pool: row splits of the products and the Adam update, each
-bit-identical to the unsplit expression, and the one-BLAS-thread pin around
-the package's entry points."""
+"""The compute pool: the splits of the products (dense by rows, sparse by
+columns) and of the Adam update, each bit-identical to the unsplit
+expression, and the one-BLAS-thread pin around the package's entry points."""
 
 import os
 import pathlib
@@ -15,11 +15,11 @@ from scipy import sparse as sp
 
 import graphcomplete as gc
 import graphcomplete.autodiff as ad
-from graphcomplete import downstream, pool
+from graphcomplete import downstream, pool, structure_path
 from graphcomplete.experiment import ExperimentConfig, run_experiment
 from graphcomplete.nn import Optimizer, ParamStore
 
-from conftest import ReferenceAdam, bits, forced_splits, sbm_fixture
+from conftest import ReferenceAdam, bits, forced_splits, row_block_threads, sbm_fixture
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 SRC = pathlib.Path(pool.__file__).resolve().parents[1]
@@ -61,27 +61,30 @@ def test_matmul_split_keeps_every_bit(submitted, a_shape, b_shape, halves):
     assert len(submitted) == halves
 
 
-@pytest.mark.parametrize("kind", ["csr", "dense"])
-def test_propagate_split_keeps_every_bit(submitted, kind):
-    # the CSR transpose against the CSC one, M.T; an empty row and an empty
-    # column of M; a dense M keeps its dense products, unsplit
+@pytest.mark.parametrize("kind, cols, halves", [
+    ("csr", 7, 2),     # an odd column count: halves of 3 and 4 columns
+    ("csr", 3, 2),     # a one-column half, which scipy multiplies as a vector
+    ("csr", 1, 0),     # a single column: no split
+    ("csc", 7, 2),     # M CSC, so the forward runs csc_matvecs and the vjp csr_matvecs
+    ("dense", 7, 0),   # a dense M keeps its dense products, unsplit
+], ids=["csr", "csr_three_cols", "csr_single_col", "csc", "dense"])
+def test_propagate_split_keeps_every_bit(submitted, kind, cols, halves):
+    # the forward by M and the vjp by its transpose M.T, split by the columns
+    # of x and g; an empty row and an empty column of M
     n = 101
     rng = np.random.default_rng(8)
     m = np.where(rng.random((n, n)) < 0.1, rng.normal(size=(n, n)), 0.0)
     m[7] = 0.0
     m[:, 11] = 0.0
-    M = sp.csr_array(m) if kind == "csr" else m
+    M = {"csr": sp.csr_array, "csc": sp.csc_array, "dense": np.asarray}[kind](m)
     op = ad.Operator(M)
-    x, g = rng.normal(size=(n, 7)), rng.normal(size=(n, 7))
+    x, g = rng.normal(size=(n, cols)), rng.normal(size=(n, cols))
     out = ad.propagate(op, ParamStore().add("x", x))
     (dx,) = vjps(out, g)
     assert bits(out.value).tobytes() == bits(np.asarray(M @ x)).tobytes()
     assert bits(dx).tobytes() == bits(np.asarray(M.T @ g)).tobytes()
-    if kind == "csr":
-        assert op.Mt_csr.format == "csr" and op.nnz == M.nnz
-        assert submitted == [slice(n // 2, n)] * 2
-    else:
-        assert submitted == []
+    assert out.value.flags.c_contiguous and dx.flags.c_contiguous
+    assert submitted == [slice(cols // 2, cols)] * halves
 
 
 def test_adam_split_keeps_every_bit(submitted):
@@ -123,20 +126,40 @@ def test_nonfinite_update_raises_and_gives_the_pool_thread_back(submitted, row):
 
 
 def test_split_waits_for_the_pools_half_when_the_callers_fails():
-    ended = []
+    # the caller's half raises only once the pool's half has started, so the
+    # runner cannot cancel it and must await it
+    started, ended = threading.Event(), []
 
     def half(s):
         if s.start == 0:
+            assert started.wait(10)
             raise ValueError("caller's half")
+        started.set()
         threading.Event().wait(0.05)
         ended.append(s)
 
     with forced_splits():
         with pytest.raises(ValueError, match="caller's half"):
-            pool.split_rows(half, 4)
+            pool.split_halves(half, 4)
         assert ended == [slice(2, 4)]   # the pool's half ended before the error surfaced
         assert pool._IDLE.acquire(blocking=False)
         pool._IDLE.release()
+
+
+@pytest.mark.parametrize("threads", [1, 2], ids=["no_pool", "pool_thread_held"])
+def test_split_runs_whole_without_a_free_pool_thread(threads):
+    # one call over every row, on the caller, as the unsplit product runs;
+    # at two threads another call holds the one pool thread
+    calls = []
+    with row_block_threads(threads):
+        held = pool._IDLE.acquire(blocking=False)
+        try:
+            pool.split_halves(lambda s: calls.append((s, threading.current_thread())), 10)
+        finally:
+            if held:
+                pool._IDLE.release()
+    assert held == (threads == 2)
+    assert calls == [(slice(0, 10), threading.current_thread())]
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +206,25 @@ def test_nested_entries_restore_only_at_the_last_exit(caller_counts):
         with pool.one_blas_thread():
             pass
         assert counts(caller_counts) == [1] * len(caller_counts)
+    assert counts(caller_counts) == [2] * len(caller_counts)
+
+
+def test_the_diffusion_pins_its_own_solve(caller_counts):
+    # the solve's bits depend on the BLAS thread count, so build_diffusion and
+    # ppr_closed_form called outside any entry point, under two threads, give
+    # the bits of the same calls inside the pin, and the caller's counts back
+    ds = gc.apply_mask(sbm_fixture(), gc.MaskSpec(0.3, 0.3, "entry", 0))
+    a_norm = structure_path.normalize_adjacency(ds.edges, ds.n)
+    calls = (lambda: structure_path.build_diffusion(ds.edges, ds.n, 0.1, 20),
+             lambda: structure_path.ppr_closed_form(a_norm, 0.1))
+    direct = [call() for call in calls]
+    assert counts(caller_counts) == [2] * len(caller_counts)
+    with pool.one_blas_thread():
+        pinned = [call() for call in calls]
+    assert bits(direct[0].data).tobytes() == bits(pinned[0].data).tobytes()
+    for part in ("indices", "indptr"):
+        assert np.array_equal(getattr(direct[0], part), getattr(pinned[0], part))
+    assert bits(direct[1]).tobytes() == bits(pinned[1]).tobytes()
     assert counts(caller_counts) == [2] * len(caller_counts)
 
 
@@ -263,7 +305,7 @@ def test_splits_and_pins_under_contention(caller_counts):
         out = []
         for g in grads:
             with pool.one_blas_thread():
-                out.append(bits(pool.matmul_rows(av, bv)).tobytes())
+                out.append(bits(pool.matmul(av, bv)).tobytes())
                 store["w"].grad = g.copy()
                 opt.step()
         results[i] = out, bits(store["w"].value).tobytes()

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import graphcomplete.autodiff as ad
-from graphcomplete import experiment, structure_path
+from graphcomplete import experiment, pool, structure_path
 from graphcomplete.autodiff import ShapeError
 from graphcomplete.nn import ParamStore, glorot
 from graphcomplete.structure_path import (
@@ -36,10 +36,12 @@ def sparse_graph(rng, n, degree=4.0):
     return np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0)
 
 
+@pool.one_blas_thread()
 def dense_ppr_reference(a_norm, alpha):
     """The closed form as first written, on a dense a_norm: np.eye minus the
     scaled adjacency, dpotrf/dpotri on LAPACK's own copy, the inverse's upper
-    triangle mirrored through np.triu.  ppr_closed_form must match it bit for bit."""
+    triangle mirrored through np.triu.  ppr_closed_form must match it bit for
+    bit; both solve on one BLAS thread."""
     from scipy.linalg import lapack
     a_norm = np.asarray(a_norm, dtype=np.float64)
     system = np.eye(a_norm.shape[0]) - (1.0 - alpha) * a_norm
