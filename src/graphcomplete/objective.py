@@ -11,11 +11,12 @@ Each term is one tape op that walks the similarity matrix in blocks of
 BLOCK_ROWS rows, computing loss and exact gradient in one pass (as in
 FlashAttention, Dao et al. 2022): no working array exceeds BLOCK_ROWS × n.
 Given 4 or more blocks, _blocks hands them to the package's one compute
-pool runner (pool._row_blocks), which shares them between the caller and
-the idle pool threads, so concurrent cells never wait on each other's
-blocks; fewer run in a plain map.  Each block writes only its own rows and
-returns its partial sums, which the caller adds in block order as the
-serial loop did, so the threads change no bit.
+pool runner (pool._row_blocks): the caller and the idle pool threads each
+take the next block nobody has taken, so concurrent cells never wait on
+each other's blocks and no thread idles while the caller adds; fewer run
+in a plain map.  Each block writes only its own rows and returns its
+partial sums, which the runner yields in block order and the caller adds
+as the serial loop did, so the threads change no bit.
 """
 
 from __future__ import annotations

@@ -12,10 +12,14 @@ The budget is the usable CPUs: the calling thread plus a pool of the rest.
 _row_blocks, the pool's one runner, maps over given items: the caller runs
 them with the pool threads no other call holds (never waiting for one), so
 concurrent --workers cells never queue behind each other's work, and each
-item writes only into arrays its caller allocated.  The contrastive terms'
-row blocks use it (objective.py), and so does split_halves, which splits in
-two halves the work below above its size (one comparison, so small graphs
-pay nothing) and runs it whole when no pool thread is free:
+item writes only into arrays its caller allocated.  The threads share the
+items: each takes the next one nobody has taken, at most RUN_AHEAD past the
+next result the caller yields, and the caller yields the results in item
+order, so a consumer that adds them up adds in the serial order.  The
+contrastive terms' row blocks use it (objective.py), and so does
+split_halves, which splits in two halves the work below above its size (one
+comparison, so small graphs pay nothing) and runs it whole when no pool
+thread is free:
 
 - matmul: a dense product, split by output rows at a multiple of DENSE_ALIGN;
 - sparse_matmul: a sparse product, split by the columns of its dense operand;
@@ -46,6 +50,7 @@ DENSE_SPLIT = 50_000_000   # multiply-adds of a dense product
 SPARSE_SPLIT = 4_000_000   # stored entries x columns of a sparse product
 ADAM_SPLIT = 1 << 18       # entries of a parameter, for its Adam update
 DENSE_ALIGN = 24           # a dense split falls on a multiple of this many rows
+RUN_AHEAD = 4              # _row_blocks starts no item more than this many past the next to yield
 
 
 def _openblas_threads() -> list:
@@ -91,23 +96,80 @@ _IDLE = threading.Semaphore(_BLOCK_THREADS - 1)   # pool threads that no call ho
 def _row_blocks(fn, items, whole=None):
     """map(fn, items), yielded in order, the caller running the items with the
     pool threads no call holds, or [fn(whole)] if whole is given and none is
-    free; an error surfaces once the items already running on the pool have
-    ended (queued ones are cancelled), and the pool threads are given back."""
+    free.  The caller takes the first item; then it and each pool thread take
+    the next item nobody has taken, none more than RUN_AHEAD items past the
+    next one to be yielded, and the caller yields the results in item order
+    between its own items.  On an error, or when the consumer stops early, no
+    item starts, the running ones end, and the pool threads are given back
+    before the error surfaces or the generator closes."""
     helpers = 0
     while helpers < min(len(items), _BLOCK_THREADS) - 1 and _IDLE.acquire(blocking=False):
         helpers += 1
-    if not helpers and whole is not None:
-        items = [whole]
-    try:
-        for i in range(0, len(items), helpers + 1):
-            group = [_POOL.submit(fn, item) for item in items[i + 1:i + helpers + 1]]
+    if not helpers:
+        yield from map(fn, items if whole is None else [whole])
+        return
+    cond = threading.Condition()
+    ready = {}       # finished, not yet yielded: index -> result
+    errors = []      # raised by a pool thread's item, for the caller to raise
+    taken = 1        # the next index nobody has taken; the caller has item 0
+    yielded = 0      # the next index to be yielded
+    stop = False
+
+    def claim():
+        """The next index this thread may start now, or None.  Under cond."""
+        nonlocal taken
+        if stop or errors or taken == len(items) or taken > yielded + RUN_AHEAD:
+            return None
+        taken += 1
+        return taken - 1
+
+    def helper():
+        i = out = None
+        while True:
+            with cond:
+                if i is not None:
+                    ready[i], out = out, None
+                    cond.notify_all()
+                while (i := claim()) is None:
+                    if stop or errors or taken == len(items):
+                        return
+                    cond.wait()
             try:
-                yield fn(items[i])
-                for f in group:
-                    yield f.result()
-            finally:   # on an error, cancel the group's queued items and await its running ones
-                wait([f for f in group if not f.cancel()])
+                out = fn(items[i])
+            except BaseException as e:
+                with cond:
+                    errors.append(e)
+                    cond.notify_all()
+                return
+
+    futures = []
+    try:
+        futures.extend(_POOL.submit(helper) for _ in range(helpers))
+        i = 0
+        while yielded < len(items):
+            if i is not None:
+                out = fn(items[i])
+            with cond:
+                if i is not None:
+                    ready[i] = out
+                while True:
+                    if errors:
+                        raise errors[0]
+                    if yielded in ready:
+                        out, i = ready.pop(yielded), None
+                        yielded += 1
+                        cond.notify_all()   # a pool thread may start one item further now
+                        break
+                    if (i := claim()) is not None:
+                        break
+                    cond.wait()
+            if i is None:
+                yield out
     finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        wait(futures)
         for _ in range(helpers):
             _IDLE.release()
 

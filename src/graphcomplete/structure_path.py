@@ -74,7 +74,8 @@ def knn_sparsify(matrix: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest entries of each row, zeroing the rest.
 
     No renormalization.  Ties break toward the smaller column index; the
-    self column competes like any other.  k of at least n keeps everything.
+    self column competes like any other.  k of at least n keeps everything;
+    below that, a NaN entry raises ValueError naming its row.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     m = matrix.shape[1]
@@ -84,11 +85,22 @@ def knn_sparsify(matrix: np.ndarray, k: int) -> np.ndarray:
         if k > m:
             warnings.warn(f"k={k} exceeds {m} columns; keeping all")
         return matrix.copy()
-    # entries above the row's k-th largest value stay; ties with it fill the rest in column order
-    kth = -np.partition(-matrix, k - 1, axis=1)[:, k - 1:k]
-    above, tied = matrix > kth, matrix == kth
-    slots = k - above.sum(axis=1, keepdims=True)
-    return np.where(above | (tied & (np.cumsum(tied, axis=1) <= slots)), matrix, 0.0)
+    # a row's k largest sit in its last k partitioned slots, NaNs (sorted last) among them
+    top = np.partition(matrix, m - k, axis=1)[:, m - k:]
+    nan_rows = np.flatnonzero(np.isnan(top).any(axis=1))
+    if nan_rows.size:
+        raise ValueError(f"knn_sparsify: row {nan_rows[0]} has a NaN entry")
+    # entries at or above the row's k-th largest value stay; where ties with it
+    # give more than k, they fill the remaining slots in column order
+    kth = top[:, :1]
+    keep = matrix >= kth
+    over = np.flatnonzero(keep.sum(axis=1) > k)
+    if over.size:
+        rows, kth = matrix[over], kth[over]
+        above, tied = rows > kth, rows == kth
+        slots = k - above.sum(axis=1, keepdims=True)
+        keep[over] = above | (tied & (np.cumsum(tied, axis=1) <= slots))
+    return np.where(keep, matrix, 0.0)
 
 
 def positional_features(n: int, store: ParamStore) -> Tensor:

@@ -26,6 +26,16 @@ from graphcomplete.rng import STREAM_DOWNSTREAM_DROPOUT, STREAM_DOWNSTREAM_INIT,
 # diffusion
 
 
+def stable_argsort_topk(matrix: np.ndarray, k: int) -> np.ndarray:
+    """knn_sparsify's selection by a stable descending argsort: each row's k
+    largest entries, ties to the smaller column index, the rest zero."""
+    order = np.argsort(-matrix, axis=1, kind="stable")[:, :k]
+    out = np.zeros_like(matrix)
+    rows = np.repeat(np.arange(matrix.shape[0]), k)
+    out[rows, order.ravel()] = matrix[rows, order.ravel()]
+    return out
+
+
 @dataclass(frozen=True)
 class PowerIterationResult:
     matrix: np.ndarray

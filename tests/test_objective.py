@@ -350,20 +350,21 @@ def test_threaded_blocks_keep_every_bit(monkeypatch, term, n, rows):
     D = np.where(rng.random((n, n)) < 8.0 / n, rng.random((n, n)), 0.0)
     D[n // 2] = 0.0
     targets = structure_targets(D)
-    threads = []
+    runs = []   # (first row, thread) of each block run
     real = objective._infonce_block
     monkeypatch.setattr(objective, "_infonce_block", lambda *a: (
-        threads.append(threading.current_thread()), real(*a))[1])
+        runs.append((a[1], threading.current_thread())), real(*a))[1])
     with row_block_threads(1):
         inline = term_bits(term, X, P, targets)
-    assert set(threads) == {threading.main_thread()}
-    threads.clear()
+    assert {thread for _, thread in runs} == {threading.main_thread()}
+    runs.clear()
     with row_block_threads(2):
         pooled = term_bits(term, X, P, targets)
-    blocks = -(-n // objective.BLOCK_ROWS)
-    assert len(threads) == blocks
-    # the caller runs every other block; below 4 blocks it runs them all
-    assert threads.count(threading.main_thread()) == (blocks if blocks < 4 else -(-blocks // 2))
+    # every block ran exactly once, on whichever thread took it; below 4
+    # blocks all of them on the caller
+    assert sorted(r0 for r0, _ in runs) == list(range(0, n, objective.BLOCK_ROWS))
+    if len(runs) < 4:
+        assert {thread for _, thread in runs} == {threading.main_thread()}
     feature, structure = serial_contrastive_terms(X, P, targets, 0.4, objective.BLOCK_ROWS)
     reference = [bits(a).tobytes() for a in (feature if term == "feature" else structure)]
     assert pooled == inline == reference
@@ -400,23 +401,25 @@ def test_threaded_blocks_under_contention():
     assert results == {i: inline * 5 for i in range(2)}
 
 
-@pytest.mark.parametrize("failing", [2, 3], ids=["callers_block", "pools_block"])
+@pytest.mark.parametrize("on_caller", [True, False], ids=["callers_block", "pools_block"])
 @pytest.mark.parametrize("term", ["feature", "structure"])
-def test_failed_block_leaves_no_block_running(monkeypatch, pooled, term, failing):
-    # one block raises; the error must surface only after every block
-    # already submitted has finished or been cancelled.  On two threads the
-    # caller runs blocks 0, 2, 4, ... and the pool blocks 1, 3, 5, ...
+def test_failed_block_leaves_no_block_running(monkeypatch, pooled, term, on_caller):
+    # one block raises: the first from the third on that the named thread
+    # runs.  The error must surface only after every block already running
+    # has finished, and no block may start after it
     b = objective.BLOCK_ROWS
     n = 20 * b
     rng = np.random.default_rng(43)
     X, P = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
     targets = structure_targets(sp.random_array((n, n), density=5.0 / n, random_state=rng))
-    started, ended = [], []
+    started, ended, failed = [], [], []
     real = objective._infonce_block
 
     def flaky(sim, r0, temperature):
         started.append(time.perf_counter())
-        if r0 == failing * b:
+        named = (threading.current_thread() is threading.main_thread()) == on_caller
+        if r0 >= 2 * b and named and not failed:
+            failed.append(r0)
             raise FloatingPointError("failing block")
         time.sleep(0.02)   # the other blocks are still running when the error arrives
         out = real(sim, r0, temperature)
@@ -431,7 +434,7 @@ def test_failed_block_leaves_no_block_running(monkeypatch, pooled, term, failing
             structure_contrastive_loss(X, targets, 0.5)
     surfaced = time.perf_counter()
     time.sleep(0.1)   # a block left running would start or end in here
-    assert failing < len(started) < n // b   # no block after the failed one's group ran
+    assert 2 < len(started) < n // b   # blocks stopped starting after the error
     assert max(started) < surfaced
     assert len(ended) == len(started) - 1 and max(ended) < surfaced
     assert pool._IDLE.acquire(blocking=False)   # the call gave its pool thread back

@@ -27,13 +27,29 @@ TESTS = pathlib.Path(__file__).resolve().parent
 
 
 @pytest.fixture
-def submitted():
-    """Every split forced on, on one BLAS thread; the list of halves handed
-    to the pool thread, as the slices they cover."""
+def submitted(monkeypatch):
+    """Every split forced on, on one BLAS thread; the list of halves that ran
+    on the pool thread, as the slices they cover.  The caller's first half
+    waits until the pool thread has started the other, so however the threads
+    are scheduled the pool thread runs the second half of every split."""
     with pool.one_blas_thread(), forced_splits():
         halves = []
-        real = pool._POOL.submit
-        pool._POOL.submit = lambda fn, *args: (halves.append(args[0]), real(fn, *args))[1]
+        real = pool._row_blocks
+
+        def spied(fn, items, whole=None):
+            caller, started = threading.current_thread(), threading.Event()
+
+            def run(item):
+                if threading.current_thread() is not caller:
+                    halves.append(item)
+                    started.set()
+                elif len(items) > 1 and item == items[0]:
+                    assert started.wait(10), "the pool thread never started a half"
+                return fn(item)
+
+            return real(run, items, whole)
+
+        monkeypatch.setattr(pool, "_row_blocks", spied)
         yield halves
 
 
@@ -160,6 +176,169 @@ def test_split_runs_whole_without_a_free_pool_thread(threads):
                 pool._IDLE.release()
     assert held == (threads == 2)
     assert calls == [(slice(0, 10), threading.current_thread())]
+
+
+# ---------------------------------------------------------------------------
+# the runner: the caller and the pool thread take the next item nobody has
+# taken; Events fix which thread runs what, so no result depends on timing
+
+def test_runner_yields_in_order_when_the_pool_thread_finishes_later_items_first():
+    # the caller's item 0 waits until the pool thread has run items 1 to
+    # RUN_AHEAD, every one it may start before item 0 is yielded
+    finished, ahead = [], threading.Event()
+
+    def fn(i):
+        if i == 0:
+            assert ahead.wait(10)
+        finished.append((i, threading.current_thread()))
+        if i == pool.RUN_AHEAD:
+            ahead.set()
+        return 10 * i
+
+    with row_block_threads(2):
+        assert list(pool._row_blocks(fn, list(range(12)))) == [10 * i for i in range(12)]
+    first = finished[:pool.RUN_AHEAD + 1]
+    assert [i for i, _ in first] == [*range(1, pool.RUN_AHEAD + 1), 0]
+    assert [t is threading.main_thread() for _, t in first] == [False] * pool.RUN_AHEAD + [True]
+    assert sorted(i for i, _ in finished) == list(range(12))
+
+
+@pytest.mark.parametrize("ahead", [1, 4])
+def test_runner_starts_no_item_past_the_bound(monkeypatch, ahead):
+    # the consumer holds item 0's result until the pool thread has run every
+    # item up to 1 + ahead; the one after must not start while it holds it
+    monkeypatch.setattr(pool, "RUN_AHEAD", ahead)
+    started = [threading.Event() for _ in range(12)]
+    ended = [threading.Event() for _ in range(12)]
+
+    def fn(i):
+        started[i].set()
+        ended[i].set()
+        return i
+
+    with row_block_threads(2):
+        items = pool._row_blocks(fn, list(range(12)))
+        got = [next(items)]
+        assert ended[1 + ahead].wait(10)
+        assert not started[2 + ahead].wait(0.2)
+        got += items
+    assert got == list(range(12))
+    assert pool._IDLE.acquire(blocking=False)
+    pool._IDLE.release()
+
+
+@pytest.mark.parametrize("on_caller", [True, False], ids=["callers_item", "pools_item"])
+def test_runner_error_stops_new_items_and_gives_the_pool_thread_back(on_caller):
+    # item 0 (the caller's) and item 1 (the pool thread's) each wait until the
+    # other has started, then one of them raises: every other item that
+    # started has ended when the error surfaces, and none starts after it
+    failing = 0 if on_caller else 1
+    started, ended = [], []
+    running = {0: threading.Event(), 1: threading.Event()}
+
+    def fn(i):
+        started.append(i)
+        if i in running:
+            running[i].set()
+            assert running[1 - i].wait(10)
+            if i == failing:
+                raise KeyError(f"item {i}")
+        ended.append(i)
+        return i
+
+    with row_block_threads(2):
+        with pytest.raises(KeyError, match=f"item {failing}"):
+            list(pool._row_blocks(fn, list(range(20))))
+        done = list(ended)
+        assert pool._IDLE.acquire(blocking=False)   # the pool thread is free
+        pool._IDLE.release()
+    assert sorted(started) == sorted(done + [failing])
+    assert max(started) <= 1 + pool.RUN_AHEAD   # item 1 is never yielded
+
+
+@pytest.mark.parametrize("how", ["break", "raise"])
+def test_runner_consumer_stopping_early_gives_the_pool_thread_back(how):
+    # the consumer stops at item 0 while the pool thread's item 1 still runs;
+    # by the time the consuming call returns, item 1 has ended and the pool
+    # thread is free
+    pool_started, release = threading.Event(), threading.Event()
+    started, ended = [], []
+
+    def fn(i):
+        started.append(i)
+        if threading.current_thread() is threading.main_thread():
+            assert pool_started.wait(10)
+        else:
+            pool_started.set()
+            assert release.wait(10)
+        ended.append(i)
+        return i
+
+    def consume():
+        for _ in pool._row_blocks(fn, list(range(12))):
+            release.set()
+            if how == "break":
+                break
+            raise KeyError("consumer")
+
+    with row_block_threads(2):
+        if how == "break":
+            consume()
+        else:
+            with pytest.raises(KeyError, match="consumer"):
+                consume()
+        assert 1 in ended and sorted(ended) == sorted(started)
+        assert pool._IDLE.acquire(blocking=False)
+        pool._IDLE.release()
+
+
+CONTENTION = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+import threading
+import numpy as np
+import graphcomplete as gc
+from graphcomplete import pool
+from graphcomplete.experiment import ExperimentConfig
+from conftest import forced_splits, row_block_threads
+
+# n=320: each contrastive term has 5 row blocks, so both go through the runner
+means = gc.data.two_block_features(16) * 0.05
+ds = gc.apply_mask(gc.generate_sbm(160, 2, 0.05, 0.005, means, 0.5, seed=4),
+                   gc.MaskSpec(0.3, 0.3, "entry", 0))
+cfg = ExperimentConfig(epochs=3, recon_dropout=0.2)
+
+def digest(seed):
+    state = gc.run_reconstruction(ds, cfg, seed)
+    return [a.tobytes() for a in (state.imputed, state.propagated, state.loss_history)]
+
+with row_block_threads(1):
+    serial = {seed: digest(seed) for seed in (0, 1)}
+results = {}
+sys.setswitchinterval(1e-6)
+with forced_splits():
+    callers = [threading.Thread(target=lambda s=seed: results.__setitem__(s, digest(s)))
+               for seed in (0, 1)]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join()
+    idle = pool._IDLE.acquire(blocking=False)
+assert results == serial, "concurrent runs changed bits"
+assert idle, "a pool thread was not given back"
+print("ok")
+"""
+
+
+def test_two_callers_with_splits_forced_do_not_deadlock():
+    # two reconstructions at once, as in a --workers 2 sweep, every product
+    # and update split and both contrastive terms on the runner, with a thread
+    # switch every microsecond: in a fresh process under a hard timeout, so a
+    # deadlock fails the test instead of hanging the suite
+    done = subprocess.run([sys.executable, "-c", CONTENTION, str(SRC), str(TESTS)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "ok"
 
 
 # ---------------------------------------------------------------------------

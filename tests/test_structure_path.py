@@ -20,7 +20,7 @@ from graphcomplete.structure_path import (
 )
 
 from conftest import bits, gradcheck
-from oracles import ppr_power_iteration, sum_all
+from oracles import ppr_power_iteration, stable_argsort_topk, sum_all
 
 PATH_EDGE = np.array([[0, 1]])  # 2-node path graph
 
@@ -221,13 +221,6 @@ class TestKnnSparsify:
         np.testing.assert_array_equal((out != 0).sum(axis=1), 4)
 
     def test_bit_identical_to_stable_argsort(self):
-        def argsort_reference(matrix, k):
-            order = np.argsort(-matrix, axis=1, kind="stable")[:, :k]
-            out = np.zeros_like(matrix)
-            rows = np.repeat(np.arange(matrix.shape[0]), k)
-            out[rows, order.ravel()] = matrix[rows, order.ravel()]
-            return out
-
         rng = np.random.default_rng(9)
         for trial in range(300):
             n, m = rng.integers(1, 12), rng.integers(2, 12)
@@ -240,8 +233,33 @@ class TestKnnSparsify:
                 a = rng.random((n, m))
             for k in sorted({1, int(rng.integers(1, m)), m - 2, m - 1} - {0, -1}):
                 out = knn_sparsify(a, k)
-                ref = argsort_reference(a, k)
+                ref = stable_argsort_topk(a, k)
                 np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_nan_raises_naming_its_row(self, k):
+        # once NaNs were dropped silently; the row's largest entry is no NaN
+        a = np.random.default_rng(10).random((5, 6))
+        a[3, 4] = np.nan
+        a[3, 0] = 2.0
+        with pytest.raises(ValueError, match="row 3 has a NaN entry"):
+            knn_sparsify(a, k)
+
+    def test_tie_path_on_isolated_nodes_matches_stable_argsort(self):
+        # an isolated node's diffusion row is alpha at itself and 0 elsewhere,
+        # so for k >= 2 its k-th value is a 0 tied across every other column;
+        # several row blocks, so the tie rule runs on some blocks' rows only
+        n, k = 2 * structure_path.BLOCK_ROWS + 37, 4
+        rng = np.random.default_rng(23)
+        edges = sparse_graph(rng, n)
+        isolated = rng.choice(n, 12, replace=False)
+        edges = edges[~np.isin(edges, isolated).any(axis=1)]
+        topk = build_diffusion(edges, n, 0.15, k)
+        dense = ppr_closed_form(normalize_adjacency(edges, n), 0.15)
+        expected = stable_argsort_topk(dense, k)
+        assert np.all((dense[isolated] == 0).sum(axis=1) == n - 1)   # k-th value 0, tied
+        np.testing.assert_array_equal(bits(knn_sparsify(dense, k)), bits(expected))
+        np.testing.assert_array_equal(bits(topk.toarray()), bits(expected))
 
 
 class TestPositionalFeatures:
