@@ -4,7 +4,10 @@ The training graphs in this package are static: the same sequence of matrix
 products, activations and row reductions every epoch.  A general autodiff
 system is not needed, so this module implements the smallest correct one: a
 ``Tensor`` records its parents together with vector-Jacobian closures, and
-``backward`` walks the graph once in reverse topological order.
+``backward`` walks the graph once in reverse topological order, letting go
+of each node's closures, and the arrays only they hold, once it is walked.
+A network layer is one node (``layer``) that keeps only the arrays its
+vjps read, not the products inside it.
 
 Conventions:
 
@@ -32,7 +35,7 @@ class ShapeError(ValueError):
 class Tensor:
     """Node in the computation graph: a value plus how it was produced."""
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_consumed")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_consumed", "_upstream")
 
     def __init__(self, value, requires_grad: bool = False, _parents=()):
         self.value = np.asarray(value, dtype=np.float64)
@@ -40,13 +43,15 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = tuple(_parents)   # (Tensor, vjp) pairs
         self._consumed = False
+        self._upstream = ()     # set by shared_node: steps from grad to what its vjps read
 
     @property
     def shape(self):
         return self.value.shape
 
     def __repr__(self):
-        tag = "param" if (self.requires_grad and not self._parents) else "node"
+        leaf = self.requires_grad and not self._parents and not self._consumed
+        tag = "param" if leaf else "node"
         return f"Tensor({tag}, shape={self.value.shape})"
 
 
@@ -65,17 +70,28 @@ def _node(value, parents) -> Tensor:
     return Tensor(value, requires_grad=bool(live), _parents=live)
 
 
+def shared_node(value, upstream, parents) -> Tensor:
+    """One node whose parents' vjps share one computation: backward applies the
+    functions in upstream to the node's grad g in turn, once, letting go of each
+    array as the next is made, and passes the last to the f of each parents
+    entry (Tensor, f).  Parents not requiring grad are dropped, as in _node, so
+    their f never runs."""
+    node = _node(value, parents)
+    node._upstream = tuple(upstream)
+    return node
+
+
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into every reachable grad-requiring leaf.
 
-    ``root`` must be scalar.  A graph can be walked once; a second call on
-    the same root raises.  Interior grads are freed once spent; leaves keep theirs.
+    ``root`` must be scalar.  Each interior node is released once walked: its
+    grad, its parents and their vjp closures (with the arrays they captured)
+    are dropped, and it is marked consumed, so a graph is walked once and a
+    later call that reaches a walked node raises.  Leaves keep their grads.
+    A shared_node's grad goes as its shared steps run.
     """
     if root.value.shape != ():
         raise ShapeError(f"backward needs a scalar root, got shape {root.value.shape}")
-    if root._consumed:
-        raise RuntimeError("tape consumed twice: backward already ran on this graph")
-    root._consumed = True
 
     topo: list[Tensor] = []
     seen = set()
@@ -87,6 +103,8 @@ def backward(root: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._consumed:
+            raise RuntimeError("tape consumed twice: backward already walked this graph")
         seen.add(id(node))
         stack.append((node, True))
         for parent, _ in node._parents:
@@ -94,15 +112,17 @@ def backward(root: Tensor) -> None:
                 stack.append((parent, False))
 
     root.grad = np.ones(())
-    for node in reversed(topo):
-        if node.grad is None:
+    while topo:
+        node = topo.pop()
+        if not node._parents:
             continue
-        g = node.grad
-        for parent, vjp in node._parents:
+        g, parents, upstream = node.grad, node._parents, node._upstream
+        node.grad, node._parents, node._upstream, node._consumed = None, (), (), True
+        for step in upstream:
+            g = step(g)
+        for parent, vjp in parents:
             delta = vjp(g)
             parent.grad = delta if parent.grad is None else parent.grad + delta
-        if node._parents:
-            node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +150,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: {a.value.shape} vs {b.value.shape}")
     av, bv = a.value, b.value
     return _node(av * bv, [(a, lambda g: g * bv), (b, lambda g: g * av)])
-
-
-def relu(a: Tensor) -> Tensor:
-    # branch-free, unlike where(a > 0, a, 0.0); += 0.0 turns fmax's -0.0 into where's +0.0
-    out = np.fmax(a.value, 0.0)
-    out += 0.0
-    return _node(out, [(a, lambda g: g * (out > 0))])
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
@@ -167,7 +180,8 @@ class Operator:
     else 0, for pool.sparse_matmul's size decision.
 
     A training phase wraps its matrix once and hands the Operator to every
-    propagate call, so no epoch rebuilds Mᵀ for the vjp or counts M's entries.
+    layer it propagates through, so no epoch rebuilds Mᵀ for the vjp or
+    counts M's entries.
     """
 
     __slots__ = ("M", "Mt", "nnz")
@@ -177,12 +191,42 @@ class Operator:
         self.nnz = M.nnz if sp.issparse(M) else 0
 
 
-def propagate(op: Operator, x: Tensor) -> Tensor:
-    """op.M @ x; the vjp multiplies by the Operator's prebuilt transpose."""
-    M, Mt, nnz, xv = op.M, op.Mt, op.nnz, x.value
-    if xv.ndim != 2 or M.shape[1] != xv.shape[0]:
-        raise ShapeError(f"propagate: {M.shape} vs {xv.shape}")
-    return _node(pool.sparse_matmul(M, xv, nnz), [(x, lambda g: pool.sparse_matmul(Mt, g, nnz))])
+def layer(x: Tensor, W: Tensor, bias: Tensor | None = None, op: Operator | None = None,
+          relu: bool = False) -> Tensor:
+    """One network layer, [ReLU](op.M · (x·W) [+ bias]), as one node over x, W
+    and bias that keeps only x's and W's values and its own.
+
+    The value and each vjp do the arithmetic of the product, propagation, bias
+    and ReLU as separate tape ops, bit for bit, through the same pool products,
+    but keep none of the products inside the layer.  The ReLU is fmax(·, 0)
+    plus 0.0, which turns a -0.0 into +0.0, and its vjp masks by the output's
+    positive entries.
+    """
+    xv, wv = x.value, W.value
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
+        raise ShapeError(f"layer: {xv.shape} vs {wv.shape}")
+    if op is not None and op.M.shape[1] != xv.shape[0]:
+        raise ShapeError(f"layer: operator {op.M.shape} vs {xv.shape}")
+    if bias is not None and bias.value.shape != (1, wv.shape[1]):
+        raise ShapeError(f"layer: bias {bias.value.shape} vs {wv.shape}")
+    out = pool.matmul(xv, wv)
+    if op is not None:
+        out = pool.sparse_matmul(op.M, out, op.nnz)
+    if bias is not None:
+        out = out + bias.value
+    if relu:
+        out = np.fmax(out, 0.0)
+        out += 0.0
+
+    upstream = []
+    if relu:
+        upstream.append(lambda g: g * (out > 0))
+    if op is not None:
+        upstream.append(lambda g: pool.sparse_matmul(op.Mt, g, op.nnz))
+    parents = [(x, lambda d: pool.matmul(d, wv.T)), (W, lambda d: pool.matmul(xv.T, d))]
+    if bias is not None:
+        parents.append((bias, lambda d: d.sum(axis=0, keepdims=True)))
+    return shared_node(out, upstream, parents)
 
 
 def transpose(a: Tensor) -> Tensor:

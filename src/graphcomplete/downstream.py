@@ -131,8 +131,8 @@ def run_reconstruction(ds: GraphDataset, cfg: ExperimentConfig, seed: int) -> Re
     for epoch in range(cfg.epochs):
         completed = impute_features(ds.features, ds.feature_mask, store,
                                     dropout=cfg.recon_dropout, rng=drop_rng)
-        pos_enc = positional_features(n, store)
-        propagated = ppnp_forward(op, pos_enc, store,
+        # the embeddings go straight in: only the tape holds them, and backward frees them
+        propagated = ppnp_forward(op, positional_features(n, store), store,
                                   dropout=cfg.recon_dropout, rng=drop_rng)
         total, l_f, l_s = total_contrastive_loss(completed, propagated, targets,
                                                  cfg.temperature)
@@ -141,8 +141,9 @@ def run_reconstruction(ds: GraphDataset, cfg: ExperimentConfig, seed: int) -> Re
         history[epoch] = (float(l_f.value), float(l_s.value), float(total.value))
         backward(total)
         optim.step()
-        # free this epoch's tape before the next forward builds another
-        del completed, pos_enc, propagated, total, l_f, l_s
+        # backward released this epoch's tape; the outputs it left go here, after
+        # the step: freed before it, a run took twice the minor page faults
+        del completed, propagated, total, l_f, l_s
 
     completed = impute_features(ds.features, ds.feature_mask, store)
     propagated = ppnp_forward(op, positional_features(n, store), store)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, _node, as_tensor
+from .autodiff import ShapeError, Tensor, as_tensor, shared_node
 from .nn import ParamStore, glorot
 
 
@@ -77,13 +77,6 @@ def attention_fuse(feature_view, structure_view, store: ParamStore) -> FusionOut
             out += [view.T @ dproj, dproj.sum(axis=0, keepdims=True), proj.T @ dscore]
         return out
 
-    last = [None, None]   # (upstream grad, its six gradients): one computation per backward
-
-    def share(g, i):
-        if last[0] is not g:
-            last[:] = g, grads(g)
-        return last[1][i]
-
-    return FusionOut(fused=_node(fused, [(p, lambda g, i=i: share(g, i))
-                                         for i, p in enumerate(params)]),
+    return FusionOut(fused=shared_node(fused, [grads], [(p, lambda gs, i=i: gs[i])
+                                                        for i, p in enumerate(params)]),
                      weights=weights)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import pool
-from .autodiff import ShapeError, Tensor, add_rowvec, as_tensor, constant, matmul, mul, relu
+from .autodiff import ShapeError, Tensor, as_tensor, constant, layer, mul
 
 
 class ParamStore:
@@ -90,13 +90,12 @@ def apply_dropout(h: Tensor, rate: float, rng: np.random.Generator | None) -> Te
 def mlp2_forward(store: ParamStore, prefix: str, X,
                  dropout: float = 0.0,
                  rng: np.random.Generator | None = None) -> Tensor:
-    """ReLU(X·W1 + b1)·W2 + b2 on the tape.
+    """ReLU(X·W1 + b1)·W2 + b2 on the tape, one layer node each side of the dropout.
 
     Dropout (apply_dropout, training only) follows the hidden activation.
     """
-    h = relu(add_rowvec(matmul(as_tensor(X), store[f"{prefix}.W1"]), store[f"{prefix}.b1"]))
-    return add_rowvec(matmul(apply_dropout(h, dropout, rng), store[f"{prefix}.W2"]),
-                      store[f"{prefix}.b2"])
+    h = layer(as_tensor(X), store[f"{prefix}.W1"], store[f"{prefix}.b1"], relu=True)
+    return layer(apply_dropout(h, dropout, rng), store[f"{prefix}.W2"], store[f"{prefix}.b2"])
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +136,11 @@ class Optimizer:
     buffer outlives the step), in the evaluation order of the textbook
     expression, so results are bit-identical to it; the new value is
     checked finite before the parameter is rebound to it.  A parameter of more
-    than pool.ADAM_SPLIT entries is updated in two row halves, the second on
-    an idle pool thread; the update is elementwise, so no bit changes.
+    than pool.ADAM_SPLIT entries is updated in two row halves through
+    pool.split_halves: the caller runs the first, and the second goes to
+    whichever of the caller and a borrowed idle pool thread reaches it first
+    (with no pool thread free, the update runs whole on the caller); the
+    update is elementwise, so no bit changes.
     """
 
     def __init__(self, store: ParamStore, learning_rate: float, weight_decay: float = 0.0):

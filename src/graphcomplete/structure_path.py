@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 from scipy import sparse as sp
 
-from .autodiff import Operator, ShapeError, Tensor, add_rowvec, as_tensor, matmul, propagate, relu
+from .autodiff import Operator, ShapeError, Tensor, add_rowvec, as_tensor, layer
 from .nn import ParamStore, apply_dropout, glorot
 from .pool import one_blas_thread
 
@@ -64,8 +64,11 @@ def ppr_closed_form(a_norm, alpha: float) -> np.ndarray:
     out = lapack.dpotri(factor, overwrite_c=True)[0].T   # lower triangle set, upper still 0
     for r0 in range(0, n, BLOCK_ROWS):
         rows = out[r0:r0 + BLOCK_ROWS]
-        # mirror from the rows below, not yet scaled; clip roundoff dust (the series is >= 0)
-        rows[:, r0:] += np.triu(out[r0:, r0:r0 + len(rows)].T, 1)
+        e = r0 + len(rows)
+        # mirror from the rows below, not yet scaled: the diagonal tile's strict upper
+        # triangle, then the whole slab to its right; clip roundoff dust (the series is >= 0)
+        rows[:, r0:e] += np.triu(out[r0:e, r0:e].T, 1)
+        rows[:, e:] += out[e:, r0:e].T
         np.maximum(np.multiply(rows, alpha, out=rows), 0.0, out=rows)
     return out
 
@@ -74,22 +77,22 @@ def knn_sparsify(matrix: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest entries of each row, zeroing the rest.
 
     No renormalization.  Ties break toward the smaller column index; the
-    self column competes like any other.  k of at least n keeps everything;
-    below that, a NaN entry raises ValueError naming its row.
+    self column competes like any other.  k of at least the column count
+    keeps everything.  Whatever k, a NaN entry raises ValueError naming its row.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     m = matrix.shape[1]
     if k < 1:
         raise ValueError(f"k {k} must be at least 1")
-    if k >= m:
-        if k > m:
-            warnings.warn(f"k={k} exceeds {m} columns; keeping all")
-        return matrix.copy()
+    if k > m:
+        warnings.warn(f"k={k} exceeds {m} columns; keeping all")
     # a row's k largest sit in its last k partitioned slots, NaNs (sorted last) among them
-    top = np.partition(matrix, m - k, axis=1)[:, m - k:]
+    top = matrix if k >= m else np.partition(matrix, m - k, axis=1)[:, m - k:]
     nan_rows = np.flatnonzero(np.isnan(top).any(axis=1))
     if nan_rows.size:
         raise ValueError(f"knn_sparsify: row {nan_rows[0]} has a NaN entry")
+    if k >= m:
+        return matrix.copy()
     # entries at or above the row's k-th largest value stay; where ties with it
     # give more than k, they fill the remaining slots in column order
     kth = top[:, :1]
@@ -125,14 +128,15 @@ def init_ppnp(store: ParamStore, prefix: str, dims: tuple[int, int, int],
 
 
 def ppnp_hidden(op: Operator, features, store: ParamStore, prefix: str) -> Tensor:
-    """The net's lower layer, ReLU(A · X · W0): everything below the dropout."""
-    return relu(propagate(op, matmul(as_tensor(features), store[f"{prefix}.W0"])))
+    """The net's lower layer, ReLU(A · X · W0), one node: everything below the dropout."""
+    return layer(as_tensor(features), store[f"{prefix}.W0"], op=op, relu=True)
 
 
 def ppnp_output(op: Operator, hidden: Tensor, store: ParamStore, prefix: str,
                 dropout: float = 0.0, rng=None) -> Tensor:
-    """The net's upper layer, A · drop(H) · W1, over a hidden layer from ppnp_hidden."""
-    return propagate(op, matmul(apply_dropout(hidden, dropout, rng), store[f"{prefix}.W1"]))
+    """The net's upper layer, A · drop(H) · W1, over a hidden layer from
+    ppnp_hidden: one node above the dropout's own."""
+    return layer(apply_dropout(hidden, dropout, rng), store[f"{prefix}.W1"], op=op)
 
 
 def ppnp_forward(op: Operator, features, store: ParamStore, prefix: str = "ppnp",

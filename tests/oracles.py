@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from graphcomplete import pool
 from graphcomplete.autodiff import (
     Operator, ShapeError, Tensor, _node, add, add_rowvec, as_tensor, backward, constant,
     matmul, mul, unit_rows,
@@ -68,6 +69,33 @@ def ppr_power_iteration(a_norm: np.ndarray, alpha: float,
 
 # ---------------------------------------------------------------------------
 # tape ops no pipeline calls
+
+
+def relu(a: Tensor) -> Tensor:
+    # branch-free, unlike where(a > 0, a, 0.0); += 0.0 turns fmax's -0.0 into where's +0.0
+    out = np.fmax(a.value, 0.0)
+    out += 0.0
+    return _node(out, [(a, lambda g: g * (out > 0))])
+
+
+def propagate(op: Operator, x: Tensor) -> Tensor:
+    """op.M @ x; the vjp multiplies by the Operator's prebuilt transpose."""
+    M, Mt, nnz, xv = op.M, op.Mt, op.nnz, x.value
+    if xv.ndim != 2 or M.shape[1] != xv.shape[0]:
+        raise ShapeError(f"propagate: {M.shape} vs {xv.shape}")
+    return _node(pool.sparse_matmul(M, xv, nnz), [(x, lambda g: pool.sparse_matmul(Mt, g, nnz))])
+
+
+def tape_layer(x: Tensor, W: Tensor, bias=None, op=None, activate=False) -> Tensor:
+    """autodiff.layer(x, W, bias, op, relu=activate) composed from the tape ops
+    it fuses, one node each: the layer node must match its value and every
+    parent's gradient bit for bit."""
+    out = matmul(x, W)
+    if op is not None:
+        out = propagate(op, out)
+    if bias is not None:
+        out = add_rowvec(out, bias)
+    return relu(out) if activate else out
 
 
 def scale(a: Tensor, c: float) -> Tensor:

@@ -1,17 +1,18 @@
 import ast
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import graphcomplete.autodiff as ad
-from graphcomplete.nn import ParamStore
+from graphcomplete.nn import ParamStore, apply_dropout
 
-from conftest import gradcheck
+from conftest import bits, gradcheck
 from oracles import (
-    concat_cols, mul_colvec, row_logsumexp, row_normalize, row_softmax, scale, slice_cols,
-    sum_all, tanh,
+    concat_cols, mul_colvec, propagate, relu, row_logsumexp, row_normalize, row_softmax, scale,
+    slice_cols, sum_all, tanh, tape_layer,
 )
 
 
@@ -42,16 +43,59 @@ class TestTape:
         store = store_with(rng, W=(3, 2))
         x = ad.constant(X)
         h = ad.matmul(x, store["W"])
-        r = ad.relu(h)
-        loss = sum_all(ad.add(r, r))
+        r = relu(h)
+        total = ad.add(r, r)
+        loss = sum_all(total)
         ad.backward(loss)
-        for node in (h, r, loss, loss._parents[0][0]):
+        for node in (h, r, loss, total):
             assert node.grad is None
         assert x.grad is None
         expected = X.T @ (2.0 * (X @ store["W"].value > 0))
         np.testing.assert_allclose(store["W"].grad, expected, rtol=1e-12)
         with pytest.raises(RuntimeError, match="consumed twice"):
             ad.backward(loss)
+
+    def test_backward_frees_what_only_the_tape_holds(self):
+        # interior values reachable only through the tape or its vjp closures
+        # are gone when backward returns, with no collector run; leaves keep grads
+        rng = np.random.default_rng(2)
+        store = store_with(rng, W=(3, 4), b=(1, 4), V=(4, 2))
+
+        def build():
+            h = ad.layer(ad.constant(rng.normal(size=(5, 3))), store["W"], store["b"], relu=True)
+            out = ad.layer(h, store["V"])
+            sq = ad.mul(out, out)
+            return sum_all(sq), [weakref.ref(t.value) for t in (h, out, sq)]
+
+        loss, refs = build()
+        assert all(ref() is not None for ref in refs)
+        ad.backward(loss)
+        assert [ref() for ref in refs] == [None] * 3
+        assert loss.grad is None and loss._parents == ()
+        for name in ("W", "b", "V"):
+            assert store[name].grad is not None and store[name].grad.shape == store[name].shape
+
+    def test_backward_through_a_walked_node_raises(self):
+        # a second root over a subgraph the first backward walked: raising, not
+        # skipping the walked part, and no grad changes
+        rng = np.random.default_rng(3)
+        store = store_with(rng, W=(3, 2))
+        h = ad.matmul(ad.constant(rng.normal(size=(4, 3))), store["W"])
+        first, second = sum_all(h), sum_all(ad.mul(h, h))
+        ad.backward(first)
+        walked = store["W"].grad.copy()
+        with pytest.raises(RuntimeError, match="consumed twice"):
+            ad.backward(second)
+        np.testing.assert_array_equal(store["W"].grad, walked)
+
+    def test_repr_of_a_walked_node_says_node(self):
+        store = ParamStore()
+        p = store.add("p", np.ones((2, 2)))
+        h = ad.mul(p, p)
+        assert repr(h) == "Tensor(node, shape=(2, 2))"
+        ad.backward(sum_all(h))
+        assert h._parents == () and repr(h) == "Tensor(node, shape=(2, 2))"
+        assert repr(p) == "Tensor(param, shape=(2, 2))"
 
     def test_unreachable_param_keeps_zero_grad(self):
         store = ParamStore()
@@ -155,8 +199,8 @@ class TestForwardValues:
         rng = np.random.default_rng(4)
         M = rng.normal(size=(4, 4))
         x = rng.normal(size=(4, 3))
-        dense = ad.propagate(ad.Operator(M), ad.constant(x)).value
-        sparse = ad.propagate(ad.Operator(sp.csr_array(M)), ad.constant(x)).value
+        dense = propagate(ad.Operator(M), ad.constant(x)).value
+        sparse = propagate(ad.Operator(sp.csr_array(M)), ad.constant(x)).value
         np.testing.assert_allclose(dense, M @ x, rtol=1e-12)
         np.testing.assert_allclose(sparse, M @ x, rtol=1e-12)
 
@@ -197,7 +241,7 @@ class TestGradients:
         vals = rng.normal(size=(4, 4))
         vals[np.abs(vals) < 0.1] = 0.5
         store.add("a", vals)
-        gradcheck(lambda s: sum_all(ad.mul(ad.relu(s["a"]), s["a"])), store)
+        gradcheck(lambda s: sum_all(ad.mul(relu(s["a"]), s["a"])), store)
 
     def test_sigmoid(self):
         rng = np.random.default_rng(15)
@@ -222,7 +266,7 @@ class TestGradients:
         for carrier in (M, sp.csr_array(M)):
             store = store_with(rng, x=(4, 3))
             gradcheck(lambda s, c=carrier: sum_all(
-                ad.sigmoid(ad.propagate(ad.Operator(c), s["x"]))), store)
+                ad.sigmoid(propagate(ad.Operator(c), s["x"]))), store)
 
     def test_transpose(self):
         rng = np.random.default_rng(20)
@@ -290,6 +334,113 @@ class TestGradients:
             out = ad.sigmoid(ad.matmul(h, s["W2"]))
             return sum_all(ad.mul(out, out))
         gradcheck(loss, store)
+
+
+# the four layers a net builds: (bias, operator, ReLU)
+LAYER_KINDS = {
+    "mlp2_hidden": (True, False, True),      # ReLU(X·W1 + b1)
+    "mlp2_output": (True, False, False),     # drop(h)·W2 + b2
+    "ppnp_hidden": (False, True, True),      # ReLU(A·(X·W0))
+    "ppnp_output": (False, True, False),     # A·(drop(H)·W1)
+}
+
+
+def layer_case(kind: str, negative_zero: bool = False):
+    """(x, W, b, op, upstream weights G) for one layer kind.  With negative_zero,
+    the pre-activation's column 0 is -0.0 on every row: its sums of negative
+    products too small for a float64 underflow to -0.0 (x·W's, b adding -0.0,
+    or with an operator A·(x·W)'s, A dense)."""
+    rng = np.random.default_rng(sorted(LAYER_KINDS).index(kind))
+    n, m, h = 9, 5, 4
+    x, W, b = rng.normal(size=(n, m)), rng.normal(size=(m, h)), rng.normal(size=(1, h))
+    M = np.where(rng.random((n, n)) < 0.4, rng.random((n, n)), 0.0)
+    M[3] = 0.0   # an empty row
+    op = ad.Operator(sp.csr_array(M))
+    if negative_zero:
+        W[:, 0] = 1e-300
+        if LAYER_KINDS[kind][1]:
+            x[:], op = -1.0, ad.Operator(np.full((n, n), 1e-300))
+        else:
+            x[:], b[0, 0] = -1e-300, -0.0
+    return x, W, b, op, rng.normal(size=(n, h))
+
+
+def run_layer(build, kind, case, x_grad: bool, dropout: float):
+    """(value, {name: grad}) of build(drop(x), W, b, op, ReLU) under the loss
+    sum(out * G), x a parameter or a constant."""
+    has_bias, has_op, activate = LAYER_KINDS[kind]
+    x, W, b, op, G = case
+    store = ParamStore()
+    xt = store.add("x", x.copy()) if x_grad else ad.constant(x.copy())
+    Wt = store.add("W", W.copy())
+    bt = store.add("b", b.copy()) if has_bias else None
+    inp = apply_dropout(xt, dropout, np.random.default_rng(7))
+    out = build(inp, Wt, bt, op if has_op else None, activate)
+    value = out.value
+    ad.backward(sum_all(ad.mul(out, ad.constant(G))))
+    return value, {name: t.grad for name, t in store.items()}
+
+
+def fused_layer(x, W, bias, op, activate):
+    return ad.layer(x, W, bias, op, relu=activate)
+
+
+class TestLayer:
+    @pytest.mark.parametrize("dropout", [0.0, 0.5], ids=["no_dropout", "dropout"])
+    @pytest.mark.parametrize("x_grad", [False, True], ids=["constant_x", "grad_x"])
+    @pytest.mark.parametrize("kind", sorted(LAYER_KINDS))
+    def test_matches_the_composition_bit_for_bit(self, kind, x_grad, dropout):
+        case = layer_case(kind)
+        value, grads = run_layer(fused_layer, kind, case, x_grad, dropout)
+        ref_value, ref_grads = run_layer(tape_layer, kind, case, x_grad, dropout)
+        assert bits(value).tobytes() == bits(ref_value).tobytes()
+        assert grads.keys() == ref_grads.keys() and ("x" in grads) == x_grad
+        for name, g in grads.items():
+            assert bits(g).tobytes() == bits(ref_grads[name]).tobytes(), name
+
+    @pytest.mark.parametrize("kind", ["mlp2_hidden", "ppnp_hidden"])
+    def test_negative_zero_pre_activation(self, kind):
+        has_bias, has_op, _ = LAYER_KINDS[kind]
+        case = layer_case(kind, negative_zero=True)
+        x, W, b, op, _ = case
+        pre = tape_layer(ad.constant(x), ad.constant(W), ad.constant(b) if has_bias else None,
+                         op if has_op else None).value
+        assert np.all(pre[:, 0] == 0.0) and np.all(np.signbit(pre[:, 0]))
+        value, grads = run_layer(fused_layer, kind, case, True, 0.0)
+        ref_value, ref_grads = run_layer(tape_layer, kind, case, True, 0.0)
+        assert not np.signbit(value[:, 0]).any()   # ReLU gives +0.0
+        assert bits(value).tobytes() == bits(ref_value).tobytes()
+        for name, g in grads.items():
+            assert bits(g).tobytes() == bits(ref_grads[name]).tobytes(), name
+
+    @pytest.mark.parametrize("kind", sorted(LAYER_KINDS))
+    def test_gradcheck(self, kind):
+        has_bias, has_op, activate = LAYER_KINDS[kind]
+        x, W, b, op, G = layer_case(kind)
+        store = ParamStore()
+        for name, value in (("x", x), ("W", W), ("b", b))[:3 if has_bias else 2]:
+            store.add(name, value)
+        gradcheck(lambda s: sum_all(ad.mul(ad.layer(
+            s["x"], s["W"], s["b"] if has_bias else None, op if has_op else None,
+            relu=activate), ad.constant(G))), store)
+
+    def test_keeps_one_node_over_its_operands(self):
+        x, W, b, op, _ = layer_case("mlp2_hidden")
+        store = ParamStore()
+        out = ad.layer(ad.constant(x), store.add("W", W), store.add("b", b), relu=True)
+        assert [p for p, _ in out._parents] == [store["W"], store["b"]]
+
+    @pytest.mark.parametrize("args, shapes", [
+        (((3, 4), (5, 2), None, None), r"\(3, 4\) vs \(5, 2\)"),
+        (((3, 4), (4, 2), (2, 1), None), r"bias \(2, 1\)"),
+        (((3, 4), (4, 2), None, (5, 5)), r"operator \(5, 5\)"),
+    ], ids=["inner_dim", "bias", "operator"])
+    def test_shape_errors(self, args, shapes):
+        x, W, b, M = args
+        with pytest.raises(ad.ShapeError, match=shapes):
+            ad.layer(ad.constant(np.ones(x)), ad.constant(np.ones(W)),
+                     None if b is None else ad.constant(np.ones(b)),
+                     None if M is None else ad.Operator(np.ones(M)))
 
 
 def top_level_names(path: pathlib.Path) -> set:

@@ -24,7 +24,7 @@ from graphcomplete.rng import STREAM_DROPOUT, STREAM_INIT, make_rng
 from graphcomplete.structure_path import normalize_adjacency, ppnp_forward
 
 from conftest import ReferenceAdam, ZeroFilledStore, bits, gradcheck, sbm_fixture
-from oracles import fit_downstream_two_forwards, tape_cross_entropy
+from oracles import fit_downstream_two_forwards, propagate, relu, tape_cross_entropy
 
 
 def gcn_store(d, h, c, seed=0):
@@ -311,9 +311,9 @@ def per_call_structure_term(completed, diffusion, temperature):
 
 def per_call_ppnp(diffusion, x, store, dropout=0.0, rng=None):
     """The structure path's net with Mᵀ rebuilt on every propagate."""
-    h = ad.relu(ad.propagate(ad.Operator(diffusion), ad.matmul(x, store["ppnp.W0"])))
+    h = relu(propagate(ad.Operator(diffusion), ad.matmul(x, store["ppnp.W0"])))
     h = apply_dropout(h, dropout, rng)
-    return ad.propagate(ad.Operator(diffusion), ad.matmul(h, store["ppnp.W1"]))
+    return propagate(ad.Operator(diffusion), ad.matmul(h, store["ppnp.W1"]))
 
 
 class TestReconstructionComposition:

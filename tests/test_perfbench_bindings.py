@@ -115,8 +115,9 @@ def test_cell_timer_times_compute_only(tmp_path, monkeypatch, workers):
 
 
 def test_first_classifier_tape_node_counts(monkeypatch):
-    # the tape the benchmark walks: the classifier's loss over its two layers
-    # (9 nodes), plus one fused attention node over its six parameters
+    # the tape the benchmark walks: the classifier's loss over its two layer
+    # nodes, the dropout between them and W0, W1 (6 nodes), plus one fused
+    # attention node over its six parameters
     ds = graphcomplete.apply_mask(sbm_fixture(), graphcomplete.MaskSpec(0.3, 0.3, "entry", 0))
     splits = graphcomplete.make_splits(ds, seed=0)
     cfg = experiment.ExperimentConfig(k=3, epochs=0, imputer_hidden=8, pe_hidden=8,
@@ -132,4 +133,33 @@ def test_first_classifier_tape_node_counts(monkeypatch):
     graphcomplete.train_gcn_baseline(ds, splits, cfg, seed=0)
     state = graphcomplete.run_reconstruction(ds, cfg, seed=0)
     graphcomplete.train_downstream(state, ds.labels, ds.num_classes, splits, cfg, seed=0)
-    assert sizes == [9, 16]
+    assert sizes == [6, 13]
+
+
+# (node count, value bytes) of the first tape at n=100, d=16 and the default widths
+@pytest.mark.parametrize("dropout, nodes, nbytes", [(0.0, 17, 2_420_376), (0.2, 19, 2_829_976)],
+                         ids=["no_dropout", "dropout"])
+def test_first_reconstruction_tape(monkeypatch, dropout, nodes, nbytes):
+    # the recon tape the benchmark walks holds the loss, its two terms, the merge,
+    # one node per layer (two imputer, two propagation), the dropout nodes, the
+    # positional embeddings and the 9 parameters; no product inside a layer is kept
+    ds = graphcomplete.apply_mask(sbm_fixture(), graphcomplete.MaskSpec(0.3, 0.3, "entry", 0))
+    cfg = experiment.ExperimentConfig(epochs=1, recon_dropout=dropout)
+    backward, sizes = downstream.backward, []
+
+    def counted(root):
+        sizes.append(LAYER_MAP.tape_size(root))
+        backward(root)
+
+    monkeypatch.setattr(downstream, "backward", counted)
+    graphcomplete.run_reconstruction(ds, cfg, seed=0)
+    n, d = ds.features.shape
+    params = (d * cfg.imputer_hidden + cfg.imputer_hidden + cfg.imputer_hidden * d + d
+              + n * cfg.pe_hidden + cfg.pe_hidden
+              + cfg.pe_hidden * cfg.ppnp_hidden + cfg.ppnp_hidden * d)
+    drops = (n * cfg.imputer_hidden + n * cfg.ppnp_hidden) if dropout else 0
+    values = (3                       # the loss and its two terms
+              + 3 * n * d             # the merge, the imputer's output, the propagated output
+              + n * cfg.imputer_hidden + n * cfg.pe_hidden + n * cfg.ppnp_hidden
+              + drops + params)
+    assert sizes == [(nodes, nbytes)] and nbytes == 8 * values

@@ -236,14 +236,16 @@ class TestKnnSparsify:
                 ref = stable_argsort_topk(a, k)
                 np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
 
-    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("k", [1, 3, 5, 6, 7])
     def test_nan_raises_naming_its_row(self, k):
-        # once NaNs were dropped silently; the row's largest entry is no NaN
+        # once NaNs were dropped silently; the row's largest entry is no NaN.
+        # k of 6 and 7 keep every one of the 6 columns, 7 with a warning
         a = np.random.default_rng(10).random((5, 6))
         a[3, 4] = np.nan
         a[3, 0] = 2.0
-        with pytest.raises(ValueError, match="row 3 has a NaN entry"):
-            knn_sparsify(a, k)
+        with (pytest.warns(UserWarning, match="exceeds") if k > 6 else warnings.catch_warnings()):
+            with pytest.raises(ValueError, match="row 3 has a NaN entry"):
+                knn_sparsify(a, k)
 
     def test_tie_path_on_isolated_nodes_matches_stable_argsort(self):
         # an isolated node's diffusion row is alpha at itself and 0 elsewhere,
