@@ -14,7 +14,8 @@ with its default, help text and range, and both training phases read its keys
 directly.  On disk it is a flat key=value text file; each key is also a
 command-line flag (``--`` plus the key with dashes for underscores), and flags
 override the file.  Every output file embeds the config digest, which covers
-every setting but out and workers, and the seed it came from.
+every setting but out and workers, and the seed it came from; summary.json's
+copy of the config leaves those two out as well.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .pool import one_blas_thread
 
 RECON_METHOD = "recon-gcn"
 BASELINE_METHOD = "zerofill-gcn"
+_UNDIGESTED = ("out", "workers")   # where and how fast, never what
 
 
 # every ranged setting and the interval it must lie in, checked once when a
@@ -158,7 +160,7 @@ class ExperimentConfig:
     def canonical_text(self) -> str:
         lines = []
         for f in sorted(fields(self), key=lambda f: f.name):
-            if f.name in ("out", "workers"):   # where and how fast, never what
+            if f.name in _UNDIGESTED:
                 continue
             v = getattr(self, f.name)
             if isinstance(v, tuple):
@@ -335,7 +337,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 _write_cell(runs, accs, cfg, (tag, fr, er, seed), recon, results)
                 del recon, results   # a written cell is let go before the next one is awaited
 
-    summary = {"digest": cfg.digest(), "config": asdict(cfg), "results": {}}
+    config = {k: v for k, v in asdict(cfg).items() if k not in _UNDIGESTED}
+    summary = {"digest": cfg.digest(), "config": config, "results": {}}
     for (fr, er, method), values in accs.items():
         key = f"feature_missing={fr:g},edge_missing={er:g}"
         arr = np.asarray(values)

@@ -52,18 +52,9 @@ PHASE_SETTINGS = dict(alpha=0.2, k=4, temperature=0.7, imputer_hidden=6, pe_hidd
                       down_max_epochs=25, down_patience=8)
 
 
-def output_tree(root, workers):
-    """Every output file's bytes by relative path.  summary.json's "out" and
-    "workers" lines, which the digest leaves out, are checked and dropped,
-    so two runs that differ only there give equal trees."""
-    tree = {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-    summary = tree["summary.json"].decode()
-    assert f'"out": {json.dumps(str(root))},' in summary
-    assert f'"workers": {workers}\n' in summary
-    tree["summary.json"] = "".join(
-        line for line in summary.splitlines(keepends=True)
-        if not line.lstrip().startswith(('"out": ', '"workers": ')))
-    return tree
+def output_tree(root):
+    """Every output file's bytes by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def read_runs_csv(path):
@@ -358,7 +349,11 @@ class TestRunExperiment:
 
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["digest"] == cfg.digest()
-        key = "feature_missing=0.3,edge_missing=0.2"
+        # the config copy holds what the digest covers: no out, no workers
+        digested = {line.split("=", 1)[0] for line in cfg.canonical_text().splitlines()}
+        assert set(summary["config"]) == digested == {
+            f.name for f in dataclasses.fields(cfg)} - {"out", "workers"}
+        key ="feature_missing=0.3,edge_missing=0.2"
         for method in (RECON_METHOD, BASELINE_METHOD):
             got = [float(r["test_accuracy"]) for r in rows if r["method"] == method]
             stats = summary["results"][method][key]
@@ -402,7 +397,7 @@ class TestRunExperiment:
             run_experiment(quick_config(dataset_dir, str(root), seeds=(0, 1, 2),
                                         dump_embeddings=True, dump_structure=True,
                                         workers=workers))
-            trees[name] = output_tree(root, workers)
+            trees[name] = output_tree(root)
         serial, pooled = trees["serial"], trees["pooled"]
         # runs.csv and summary.json, then per cell 3 loss curves, 4 embedding
         # tables and its structure
@@ -425,7 +420,7 @@ class TestRunExperiment:
             root = tmp_path / f"threads{threads}_workers{workers}"
             with row_block_threads(threads):
                 assert main([*flags, "--out", str(root), "--workers", str(workers)]) == 0
-            trees[threads, workers] = output_tree(root, workers)
+            trees[threads, workers] = output_tree(root)
         reference = trees.pop((1, 1))
         assert len(reference) == 2 + 2 * (3 + 4 + 1)
         for tree in trees.values():
