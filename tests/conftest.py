@@ -9,7 +9,7 @@ import pytest
 
 import graphcomplete as gc
 from graphcomplete import autodiff as ad
-from graphcomplete import pool
+from graphcomplete import objective, pool
 from graphcomplete.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ParamStore
 from oracles import finite_diff_grad
 
@@ -134,6 +134,18 @@ def forced_splits():
         finally:
             for name, value in zip(names, saved):
                 setattr(pool, name, value)
+
+
+@contextlib.contextmanager
+def f32_from(rows: int):
+    """The contrastive terms run their row blocks in float32 from `rows` nodes
+    on: 0 forces float32 at every size, sys.maxsize float64 at every size."""
+    saved = objective.F32_ROWS
+    objective.F32_ROWS = rows
+    try:
+        yield
+    finally:
+        objective.F32_ROWS = saved
 
 
 @pytest.fixture

@@ -263,21 +263,26 @@ def row_normalize(a: Tensor) -> Tensor:
 def serial_contrastive_terms(X, P, targets, temperature, block_rows):
     """Both contrastive terms as one plain loop over row blocks, the sums
     across blocks taken in block order: ((feature loss, dX, dP), (structure
-    loss, dX)).  The package's terms must match these bit for bit however
-    their blocks are scheduled."""
+    loss, dX)).  The blocks compute in float32 from objective.F32_ROWS nodes
+    on, into float64 sums.  The package's terms must match these bit for bit
+    however their blocks are scheduled."""
+    from graphcomplete import objective
     from graphcomplete.autodiff import logistic
     from graphcomplete.objective import _infonce_block
+    dtype = np.float32 if len(X) >= objective.F32_ROWS else np.float64
     u, u_vjp = unit_rows(X)
     v, v_vjp = unit_rows(P)
     rows, du, dv = np.empty(len(u)), np.empty_like(u), np.zeros_like(v)
+    u, v = u.astype(dtype), v.astype(dtype)
     for r0 in range(0, len(u), block_rows):
         blk = slice(r0, r0 + block_rows)
         rows[blk], ds = _infonce_block(u[blk] @ v.T, r0, temperature)
         du[blk] = ds @ v
         dv += ds.T @ u[blk]
     feature = (rows.sum(), u_vjp(du), v_vjp(dv))
-    targets_t = targets.T
     rows, dx = np.empty(len(X)), np.zeros_like(X)
+    X, targets = X.astype(dtype), targets.astype(dtype)
+    targets_t = targets.T
     for r0 in range(0, len(X), block_rows):
         blk = slice(r0, r0 + block_rows)
         a = logistic(X[blk] @ X.T)

@@ -23,7 +23,7 @@ from graphcomplete.objective import (
     total_contrastive_loss,
 )
 
-from conftest import bits, gradcheck, row_block_threads, sbm_fixture
+from conftest import bits, f32_from, gradcheck, row_block_threads, sbm_fixture
 from oracles import (
     cosine_matrix, row_logsumexp, row_normalize, scale, serial_contrastive_terms, sum_all,
 )
@@ -313,6 +313,137 @@ def test_working_set_stays_within_row_blocks(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 12 * b * n * 8
+
+
+# ---------------------------------------------------------------------------
+# the row blocks in float32, from objective.F32_ROWS nodes on.  f32_from(0)
+# forces float32 at any size and f32_from(sys.maxsize) float64, so each case
+# compares one block code at the two precisions.
+
+F32_LOSS_REL = 1e-7   # the loss's relative error
+F32_GRAD_REL = 1e-5   # each gradient's norm-wise relative error
+
+
+def assert_float32_close(term, X, P, targets, temperature):
+    build = ((lambda s: feature_contrastive_loss(s["x"], s["p"], temperature))
+             if term == "feature" else
+             (lambda s: structure_contrastive_loss(s["x"], targets, temperature)))
+    arrays = {"x": X, "p": P} if term == "feature" else {"x": X}
+    with f32_from(0):
+        loss32, grads32 = loss_and_grads(build, arrays)
+    with f32_from(sys.maxsize):
+        loss64, grads64 = loss_and_grads(build, arrays)
+    assert np.isfinite(loss32)
+    assert abs(loss32 - loss64) <= F32_LOSS_REL * abs(loss64)
+    for name, g64 in grads64.items():
+        g32 = grads32[name]
+        assert g32.dtype == np.float64 and np.all(np.isfinite(g32)), name
+        # an all-zero float64 gradient must be matched exactly
+        assert np.linalg.norm(g32 - g64) <= F32_GRAD_REL * np.linalg.norm(g64), name
+
+
+def random_targets(rng, n, per_row=10):
+    return structure_targets(sp.random_array((n, n), density=per_row / n, random_state=rng,
+                                             format="csr"))
+
+
+@pytest.mark.parametrize("temperature", [0.1, 0.5])
+@pytest.mark.parametrize("input_scale", [0.3, 1.0, 4.5])
+@pytest.mark.parametrize("term", ["feature", "structure"])
+def test_float32_blocks_track_float64(term, input_scale, temperature):
+    # 4.5 is about the scale of the trained imputer's output
+    n, d = 300, 16
+    rng = np.random.default_rng(50)
+    X, P = input_scale * rng.normal(size=(n, d)), input_scale * rng.normal(size=(n, d))
+    assert_float32_close(term, X, P, random_targets(rng, n), temperature)
+
+
+def degenerate_case(name):
+    """(X, P, targets) over n=200 nodes, 4 row blocks."""
+    n, d = 200, 6
+    rng = np.random.default_rng(51)
+    X, P = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    D = sp.random_array((n, n), density=8.0 / n, random_state=rng, format="lil")
+    if name == "zero_feature_and_diffusion_rows":
+        X[3], P[70], D[11] = 0.0, 0.0, 0.0
+    elif name == "negative_zero_entries":
+        X[5], P[9] = -0.0, -0.0
+        X[rng.random((n, d)) < 0.2] = -0.0
+    elif name == "saturated_gram":
+        # every |x_i · x_j| is at least 800: each sigmoid is 0 or 1 in both precisions
+        base = np.where(rng.random((n, 1)) < 0.5, -1.0, 1.0)
+        X = 30.0 * np.hstack([base, 0.05 * rng.normal(size=(n, d - 1))])
+        assert np.abs(X @ X.T).min() >= 800
+    elif name == "k_above_n":
+        with pytest.warns(UserWarning, match="keeping all"):
+            D = gc.knn_sparsify(rng.random((n, n)), n + 5)
+    return X, P, structure_targets(D)
+
+
+DEGENERATE = ["zero_feature_and_diffusion_rows", "negative_zero_entries", "saturated_gram",
+              "k_above_n"]
+
+
+@pytest.mark.parametrize("temperature", [0.1, 0.5])
+@pytest.mark.parametrize("name", DEGENERATE)
+@pytest.mark.parametrize("term", ["feature", "structure"])
+def test_float32_blocks_track_float64_on_degenerate_inputs(term, name, temperature):
+    assert_float32_close(term, *degenerate_case(name), temperature)
+
+
+@pytest.mark.parametrize("n", [objective.F32_ROWS - 1, objective.F32_ROWS])
+def test_block_precision_follows_n(monkeypatch, n):
+    # float64 below F32_ROWS nodes, float32 from it on, and float64 around the blocks
+    dtypes = []
+    real = objective._infonce_block
+    monkeypatch.setattr(objective, "_infonce_block",
+                        lambda sim, *a: (dtypes.append(sim.dtype), real(sim, *a))[1])
+    rng = np.random.default_rng(52)
+    X, P = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
+    targets = random_targets(rng, n)
+    for build in (lambda s: feature_contrastive_loss(s["x"], s["p"], 0.5),
+                  lambda s: structure_contrastive_loss(s["x"], targets, 0.5)):
+        store = ParamStore()
+        store.add("x", X.copy()), store.add("p", P.copy())
+        loss = build(store)
+        ad.backward(loss)
+        assert loss.value.dtype == np.float64
+        assert all(t.grad.dtype == np.float64 for _, t in store.items() if t.grad is not None)
+    want = np.float32 if n >= objective.F32_ROWS else np.float64
+    assert len(dtypes) == 2 * len(range(0, n, objective.BLOCK_ROWS))
+    assert set(dtypes) == {np.dtype(want)}
+
+
+def test_float32_blocks_never_call_pool_matmul(monkeypatch, pooled):
+    # the pool's dense split (DENSE_ALIGN) was tuned on float64 kernels
+    def no_matmul(a, b):
+        raise AssertionError("a row block called pool.matmul")
+    monkeypatch.setattr(pool, "matmul", no_matmul)
+    n = objective.F32_ROWS
+    rng = np.random.default_rng(53)
+    X, P = rng.normal(size=(n, 8)), rng.normal(size=(n, 8))
+    targets = random_targets(rng, n)
+    loss_and_grads(lambda s: feature_contrastive_loss(s["x"], s["p"], 0.5), {"x": X, "p": P})
+    loss_and_grads(lambda s: structure_contrastive_loss(s["x"], targets, 0.5), {"x": X})
+
+
+def test_float32_overflow_raises_naming_term_and_bound():
+    # x_7 · x_8 sums 4e38 and -4e38: in float32 each overflows and the sum is
+    # NaN; in float64 it is 0 and the loss finite
+    n = objective.F32_ROWS
+    rng = np.random.default_rng(54)
+    X = rng.normal(size=(n, 4))
+    X[7, :2], X[8, :2] = [2e19, 2e19], [2e19, -2e19]
+    targets = random_targets(rng, n)
+    with pytest.raises(ValueError, match=r"structure_contrastive_loss: max\|x\|\^2 \* d "
+                                         r"exceeds float32's range 3\.403e\+38 "
+                                         r"\(max\|x\| = 2e\+19, d = 4\)"):
+        structure_contrastive_loss(X, targets, 0.5)
+    with f32_from(sys.maxsize):
+        assert np.isfinite(structure_contrastive_loss(X, targets, 0.5).value)
+    # max|x|^2 * d = 3.24e38, inside the range
+    X[7, :2], X[8, :2] = [9e18, 9e18], [9e18, -9e18]
+    assert np.isfinite(structure_contrastive_loss(X, targets, 0.5).value)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ pinned output to its sha256:
 - ``sbm100/<file>``: every output file of a 2x2 sweep (rate pairs (0.3, 0.3)
   and (0.6, 0.6), seeds 0 and 1) of tests/conftest.py's ``sbm_fixture``, n=100;
 - ``sbm256/<file>``: every output file of a 2-seed sweep of the n=256 graph
-  that test_experiment.py's row-block threads test uses;
+  that test_experiment.py's row-block threads test uses, the smallest whose
+  contrastive terms run their row blocks in float32 (objective.F32_ROWS);
 - ``demo/<script>``: the stdout of demos 01-04.
 
 Each sweep runs with an empty working directory and the relative paths
