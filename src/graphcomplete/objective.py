@@ -128,12 +128,12 @@ def structure_contrastive_loss(completed, targets, temperature: float) -> Tensor
     dx = np.zeros_like(x)
     dtype = _block_dtype(len(x))
     if dtype is np.float32:
-        top, peak = np.finfo(np.float32).max, np.abs(x).max(initial=0.0)
-        if peak > np.sqrt(top / max(x.shape[1], 1)):
+        peak = float(np.abs(x).max(initial=0.0))
+        bound, top = peak * peak * x.shape[1], float(np.finfo(np.float32).max)
+        if bound > top:   # a Gram entry could overflow
             raise ValueError(
-                f"structure_contrastive_loss: max|x|^2 * d exceeds float32's range {top:.4g} "
-                f"(max|x| = {peak:.4g}, d = {x.shape[1]}); from {F32_ROWS} nodes on its "
-                "row blocks compute in float32")
+                f"structure_contrastive_loss: max|x|^2 * d = {bound:.4g} exceeds float32's "
+                f"range {top:.4g}; from {F32_ROWS} nodes on its row blocks compute in float32")
     x, targets = x.astype(dtype, copy=False), targets.astype(dtype, copy=False)
     targets_t = targets.T
 

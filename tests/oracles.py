@@ -266,10 +266,9 @@ def serial_contrastive_terms(X, P, targets, temperature, block_rows):
     loss, dX)).  The blocks compute in float32 from objective.F32_ROWS nodes
     on, into float64 sums.  The package's terms must match these bit for bit
     however their blocks are scheduled."""
-    from graphcomplete import objective
     from graphcomplete.autodiff import logistic
-    from graphcomplete.objective import _infonce_block
-    dtype = np.float32 if len(X) >= objective.F32_ROWS else np.float64
+    from graphcomplete.objective import _block_dtype, _infonce_block
+    dtype = _block_dtype(len(X))
     u, u_vjp = unit_rows(X)
     v, v_vjp = unit_rows(P)
     rows, du, dv = np.empty(len(u)), np.empty_like(u), np.zeros_like(v)

@@ -353,7 +353,7 @@ class TestRunExperiment:
         digested = {line.split("=", 1)[0] for line in cfg.canonical_text().splitlines()}
         assert set(summary["config"]) == digested == {
             f.name for f in dataclasses.fields(cfg)} - {"out", "workers"}
-        key ="feature_missing=0.3,edge_missing=0.2"
+        key = "feature_missing=0.3,edge_missing=0.2"
         for method in (RECON_METHOD, BASELINE_METHOD):
             got = [float(r["test_accuracy"]) for r in rows if r["method"] == method]
             stats = summary["results"][method][key]

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import threading
@@ -401,14 +402,12 @@ def test_block_precision_follows_n(monkeypatch, n):
     rng = np.random.default_rng(52)
     X, P = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
     targets = random_targets(rng, n)
-    for build in (lambda s: feature_contrastive_loss(s["x"], s["p"], 0.5),
-                  lambda s: structure_contrastive_loss(s["x"], targets, 0.5)):
-        store = ParamStore()
-        store.add("x", X.copy()), store.add("p", P.copy())
-        loss = build(store)
-        ad.backward(loss)
-        assert loss.value.dtype == np.float64
-        assert all(t.grad.dtype == np.float64 for _, t in store.items() if t.grad is not None)
+    for build, arrays in ((lambda s: feature_contrastive_loss(s["x"], s["p"], 0.5),
+                           {"x": X, "p": P}),
+                          (lambda s: structure_contrastive_loss(s["x"], targets, 0.5),
+                           {"x": X})):
+        _, grads = loss_and_grads(build, arrays)
+        assert all(g.dtype == np.float64 for g in grads.values())
     want = np.float32 if n >= objective.F32_ROWS else np.float64
     assert len(dtypes) == 2 * len(range(0, n, objective.BLOCK_ROWS))
     assert set(dtypes) == {np.dtype(want)}
@@ -427,23 +426,35 @@ def test_float32_blocks_never_call_pool_matmul(monkeypatch, pooled):
     loss_and_grads(lambda s: structure_contrastive_loss(s["x"], targets, 0.5), {"x": X})
 
 
-def test_float32_overflow_raises_naming_term_and_bound():
-    # x_7 · x_8 sums 4e38 and -4e38: in float32 each overflows and the sum is
-    # NaN; in float64 it is 0 and the loss finite
+@pytest.mark.parametrize("rows,bound", [
+    # x_7 · x_8 is 4e38 - 4e38 = 0; in float32 the 4e38 overflows, and the
+    # sigmoid reads 1, not 0.5: a finite, silently wrong loss
+    ({7: [2e19, 2e19], 8: [2e19, -2e19]}, "1.6e+39"),
+    # 1e39 is inf in float32, and its product with row 3's zeros NaN
+    ({3: [0.0, 0.0, 0.0, 0.0], 9: [1e39, 0.0]}, "4e+78"),
+], ids=["product", "entry"])
+def test_float32_overflow_raises_naming_term_and_bound(rows, bound):
     n = objective.F32_ROWS
     rng = np.random.default_rng(54)
     X = rng.normal(size=(n, 4))
-    X[7, :2], X[8, :2] = [2e19, 2e19], [2e19, -2e19]
+    for i, values in rows.items():
+        X[i, :len(values)] = values
     targets = random_targets(rng, n)
-    with pytest.raises(ValueError, match=r"structure_contrastive_loss: max\|x\|\^2 \* d "
-                                         r"exceeds float32's range 3\.403e\+38 "
-                                         r"\(max\|x\| = 2e\+19, d = 4\)"):
+    with pytest.raises(ValueError, match=r"structure_contrastive_loss: max\|x\|\^2 \* d = "
+                                         rf"{re.escape(bound)} exceeds float32's range "
+                                         r"3\.403e\+38"):
         structure_contrastive_loss(X, targets, 0.5)
     with f32_from(sys.maxsize):
         assert np.isfinite(structure_contrastive_loss(X, targets, 0.5).value)
-    # max|x|^2 * d = 3.24e38, inside the range
+
+
+def test_float32_inside_the_bound_runs():
+    # max|x|^2 * d = 3.24e38, just inside float32's range
+    n = objective.F32_ROWS
+    rng = np.random.default_rng(54)
+    X = rng.normal(size=(n, 4))
     X[7, :2], X[8, :2] = [9e18, 9e18], [9e18, -9e18]
-    assert np.isfinite(structure_contrastive_loss(X, targets, 0.5).value)
+    assert np.isfinite(structure_contrastive_loss(X, random_targets(rng, n), 0.5).value)
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,6 @@ from graphcomplete.experiment import main
 
 from conftest import sbm_fixture
 
-SMALL_NETS = ["--imputer-hidden", "8", "--pe-hidden", "16", "--ppnp-hidden", "8",
-              "--gcn-hidden", "8", "--attention-dim", "4"]
 SWEEPS = {   # name: (the graph, the sweep's flags but --dataset, --out and --workers)
     "sbm100": (sbm_fixture,
                ["--feature-missing", "0.3,0.6", "--edge-missing", "0.3,0.6", "--seeds", "0,1",
@@ -57,8 +55,10 @@ SWEEPS = {   # name: (the graph, the sweep's flags but --dataset, --out and --wo
                 "--dump-embeddings", "--dump-structure"]),
     "sbm256": (lambda: gc.generate_sbm(128, 2, 0.05, 0.005, two_block_features(8), 0.5,
                                        seed=1),
-               ["--seeds", "0,1", "--epochs", "4", "--k", "5", *SMALL_NETS,
-                "--down-max-epochs", "20", "--dump-embeddings", "--dump-structure"]),
+               ["--seeds", "0,1", "--epochs", "4", "--k", "5", "--imputer-hidden", "8",
+                "--pe-hidden", "16", "--ppnp-hidden", "8", "--gcn-hidden", "8",
+                "--attention-dim", "4", "--down-max-epochs", "20",
+                "--dump-embeddings", "--dump-structure"]),
 }
 
 
@@ -66,8 +66,11 @@ def fingerprint() -> str:
     """The numpy and scipy versions and each loaded OpenBLAS's build string,
     which names its version and the CPU kernels it chose."""
     from scipy.linalg import lapack  # noqa: F401  (loads scipy's OpenBLAS)
-    with open("/proc/self/maps", encoding="utf-8") as fh:
-        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.split()[-1]})
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.split()[-1]})
+    except OSError:   # no /proc: the versions alone, which no entry is keyed by
+        paths = []
     builds = []
     for path in paths:
         lib = ctypes.CDLL(path)
