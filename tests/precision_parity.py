@@ -19,6 +19,7 @@ resamples, seed 0), and the gate: the interval holds 0 and |mean| <= 0.01.
 
 from __future__ import annotations
 
+import pathlib
 import sys
 
 import numpy as np
@@ -26,8 +27,10 @@ import numpy as np
 import graphcomplete as gc
 from graphcomplete import objective
 
-GRAPH = dict(n_per_block=250, blocks=4, p_in=0.016, p_out=0.0013, d=64,
-             mean_scale=0.05, noise_sd=0.5, seed=0)
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import MEAN_SCALE, NOISE_SD, WORKLOADS, block_means  # noqa: E402
+
+GRAPH_SEED = 0
 RATE_PAIRS = [(0.3, 0.3), (0.6, 0.6)]
 SEEDS = range(11, 21)
 RESAMPLES = 10_000
@@ -35,14 +38,10 @@ GATE_MEAN = 0.01
 
 
 def graph() -> gc.GraphDataset:
-    """recon-large's generator: disjoint feature supports per block."""
-    g = GRAPH
-    means = np.zeros((g["blocks"], g["d"]))
-    width = g["d"] // g["blocks"]
-    for b in range(g["blocks"]):
-        means[b, b * width:(b + 1) * width] = g["mean_scale"]
-    return gc.generate_sbm(g["n_per_block"], g["blocks"], g["p_in"], g["p_out"], means,
-                           g["noise_sd"], seed=g["seed"])
+    """recon-large's generator with 250 nodes per block."""
+    w = WORKLOADS["recon-large"]
+    return gc.generate_sbm(250, w.blocks, w.p_in, w.p_out,
+                           block_means(w.blocks, w.d, MEAN_SCALE), NOISE_SD, seed=GRAPH_SEED)
 
 
 def fit(ds, fr, er, seed, f32_rows) -> gc.Metrics:
