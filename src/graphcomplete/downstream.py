@@ -35,7 +35,7 @@ from .feature_path import decode_structure, impute_features  # noqa: F401
 from .fusion import attention_fuse, init_fusion
 from .nn import Optimizer, ParamStore, glorot, init_mlp2
 from .objective import structure_targets, total_contrastive_loss
-from .pool import one_blas_thread
+from .pool import one_blas_thread, sparse_matmul
 from .rng import (
     STREAM_DOWNSTREAM_DROPOUT,
     STREAM_DOWNSTREAM_INIT,
@@ -231,10 +231,14 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
     training and evaluation forwards.  Everything below the dropout (fusion,
     ReLU(A·X·W0)) is built once per parameter state: the validation forward
     after a step and the next epoch's training forward share it on the tape.
+    Without fusion X is a constant, so A·X is computed once per fit and the
+    lower layer is ReLU((A·X)·W0), with no propagation forward or backward.
     """
     n, d = x_view.shape
     use_fusion = z_view is not None
     op = Operator(a_norm)
+    if not use_fusion:   # a constant input: propagated here, once
+        x_view = sparse_matmul(op.M, x_view, op.nnz)
     init_rng = make_rng(seed, STREAM_DOWNSTREAM_INIT)
     drop_rng = make_rng(seed, STREAM_DOWNSTREAM_DROPOUT)
 
@@ -247,7 +251,7 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
 
     def hidden_and_eval_logits() -> tuple[Tensor, np.ndarray]:
         x = attention_fuse(x_view, z_view, store).fused if use_fusion else x_view
-        hidden = ppnp_hidden(op, x, store, "gcn")
+        hidden = ppnp_hidden(op if use_fusion else None, x, store, "gcn")
         return hidden, ppnp_output(op, hidden, store, "gcn").value
 
     hidden, logits0 = hidden_and_eval_logits()
@@ -285,10 +289,33 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
     return store, best, tuple(curve), weights
 
 
+def _check_splits(splits: Splits, n: int) -> None:
+    """Every split id an integer in [0, n), and no node in two splits."""
+    names = ("train", "val", "test")
+    owner = np.full(n, -1)
+    for j, name in enumerate(names):
+        idx = np.asarray(getattr(splits, name))
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"{name} split id {idx.flat[0]} is not an integer "
+                             f"(dtype {idx.dtype})")
+        outside = (idx < 0) | (idx >= n)
+        if outside.any():
+            raise ValueError(f"node {idx[outside][0]} in {name} split is outside [0, {n})")
+        taken = owner[idx] >= 0
+        if taken.any():
+            node = idx[taken][0]
+            raise ValueError(f"node {node} is in both the {names[owner[node]]} and "
+                             f"{name} splits")
+        owner[idx] = j
+
+
 def _fit_and_score(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
-                   labels: np.ndarray, num_classes: int, splits: Splits,
+                   labels: np.ndarray | None, num_classes: int, splits: Splits,
                    cfg: ExperimentConfig, seed: int) -> DownstreamResult:
     """Fit on test-redacted labels, then score the frozen best checkpoint."""
+    if labels is None:
+        raise ValueError("no labels: the classifier needs node class labels")
+    _check_splits(splits, len(x_view))
     redacted = labels.copy()
     redacted[splits.test] = -1
     store, best, curve, weights = _fit_downstream(

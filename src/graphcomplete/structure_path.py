@@ -127,8 +127,9 @@ def init_ppnp(store: ParamStore, prefix: str, dims: tuple[int, int, int],
     store.add(f"{prefix}.W1", glorot(rng, h, b))
 
 
-def ppnp_hidden(op: Operator, features, store: ParamStore, prefix: str) -> Tensor:
-    """The net's lower layer, ReLU(A · X · W0), one node: everything below the dropout."""
+def ppnp_hidden(op: Operator | None, features, store: ParamStore, prefix: str) -> Tensor:
+    """The net's lower layer, ReLU(A · X · W0), one node: everything below the dropout.
+    With op None the features come propagated (A · X) and the layer is ReLU(X · W0)."""
     return layer(as_tensor(features), store[f"{prefix}.W0"], op=op, relu=True)
 
 

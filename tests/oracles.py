@@ -21,6 +21,7 @@ from graphcomplete.downstream import evaluate, gcn_forward
 from graphcomplete.fusion import init_fusion
 from graphcomplete.nn import Optimizer, ParamStore, glorot
 from graphcomplete.rng import STREAM_DOWNSTREAM_DROPOUT, STREAM_DOWNSTREAM_INIT, make_rng
+from graphcomplete.structure_path import ppnp_hidden, ppnp_output
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +191,10 @@ def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
 
 
 def _gate(view: Tensor, store: ParamStore, side: str) -> Tensor:
-    proj = add_rowvec(matmul(view, store[f"fusion.proj_{side}.W"]),
-                      store[f"fusion.proj_{side}.b"])
-    return tanh(matmul(proj, store[f"fusion.score_{side}"]))
+    """tanh(view·(W·s) + b·s): W·s and b·s first, so the view meets one column."""
+    score = store[f"fusion.score_{side}"]
+    return tanh(add_rowvec(matmul(view, matmul(store[f"fusion.proj_{side}.W"], score)),
+                           matmul(store[f"fusion.proj_{side}.b"], score)))
 
 
 def tape_attention_fuse(feature_view, structure_view, store: ParamStore):
@@ -305,6 +307,8 @@ def fit_downstream_two_forwards(x_view, z_view, a_norm, labels_trainval, num_cla
     one lower layer between the validation forward after a step and the next
     epoch's training forward; this loop rebuilds fusion and both layers for each,
     and takes its fusion and its loss from the tape compositions, not the fused nodes.
+    Without fusion the lower layer's input is the constant A·X, propagated once,
+    and that layer has no operator, as in the package's baseline.
     """
     n, d = x_view.shape
     use_fusion = z_view is not None
@@ -318,11 +322,17 @@ def fit_downstream_two_forwards(x_view, z_view, a_norm, labels_trainval, num_cla
         init_fusion(store, d, cfg.attention_dim, init_rng)
     optim = Optimizer(store, cfg.down_lr, cfg.down_weight_decay)
 
-    def inputs() -> Tensor:
-        return tape_attention_fuse(x_view, z_view, store)[0] if use_fusion else constant(x_view)
+    ax = None if use_fusion else pool.sparse_matmul(op.M, x_view, op.nnz)
+
+    def forward(dropout=0.0, rng=None) -> Tensor:
+        if use_fusion:
+            return gcn_forward(op, tape_attention_fuse(x_view, z_view, store)[0], store,
+                               dropout=dropout, rng=rng)
+        hidden = ppnp_hidden(None, constant(ax), store, "gcn")
+        return ppnp_output(op, hidden, store, "gcn", dropout, rng)
 
     def eval_logits() -> np.ndarray:
-        return gcn_forward(op, inputs(), store).value
+        return forward().value
 
     logits0 = eval_logits()
     best = {"val": evaluate(logits0, labels_trainval, val_idx), "epoch": -1,
@@ -330,7 +340,7 @@ def fit_downstream_two_forwards(x_view, z_view, a_norm, labels_trainval, num_cla
     curve = []
     since_best = 0
     for epoch in range(cfg.down_max_epochs):
-        logits = gcn_forward(op, inputs(), store, dropout=cfg.down_dropout, rng=drop_rng)
+        logits = forward(cfg.down_dropout, drop_rng)
         loss = tape_cross_entropy(logits, labels_trainval, train_idx, num_classes)
         curve.append(float(loss.value))
         backward(loss)

@@ -21,7 +21,7 @@ from graphcomplete.downstream import (
 from graphcomplete.experiment import ExperimentConfig
 from graphcomplete.nn import ParamStore, apply_dropout, glorot, init_mlp2
 from graphcomplete.rng import STREAM_DROPOUT, STREAM_INIT, make_rng
-from graphcomplete.structure_path import normalize_adjacency, ppnp_forward
+from graphcomplete.structure_path import normalize_adjacency, ppnp_forward, ppnp_hidden
 
 from conftest import ReferenceAdam, ZeroFilledStore, bits, gradcheck, sbm_fixture
 from oracles import fit_downstream_two_forwards, propagate, relu, tape_cross_entropy
@@ -419,6 +419,91 @@ class TestSharedLowerLayer:
                 assert 0 < len(curve) < cfg.down_max_epochs
             if cfg.down_max_epochs == 0:
                 assert curve == () and best["epoch"] == -1
+
+
+class TestBaselineLowerLayer:
+    # the baseline's lower layer on its input propagated once, ReLU((A·X)·W0),
+    # against the layer with its operator, ReLU(A·(X·W0)): one model, reassociated
+    REL_BOUND = 1e-12
+
+    @pytest.mark.parametrize("n", [100, 256])
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    def test_hoisted_propagation_matches_in_layer(self, n, kind):
+        rng = np.random.default_rng(n)
+        edges = np.unique(np.sort(rng.integers(0, n, size=(3 * n, 2)), axis=1), axis=0)
+        a_norm = normalize_adjacency(edges[edges[:, 0] != edges[:, 1]], n)
+        if kind == "dense":
+            a_norm = a_norm.toarray()
+        x = rng.normal(size=(n, 12))
+        x[rng.random(size=x.shape) < 0.3] = 0.0   # zero-filled, as the baseline's input
+        x[:5] = 0.0
+        upstream = rng.normal(size=(n, 16))
+        op = ad.Operator(a_norm)
+        ax = pool.sparse_matmul(op.M, x, op.nnz)
+        out = []
+        for lower_op, inputs in ((op, x), (None, ax)):
+            store = gcn_store(12, 16, 3, seed=n)
+            hidden = ppnp_hidden(lower_op, inputs, store, "gcn")
+            ad.backward(ad.fused_scalar((hidden.value * upstream).sum(),
+                                        [(hidden, upstream)]))
+            out.append((hidden.value, store["gcn.W0"].grad))
+        for old, new in zip(*out):
+            assert np.linalg.norm(new - old) <= self.REL_BOUND * np.linalg.norm(old)
+
+
+def split_dataset():
+    ds = sbm_fixture()
+    return ds, gc.make_splits(ds, seed=0)
+
+
+class TestSplitChecks:
+    @pytest.mark.parametrize("field, ids, message", [
+        ("val", [-1, -2], "node -1 in val split is outside \\[0, 100\\)"),
+        ("test", [5, 100], "node 100 in test split is outside \\[0, 100\\)"),
+        ("val", [0.0, 1.0], "val split id 0.0 is not an integer"),
+    ], ids=["negative", "at-n", "float"])
+    def test_bad_ids_name_split_and_node(self, field, ids, message):
+        ds, splits = split_dataset()
+        bad = dataclasses.replace(splits, **{field: np.array(ids)})
+        with pytest.raises(ValueError, match=message):
+            train_gcn_baseline(ds, bad, quick_config(), seed=0)
+
+    def test_val_equal_to_train_rejected(self):
+        ds, splits = split_dataset()
+        bad = dataclasses.replace(splits, val=splits.train.copy())
+        node = splits.train[0]
+        with pytest.raises(ValueError, match=f"node {node} is in both the train and val splits"):
+            train_gcn_baseline(ds, bad, quick_config(), seed=0)
+
+    def test_test_id_inside_train_rejected(self):
+        # unchecked, the redacted test label would read as an unlabeled train node
+        ds, splits = split_dataset()
+        node = splits.train[3]
+        bad = dataclasses.replace(splits, test=np.append(splits.test, node))
+        cfg = quick_config(epochs=0, down_max_epochs=2)
+        recon = gc.run_reconstruction(ds, cfg, seed=0)
+        with pytest.raises(ValueError, match=f"node {node} is in both the train and test splits"):
+            train_downstream(recon, ds.labels, ds.num_classes, bad, cfg, seed=0)
+
+    def test_repeated_id_within_a_split_is_not_an_overlap(self):
+        ds, splits = split_dataset()
+        again = dataclasses.replace(splits, val=np.append(splits.val, splits.val[0]))
+        train_gcn_baseline(ds, again, quick_config(down_max_epochs=2), seed=0)
+
+
+class TestMissingLabels:
+    def test_train_downstream_without_labels_raises(self):
+        ds, splits = split_dataset()
+        cfg = quick_config(epochs=0, down_max_epochs=2)
+        recon = gc.run_reconstruction(ds, cfg, seed=0)
+        with pytest.raises(ValueError, match="no labels"):
+            train_downstream(recon, None, ds.num_classes, splits, cfg, seed=0)
+
+    def test_baseline_on_unlabeled_dataset_raises(self):
+        ds, splits = split_dataset()
+        with pytest.raises(ValueError, match="no labels"):
+            train_gcn_baseline(dataclasses.replace(ds, labels=None), splits, quick_config(),
+                               seed=0)
 
 
 class TestCollapseWarning:
