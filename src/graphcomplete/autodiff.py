@@ -176,8 +176,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 class Operator:
     """A gradient-free propagation matrix M (dense or sparse) with its
-    transpose Mt, built once here, and nnz, M's stored entries if sparse,
-    else 0, for pool.sparse_matmul's size decision.
+    transpose Mt, built once here (CSR if M is sparse, so pool.sparse_matmul
+    can split the vjp's product by rows), and nnz, M's stored entries if
+    sparse, else 0, for pool.sparse_matmul's size decision.
 
     A training phase wraps its matrix once and hands the Operator to every
     layer it propagates through, so no epoch rebuilds Mᵀ for the vjp or
@@ -187,8 +188,9 @@ class Operator:
     __slots__ = ("M", "Mt", "nnz")
 
     def __init__(self, M):
-        self.M, self.Mt = M, M.T
-        self.nnz = M.nnz if sp.issparse(M) else 0
+        sparse = sp.issparse(M)
+        self.M, self.Mt = M, M.T.tocsr() if sparse else M.T
+        self.nnz = M.nnz if sparse else 0
 
 
 def layer(x: Tensor, W: Tensor, bias: Tensor | None = None, op: Operator | None = None,

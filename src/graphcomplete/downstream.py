@@ -20,6 +20,7 @@ computed only afterwards, from frozen logits.
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -28,12 +29,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy import sparse as sp
 
+from . import pool
 from .autodiff import Operator, Tensor, backward, fused_scalar
 from .data import GraphDataset, Splits
 # decode_structure is unused here but stays bound: perfbench/layers.py wraps it
 from .feature_path import decode_structure, impute_features  # noqa: F401
 from .fusion import attention_fuse, init_fusion
-from .nn import Optimizer, ParamStore, glorot, init_mlp2
+from .nn import MasksAhead, Optimizer, ParamStore, glorot, init_mlp2
 from .objective import structure_targets, total_contrastive_loss
 from .pool import one_blas_thread, sparse_matmul
 from .rng import (
@@ -233,6 +235,10 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
     after a step and the next epoch's training forward share it on the tape.
     Without fusion X is a constant, so A·X is computed once per fit and the
     lower layer is ReLU((A·X)·W0), with no propagation forward or backward.
+    A dropout mask of at least pool.DRAW_AHEAD entries comes from a MasksAhead
+    stream, which draws each epoch's mask during the epoch before it on an idle
+    pool thread, the same bits as the sequential generator smaller masks use;
+    the draw in flight is cancelled or awaited however the fit ends.
     """
     n, d = x_view.shape
     use_fusion = z_view is not None
@@ -240,7 +246,10 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
     if not use_fusion:   # a constant input: propagated here, once
         x_view = sparse_matmul(op.M, x_view, op.nnz)
     init_rng = make_rng(seed, STREAM_DOWNSTREAM_INIT)
-    drop_rng = make_rng(seed, STREAM_DOWNSTREAM_DROPOUT)
+    if n * cfg.gcn_hidden >= pool.DRAW_AHEAD:
+        masks = MasksAhead(seed, STREAM_DOWNSTREAM_DROPOUT)
+    else:
+        masks = contextlib.nullcontext(make_rng(seed, STREAM_DOWNSTREAM_DROPOUT))
 
     store = ParamStore()
     # classifier params first: a fusion-free baseline draws identical values
@@ -263,26 +272,27 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
     }
     curve = []
     since_best = 0
-    for epoch in range(cfg.down_max_epochs):
-        logits = ppnp_output(op, hidden, store, "gcn", cfg.down_dropout, drop_rng)
-        loss = cross_entropy_loss(logits, labels_trainval, train_idx)
-        if not np.isfinite(loss.value):
-            raise FloatingPointError(f"non-finite classifier loss at epoch {epoch}")
-        curve.append(float(loss.value))
-        backward(loss)
-        optim.step()
-        del hidden, logits, loss   # free this epoch's tape before the next one is built
+    with masks as drop_rng:
+        for epoch in range(cfg.down_max_epochs):
+            logits = ppnp_output(op, hidden, store, "gcn", cfg.down_dropout, drop_rng)
+            loss = cross_entropy_loss(logits, labels_trainval, train_idx)
+            if not np.isfinite(loss.value):
+                raise FloatingPointError(f"non-finite classifier loss at epoch {epoch}")
+            curve.append(float(loss.value))
+            backward(loss)
+            optim.step()
+            del hidden, logits, loss   # free this epoch's tape before the next one is built
 
-        hidden, logits_eval = hidden_and_eval_logits()
-        val_acc = evaluate(logits_eval, labels_trainval, val_idx)
-        if val_acc > best["val"]:
-            best = {"val": val_acc, "epoch": epoch,
-                    "logits": logits_eval, "params": store.snapshot()}
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.down_patience:
-                break
+            hidden, logits_eval = hidden_and_eval_logits()
+            val_acc = evaluate(logits_eval, labels_trainval, val_idx)
+            if val_acc > best["val"]:
+                best = {"val": val_acc, "epoch": epoch,
+                        "logits": logits_eval, "params": store.snapshot()}
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= cfg.down_patience:
+                    break
 
     store.restore(best["params"])
     weights = attention_fuse(x_view, z_view, store).weights if use_fusion else None

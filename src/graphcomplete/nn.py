@@ -7,10 +7,13 @@ so every consumer sees one consistent set of values and gradients.
 
 from __future__ import annotations
 
+from concurrent.futures import wait
+
 import numpy as np
 
 from . import pool
 from .autodiff import ShapeError, Tensor, as_tensor, constant, layer, mul
+from .rng import random_at
 
 
 class ParamStore:
@@ -72,11 +75,65 @@ def init_mlp2(store: ParamStore, prefix: str, dims: tuple[int, int, int],
     store.add(f"{prefix}.b2", np.zeros((1, b)))
 
 
-def apply_dropout(h: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+def dropout_mask(u: np.ndarray, rate: float) -> np.ndarray:
+    """The one dropout mask over uniforms u: 0 where u < rate, else 1/(1-rate)."""
+    return (u >= rate) / (1.0 - rate)
+
+
+class MasksAhead:
+    """The dropout masks of the (seed, stream) random stream, each drawn one call ahead.
+
+    mask(shape, rate) returns the mask at the stream's next position, then
+    starts the next call's mask, of the same shape and rate, on an idle pool
+    thread (pool.borrow); with none idle, or if the next call asks for another
+    shape or rate, that call draws its mask itself.  A mask is a pure function
+    of (seed, stream, position) (rng.random_at), so each one equals, bit for
+    bit, the mask apply_dropout draws at the same call from make_rng(seed,
+    stream).  Leaving the with block cancels the draw in flight or awaits it,
+    so no draw outlives its user.
+    """
+
+    def __init__(self, seed: int, stream: int):
+        self._key = (seed, stream)
+        self._offset = 0      # uniforms the masks returned so far took
+        self._ahead = None    # (shape, rate, Future) of the next call's mask
+
+    def _draw(self, offset: int, shape: tuple, rate: float) -> np.ndarray:
+        return dropout_mask(random_at(*self._key, offset, shape), rate)
+
+    def mask(self, shape: tuple, rate: float) -> np.ndarray:
+        if self._ahead is not None and self._ahead[:2] == (shape, rate):
+            out = self._ahead[2].result()
+            self._ahead = None
+        else:
+            self.close()
+            out = self._draw(self._offset, shape, rate)
+        self._offset += out.size
+        future = pool.borrow(self._draw, self._offset, shape, rate)
+        if future is not None:
+            self._ahead = (shape, rate, future)
+        return out
+
+    def close(self) -> None:
+        """Cancel the draw in flight, or await it if it has started."""
+        if self._ahead is not None:
+            future, self._ahead = self._ahead[2], None
+            if not future.cancel():
+                wait([future])
+
+    def __enter__(self) -> MasksAhead:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def apply_dropout(h: Tensor, rate: float, rng: np.random.Generator | MasksAhead | None) -> Tensor:
     """The one dropout rule: inverted dropout on the tape, zeroing each entry with
     probability rate and scaling the rest by 1/(1-rate).
 
     rate must lie in [0, 1); at rate 0, h is returned and nothing is drawn.
+    The mask comes from rng, a generator or a MasksAhead stream.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
@@ -84,7 +141,10 @@ def apply_dropout(h: Tensor, rate: float, rng: np.random.Generator | None) -> Te
         return h
     if rng is None:
         raise ValueError(f"dropout rate {rate} requires a generator")
-    return mul(h, constant((rng.random(h.value.shape) >= rate) / (1.0 - rate)))
+    shape = h.value.shape
+    mask = (rng.mask(shape, rate) if isinstance(rng, MasksAhead)
+            else dropout_mask(rng.random(shape), rate))
+    return mul(h, constant(mask))
 
 
 def mlp2_forward(store: ParamStore, prefix: str, X,

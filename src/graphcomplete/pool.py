@@ -49,6 +49,7 @@ import numpy as np
 DENSE_SPLIT = 50_000_000   # multiply-adds of a dense product
 SPARSE_SPLIT = 4_000_000   # stored entries x columns of a sparse product
 ADAM_SPLIT = 1 << 18       # entries of a parameter, for its Adam update
+DRAW_AHEAD = 32_768        # a dropout mask of at least this many entries is drawn one call ahead
 DENSE_ALIGN = 24           # a dense split falls on a multiple of this many rows
 RUN_AHEAD = 4              # _row_blocks starts no item more than this many past the next to yield
 
@@ -194,19 +195,47 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def sparse_matmul(m, x: np.ndarray, nnz: int) -> np.ndarray:
     """m @ x as an ndarray, for m sparse with nnz stored entries or dense with
-    nnz 0; above SPARSE_SPLIT stored entries x columns, x's columns split in halves."""
-    if nnz * x.shape[1] <= SPARSE_SPLIT:
+    nnz 0; for m CSR above SPARSE_SPLIT stored entries x columns, m's rows
+    split in halves."""
+    if nnz * x.shape[1] <= SPARSE_SPLIT or m.format != "csr":
         return np.asarray(m @ x)
-    n = x.shape[1]
-    out = np.empty((m.shape[0], n))
+    rows = m.shape[0]
+    out = np.empty((rows, x.shape[1]))
 
     def part(s):
-        if s == slice(0, n):   # no pool thread free: the product whole, uncopied
+        if s == slice(0, rows):   # no pool thread free: the product whole, uncopied
             return np.asarray(m @ x)
-        out[:, s] = m @ x[:, s]
+        out[s] = m[s] @ x
         return out
 
-    return split_halves(part, n)[-1]
+    return split_halves(part, rows)[-1]
+
+
+def borrow(fn, *args):
+    """fn(*args) on a pool thread no call holds, as a Future, or None if none
+    is free.  The thread is given back when fn ends, before the Future's
+    result is set, or when the Future is cancelled before fn starts; so a
+    caller holds it only while its one task runs."""
+    if not _IDLE.acquire(blocking=False):
+        return None
+
+    def task():
+        try:
+            return fn(*args)
+        finally:
+            _IDLE.release()
+
+    def cancelled(future):
+        if future.cancelled():
+            _IDLE.release()
+
+    try:
+        future = _POOL.submit(task)
+    except BaseException:
+        _IDLE.release()
+        raise
+    future.add_done_callback(cancelled)
+    return future
 
 
 _pin_lock = threading.Lock()

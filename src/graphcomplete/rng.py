@@ -8,6 +8,11 @@ the same bit generator, so every run is reproducible from its seed alone.
 Streams keep independent purposes independent: masking features never
 consumes draws meant for edge removal or weight initialisation, so adding a
 consumer in one place cannot silently reshuffle another.
+
+Philox is counter-based (Salmon et al., SC 2011): its i-th 64-bit output is a
+pure function of the key and i.  So the doubles a stream gives from any
+position on can be drawn without the ones before them (random_at), on any
+thread, and equal the sequential draws bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +31,22 @@ STREAM_DOWNSTREAM_INIT = 6
 STREAM_DOWNSTREAM_DROPOUT = 7
 
 
+def _philox(seed: int, stream: int) -> np.random.Philox:
+    """The bit generator of the (seed, stream) pair, at its start."""
+    return np.random.Philox(key=(int(seed) * 2654435761 + int(stream)) % (1 << 128))
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Return a Philox generator for the given (seed, stream) pair."""
-    key = (int(seed) * 2654435761 + int(stream)) % (1 << 128)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(_philox(seed, stream))
+
+
+def random_at(seed: int, stream: int, offset: int, shape) -> np.ndarray:
+    """make_rng(seed, stream).random(shape) as drawn after `offset` earlier
+    doubles of that generator, without drawing them: each double takes one
+    64-bit output, and Philox makes four per counter step, so the counter
+    advances offset // 4 and the first offset % 4 outputs of the next step
+    are skipped."""
+    bits = _philox(seed, stream).advance(offset // 4)
+    bits.random_raw(offset % 4)
+    return np.random.Generator(bits).random(shape)

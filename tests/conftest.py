@@ -122,9 +122,10 @@ def row_block_threads(threads: int):
 
 @contextlib.contextmanager
 def forced_splits():
-    """Every dense product, sparse product and Adam update splits, whatever its
-    size, with the pool on at two threads."""
-    names = ("DENSE_SPLIT", "SPARSE_SPLIT", "ADAM_SPLIT")
+    """Every dense product, sparse product and Adam update splits, and every
+    classifier dropout mask is drawn ahead, whatever its size, with the pool
+    on at two threads."""
+    names = ("DENSE_SPLIT", "SPARSE_SPLIT", "ADAM_SPLIT", "DRAW_AHEAD")
     saved = [getattr(pool, name) for name in names]
     with row_block_threads(2):
         for name in names:

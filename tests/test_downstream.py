@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
 import math
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -8,7 +11,7 @@ import scipy.sparse as sp
 
 import graphcomplete as gc
 import graphcomplete.autodiff as ad
-from graphcomplete import downstream, objective, pool
+from graphcomplete import downstream, nn, objective, pool
 from graphcomplete.data import two_block_features
 from graphcomplete.downstream import (
     cross_entropy_loss,
@@ -23,7 +26,14 @@ from graphcomplete.nn import ParamStore, apply_dropout, glorot, init_mlp2
 from graphcomplete.rng import STREAM_DROPOUT, STREAM_INIT, make_rng
 from graphcomplete.structure_path import normalize_adjacency, ppnp_forward, ppnp_hidden
 
-from conftest import ReferenceAdam, ZeroFilledStore, bits, gradcheck, sbm_fixture
+from conftest import (
+    ReferenceAdam,
+    ZeroFilledStore,
+    bits,
+    forced_splits,
+    gradcheck,
+    sbm_fixture,
+)
 from oracles import fit_downstream_two_forwards, propagate, relu, tape_cross_entropy
 
 
@@ -380,7 +390,9 @@ class TestReconstructionComposition:
 
 class TestSharedLowerLayer:
     # each fit against the loop that rebuilt fusion and both layers for every
-    # forward: dropout off and on, weight decay off and on, an early stop, no epochs
+    # forward: dropout off and on, weight decay off and on, an early stop, no
+    # epochs; as the sizes pick, and again with every split forced and every
+    # dropout mask drawn ahead on the pool thread
     @pytest.mark.parametrize("overrides", [
         dict(down_dropout=0.0, down_weight_decay=0.0),
         dict(down_dropout=0.5),
@@ -394,12 +406,16 @@ class TestSharedLowerLayer:
         state = gc.run_reconstruction(ds, cfg, seed=2)
         redacted = ds.labels.copy()
         redacted[splits.test] = -1
-        fits = [
-            (train_downstream(state, ds.labels, ds.num_classes, splits, cfg, seed=2),
-             (state.imputed, state.propagated, downstream_propagation_matrix(state.diffusion_topk))),
-            (train_gcn_baseline(ds, splits, cfg, seed=2),
-             (ds.features, None, normalize_adjacency(ds.edges, ds.n))),
-        ]
+        fits = []
+        for forced in (contextlib.nullcontext(), forced_splits()):
+            with forced:
+                fits += [
+                    (train_downstream(state, ds.labels, ds.num_classes, splits, cfg, seed=2),
+                     (state.imputed, state.propagated,
+                      downstream_propagation_matrix(state.diffusion_topk))),
+                    (train_gcn_baseline(ds, splits, cfg, seed=2),
+                     (ds.features, None, normalize_adjacency(ds.edges, ds.n))),
+                ]
         for result, (x_view, z_view, a_norm) in fits:
             store, best, curve, weights = fit_downstream_two_forwards(
                 x_view, z_view, a_norm, redacted, ds.num_classes,
@@ -419,6 +435,62 @@ class TestSharedLowerLayer:
                 assert 0 < len(curve) < cfg.down_max_epochs
             if cfg.down_max_epochs == 0:
                 assert curve == () and best["epoch"] == -1
+
+
+class TestDropoutDrawnAhead:
+    # every mask drawn ahead: the pool thread is free again as soon as a fit
+    # returns, stops early or raises.  Each draw on the pool thread sleeps
+    # first, so one still in flight when the fit ends would hold the thread.
+    DRAW_DELAY = 0.1
+
+    @pytest.fixture
+    def pool_draws(self, monkeypatch):
+        """The threads the pool's draws ran on, every split forced."""
+        real, threads = nn.random_at, []
+        caller = threading.current_thread()
+
+        def slow(*args):
+            if threading.current_thread() is not caller:
+                threads.append(threading.current_thread())
+                time.sleep(self.DRAW_DELAY)
+            return real(*args)
+
+        monkeypatch.setattr(nn, "random_at", slow)
+        with forced_splits():
+            yield threads
+
+    def fit(self, **overrides):
+        ds = gc.apply_mask(sbm_fixture(), gc.MaskSpec(0.3, 0.3, "entry", 0))
+        cfg = quick_config(**{"down_max_epochs": 4, **overrides})
+        return train_gcn_baseline(ds, gc.make_splits(ds, seed=2), cfg, seed=2)
+
+    @staticmethod
+    def assert_pool_thread_free():
+        assert pool._IDLE.acquire(blocking=False), "a draw still holds the pool thread"
+        pool._IDLE.release()
+
+    def test_free_after_the_fit_returns(self, pool_draws):
+        result = self.fit()
+        self.assert_pool_thread_free()
+        assert len(result.metrics.loss_curve) == 4 and pool_draws
+
+    def test_free_after_an_early_stop(self, pool_draws):
+        result = self.fit(down_max_epochs=100, down_patience=1)
+        self.assert_pool_thread_free()
+        assert len(result.metrics.loss_curve) < 100 and pool_draws
+
+    def test_free_after_a_non_finite_loss_raises(self, pool_draws, monkeypatch):
+        real, calls = downstream.cross_entropy_loss, []
+
+        def nan_at_third(logits, labels, idx):
+            calls.append(None)
+            return ad.fused_scalar(np.nan, []) if len(calls) == 3 else real(logits, labels, idx)
+
+        monkeypatch.setattr(downstream, "cross_entropy_loss", nan_at_third)
+        with pytest.raises(FloatingPointError, match="non-finite classifier loss at epoch 2"):
+            self.fit()
+        self.assert_pool_thread_free()
+        assert pool_draws
 
 
 class TestBaselineLowerLayer:

@@ -1,5 +1,5 @@
-"""The compute pool: the splits of the products (dense by rows, sparse by
-columns) and of the Adam update, each bit-identical to the unsplit
+"""The compute pool: the splits of the products (dense and CSR by rows) and
+of the Adam update, each bit-identical to the unsplit
 expression, and the one-BLAS-thread pin around the package's entry points."""
 
 import os
@@ -79,15 +79,15 @@ def test_matmul_split_keeps_every_bit(submitted, a_shape, b_shape, halves):
 
 
 @pytest.mark.parametrize("kind, cols, halves", [
-    ("csr", 7, 2),     # an odd column count: halves of 3 and 4 columns
-    ("csr", 3, 2),     # a one-column half, which scipy multiplies as a vector
-    ("csr", 1, 0),     # a single column: no split
-    ("csc", 7, 2),     # M CSC, so the forward runs csc_matvecs and the vjp csr_matvecs
+    ("csr", 7, 2),     # an odd row count: halves of 50 and 51 rows
+    ("csr", 3, 2),
+    ("csr", 1, 2),     # a single column, which scipy multiplies as a vector
+    ("csc", 7, 1),     # M CSC: its forward runs whole, the vjp by the CSR Mt splits
     ("dense", 7, 0),   # a dense M keeps its dense products, unsplit
 ], ids=["csr", "csr_three_cols", "csr_single_col", "csc", "dense"])
 def test_propagate_split_keeps_every_bit(submitted, kind, cols, halves):
-    # the forward by M and the vjp by its transpose M.T, split by the columns
-    # of x and g; an empty row and an empty column of M
+    # the forward by M and the vjp by its transpose M.T, split by the rows of
+    # a CSR matrix; an empty row and an empty column of M
     n = 101
     rng = np.random.default_rng(8)
     m = np.where(rng.random((n, n)) < 0.1, rng.normal(size=(n, n)), 0.0)
@@ -101,7 +101,8 @@ def test_propagate_split_keeps_every_bit(submitted, kind, cols, halves):
     assert bits(out.value).tobytes() == bits(np.asarray(M @ x)).tobytes()
     assert bits(dx).tobytes() == bits(np.asarray(M.T @ g)).tobytes()
     assert out.value.flags.c_contiguous and dx.flags.c_contiguous
-    assert submitted == [slice(cols // 2, cols)] * halves
+    assert kind == "dense" or op.Mt.format == "csr"
+    assert submitted == [slice(n // 2, n)] * halves
 
 
 def test_adam_split_keeps_every_bit(submitted):
@@ -177,6 +178,26 @@ def test_split_runs_whole_without_a_free_pool_thread(threads):
                 pool._IDLE.release()
     assert held == (threads == 2)
     assert calls == [(slice(0, 10), threading.current_thread())]
+
+
+def test_borrow_gives_the_thread_back_before_the_result_and_on_a_cancel():
+    # a task's thread is free once its result is read; a task cancelled
+    # before it starts (queued behind work the semaphore does not count)
+    # gives its thread back at the cancel; with none free, nothing runs
+    with row_block_threads(2):
+        for i in range(200):
+            assert pool.borrow(lambda j: j + 1, i).result() == i + 1
+            assert pool._IDLE.acquire(blocking=False)
+            pool._IDLE.release()
+        gate = threading.Event()
+        blocker = pool._POOL.submit(gate.wait, 10)
+        queued = pool.borrow(lambda: None)
+        assert pool.borrow(lambda: None) is None
+        assert queued.cancel()
+        assert pool._IDLE.acquire(blocking=False)
+        pool._IDLE.release()
+        gate.set()
+        assert blocker.result()
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +534,20 @@ SWEEP = """
 import sys
 sys.path[:0] = sys.argv[1:3]
 from conftest import row_block_threads
+from graphcomplete import pool
 from graphcomplete.experiment import main
+if sys.argv[3] == "ahead":
+    pool.DRAW_AHEAD = 0
 with row_block_threads(2):
-    sys.exit(main(sys.argv[3:]))
+    sys.exit(main(sys.argv[4:]))
 """
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the 2x2 sweep in fresh processes under one and two OpenBLAS threads,
-    # the pool on, written to the same path: the same bytes, stdout included
+    # the pool on, written to the same path: the same bytes, stdout included;
+    # and again with every classifier dropout mask drawn ahead, at one and
+    # two workers
     if not pool._pin_targets():
         pytest.skip("no loaded OpenBLAS exports a thread-count setter")
     gc.write_dataset(sbm_fixture(), str(tmp_path / "data"))
@@ -529,12 +555,14 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     flags = ["--dataset", str(tmp_path / "data"), "--out", str(out),
              "--feature-missing", "0.2,0.5", "--edge-missing", "0.3,0.6", "--seeds", "0,1",
              "--epochs", "30", "--down-max-epochs", "60", "--recon-dropout", "0.2",
-             "--workers", "2", "--dump-embeddings", "--dump-structure"]
+             "--dump-embeddings", "--dump-structure"]
     runs = []
-    for threads in ("1", "2"):
+    for threads, draws, workers in (("1", "in-turn", "2"), ("2", "in-turn", "2"),
+                                    ("1", "ahead", "1"), ("1", "ahead", "2")):
         env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
         env["OPENBLAS_NUM_THREADS"] = threads
-        done = subprocess.run([sys.executable, "-c", SWEEP, str(SRC), str(TESTS), *flags],
+        done = subprocess.run([sys.executable, "-c", SWEEP, str(SRC), str(TESTS), draws,
+                               *flags, "--workers", workers],
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr[-2000:]
         runs.append((done.stdout, {str(p.relative_to(out)): p.read_bytes()
@@ -543,4 +571,4 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # runs.csv and summary.json, then per cell 3 loss curves, 4 embedding tables
     # and its structure
     assert len(runs[0][1]) == 2 + 4 * (3 + 4 + 1)
-    assert runs[0] == runs[1]
+    assert all(run == runs[0] for run in runs[1:])
