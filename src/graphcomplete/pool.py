@@ -22,13 +22,20 @@ comparison, so small graphs pay nothing) and runs it whole when no pool
 thread is free:
 
 - matmul: a dense product, split by output rows at a multiple of DENSE_ALIGN;
-- sparse_matmul: a sparse product, split by the columns of its dense operand;
+- sparse_matmul: a CSR product, split by the matrix's rows;
 - the Adam update of a large parameter, split by rows (nn.Optimizer).
 
-No split changes a bit: every output element keeps its operands and its
-reduction order.  An Adam update is elementwise.  A sparse product, CSR or
-CSC, sums each output entry from its own column of the dense operand, in the
-matrix's stored order, whatever the other columns.  OpenBLAS groups a dense
+borrow runs one task on a pool thread no call holds and gives the thread
+back when the task ends or is cancelled before it starts, so a caller holds
+it for that task alone: the classifier draws its large dropout masks one
+epoch ahead through it (nn.MasksAhead, from DRAW_AHEAD entries on, where
+that measured faster than drawing on the caller).
+
+No split and no draw ahead changes a bit: every output element keeps its
+operands and its reduction order, and a mask is a pure function of its
+stream and position (rng.random_at).  An Adam update is elementwise.  A CSR
+product sums each output row from its own row of the matrix, in stored
+order, whatever the other rows.  OpenBLAS groups a dense
 product's output rows into runs of a few rows and computes edge rows with
 other kernels, so a dense split falls on a multiple of DENSE_ALIGN rows, where
 every row keeps its kernel.  Below about 1M multiply-adds OpenBLAS switches to

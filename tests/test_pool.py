@@ -185,7 +185,7 @@ def test_borrow_gives_the_thread_back_before_the_result_and_on_a_cancel():
     # before it starts (queued behind work the semaphore does not count)
     # gives its thread back at the cancel; with none free, nothing runs
     with row_block_threads(2):
-        for i in range(200):
+        for i in range(20):
             assert pool.borrow(lambda j: j + 1, i).result() == i + 1
             assert pool._IDLE.acquire(blocking=False)
             pool._IDLE.release()
