@@ -238,7 +238,8 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
     A dropout mask of at least pool.DRAW_AHEAD entries comes from a MasksAhead
     stream, which draws each epoch's mask during the epoch before it on an idle
     pool thread, the same bits as the sequential generator smaller masks use;
-    the draw in flight is cancelled or awaited however the fit ends.
+    the last budgeted epoch starts no draw, and after an early stop or a raise
+    the draw in flight is cancelled or awaited.
     """
     n, d = x_view.shape
     use_fusion = z_view is not None
@@ -247,7 +248,7 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
         x_view = sparse_matmul(op.M, x_view, op.nnz)
     init_rng = make_rng(seed, STREAM_DOWNSTREAM_INIT)
     if n * cfg.gcn_hidden >= pool.DRAW_AHEAD:
-        masks = MasksAhead(seed, STREAM_DOWNSTREAM_DROPOUT)
+        masks = MasksAhead(seed, STREAM_DOWNSTREAM_DROPOUT, cfg.down_max_epochs)
     else:
         masks = contextlib.nullcontext(make_rng(seed, STREAM_DOWNSTREAM_DROPOUT))
 

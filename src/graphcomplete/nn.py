@@ -81,20 +81,24 @@ def dropout_mask(u: np.ndarray, rate: float) -> np.ndarray:
 
 
 class MasksAhead:
-    """The dropout masks of the (seed, stream) random stream, each drawn one call ahead.
+    """The first `count` dropout masks of the (seed, stream) random stream, each
+    drawn one call ahead.
 
-    mask(shape, rate) returns the mask at the stream's next position, then
-    starts the next call's mask, of the same shape and rate, on an idle pool
-    thread (pool.borrow); with none idle, or if the next call asks for another
-    shape or rate, that call draws its mask itself.  A mask is a pure function
-    of (seed, stream, position) (rng.random_at), so each one equals, bit for
-    bit, the mask apply_dropout draws at the same call from make_rng(seed,
-    stream).  Leaving the with block cancels the draw in flight or awaits it,
+    mask(shape, rate) returns the mask at the stream's next position, then,
+    unless it was the count-th, starts the next call's mask, of the same shape
+    and rate, on an idle pool thread (pool.borrow); with none idle, or if the
+    next call asks for another shape or rate, that call draws its mask itself.
+    So a user of count masks, a fit of count epochs, starts no draw it does
+    not use.  A mask is a pure function of (seed, stream, position)
+    (rng.random_at), so each one equals, bit for bit, the mask apply_dropout
+    draws at the same call from make_rng(seed, stream).  Leaving the with
+    block, after an early stop say, cancels the draw in flight or awaits it,
     so no draw outlives its user.
     """
 
-    def __init__(self, seed: int, stream: int):
+    def __init__(self, seed: int, stream: int, count: int):
         self._key = (seed, stream)
+        self._left = count    # masks still to be returned
         self._offset = 0      # uniforms the masks returned so far took
         self._ahead = None    # (shape, rate, Future) of the next call's mask
 
@@ -109,7 +113,8 @@ class MasksAhead:
             self.close()
             out = self._draw(self._offset, shape, rate)
         self._offset += out.size
-        future = pool.borrow(self._draw, self._offset, shape, rate)
+        self._left -= 1
+        future = pool.borrow(self._draw, self._offset, shape, rate) if self._left > 0 else None
         if future is not None:
             self._ahead = (shape, rate, future)
         return out

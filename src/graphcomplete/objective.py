@@ -35,6 +35,10 @@ read a relative error of 1.36 at n=6, and there is little time to save.  Since
 float32 overflows sooner, the structure term refuses features whose Gram
 bound, max|x|² · d, exceeds float32's range, where float64 would still give
 a finite loss.
+
+F32_ROWS governs a second step: structure_path.ppr_closed_form solves the
+diffusion in float32 from F32_ROWS nodes on (for alpha of at least
+structure_path.F32_MIN_ALPHA), so one size rule sets the precision of both.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ from .autodiff import (
 from .pool import _row_blocks
 
 BLOCK_ROWS = 64
-F32_ROWS = 256   # from this many nodes (4 row blocks, as for the pool) the blocks run in float32
+F32_ROWS = 256   # from this many nodes (4 row blocks, as for the pool) these blocks run in float32,
+                 # and so does structure_path's diffusion solve
 
 
 def _block_dtype(n: int):

@@ -492,6 +492,32 @@ class TestDropoutDrawnAhead:
         self.assert_pool_thread_free()
         assert pool_draws
 
+    @pytest.mark.parametrize("epochs", [1, 4])
+    def test_a_fit_of_e_epochs_draws_e_masks(self, monkeypatch, epochs):
+        # every mask drawn on the caller or offered to the pool, by its stream
+        # offset: the last epoch offers none for an epoch that does not come
+        real_draw, real_borrow, offsets = nn.MasksAhead._draw, pool.borrow, []
+        caller = threading.current_thread()
+
+        def draw(masks, offset, shape, rate):
+            if threading.current_thread() is caller:
+                offsets.append(offset)
+            return real_draw(masks, offset, shape, rate)
+
+        def borrow(fn, *args):
+            if isinstance(getattr(fn, "__self__", None), nn.MasksAhead):
+                offsets.append(args[0])
+            return real_borrow(fn, *args)
+
+        monkeypatch.setattr(nn.MasksAhead, "_draw", draw)
+        monkeypatch.setattr(pool, "borrow", borrow)
+        with forced_splits():
+            result = self.fit(down_max_epochs=epochs, down_patience=epochs)
+        self.assert_pool_thread_free()
+        size = 100 * quick_config().gcn_hidden   # sbm_fixture's n=100 nodes
+        assert len(result.metrics.loss_curve) == epochs
+        assert sorted(offsets) == [size * e for e in range(epochs)]
+
 
 class TestBaselineLowerLayer:
     # the baseline's lower layer on its input propagated once, ReLU((A·X)·W0),

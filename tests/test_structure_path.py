@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import graphcomplete.autodiff as ad
-from graphcomplete import experiment, pool, structure_path
+from graphcomplete import experiment, objective, pool, structure_path
 from graphcomplete.autodiff import ShapeError
 from graphcomplete.nn import ParamStore, glorot
 from graphcomplete.structure_path import (
@@ -39,15 +39,22 @@ def sparse_graph(rng, n, degree=4.0):
 @pool.one_blas_thread()
 def dense_ppr_reference(a_norm, alpha):
     """The closed form as first written, on a dense a_norm: np.eye minus the
-    scaled adjacency, dpotrf/dpotri on LAPACK's own copy, the inverse's upper
-    triangle mirrored through np.triu.  ppr_closed_form must match it bit for
-    bit; both solve on one BLAS thread."""
+    scaled adjacency, potrf/potri on LAPACK's own copy, the inverse's upper
+    triangle mirrored through np.triu.  From objective.F32_ROWS nodes on and
+    for alpha >= structure_path.F32_MIN_ALPHA the system is rounded to float32
+    and solved by spotrf/spotri, else dpotrf/dpotri in float64.
+    ppr_closed_form must match it bit for bit; both solve on one BLAS thread."""
     from scipy.linalg import lapack
     a_norm = np.asarray(a_norm, dtype=np.float64)
-    system = np.eye(a_norm.shape[0]) - (1.0 - alpha) * a_norm
-    factor, info = lapack.dpotrf(system, overwrite_a=True)
+    n = a_norm.shape[0]
+    f32 = n >= objective.F32_ROWS and alpha >= structure_path.F32_MIN_ALPHA
+    dtype = np.float32 if f32 else np.float64
+    potrf, potri = (lapack.spotrf, lapack.spotri) if f32 else (lapack.dpotrf, lapack.dpotri)
+    system = np.eye(n, dtype=dtype) - ((1.0 - alpha) * a_norm).astype(dtype)
+    factor, info = potrf(system, overwrite_a=True)
     assert info == 0
-    out = alpha * np.triu(lapack.dpotri(factor, overwrite_c=True)[0])
+    out = alpha * np.triu(potri(factor, overwrite_c=True)[0])
+    assert out.dtype == dtype
     out += np.triu(out, 1).T
     return np.maximum(out, 0.0, out=out)
 
@@ -170,6 +177,62 @@ class TestPPR:
                     np.testing.assert_array_equal(bits(ppr_closed_form(a_norm, alpha)),
                                                   bits(expected))
 
+    @pytest.mark.parametrize("n, alpha", [(255, 0.1), (256, np.nextafter(0.01, 0.0)),
+                                          (549, np.nextafter(0.01, 0.0))])
+    def test_float64_below_either_bound(self, n, alpha):
+        # under objective.F32_ROWS nodes, or alpha just under F32_MIN_ALPHA,
+        # the float64 solve runs as before, bit for bit
+        rng = np.random.default_rng(n)
+        a_norm = normalize_adjacency(sparse_graph(rng, n, 3.0), n)
+        out = ppr_closed_form(a_norm, alpha)
+        expected = dense_ppr_reference(a_norm.toarray(), alpha)
+        assert out.dtype == expected.dtype == np.float64
+        np.testing.assert_array_equal(bits(out), bits(expected))
+
+    @pytest.mark.parametrize("alpha", [0.01, np.float64(0.1)])
+    def test_float32_from_both_bounds(self, alpha):
+        n = objective.F32_ROWS
+        a_norm = normalize_adjacency(sparse_graph(np.random.default_rng(n), n, 3.0), n)
+        out = ppr_closed_form(a_norm, alpha)
+        expected = dense_ppr_reference(a_norm.toarray(), float(alpha))
+        assert out.dtype == expected.dtype == np.float32
+        np.testing.assert_array_equal(bits(out), bits(expected))
+
+    # float32 against the float64 solve, relative to the largest entry: every
+    # entry (worst seen 1.2e-6), and each entry the top-k keeps, relative to
+    # itself (worst seen 5.4e-6); the float32 top-k's choice differs only
+    # between values tied to within twice the entry bound (float64 ties)
+    ENTRY_BOUND = 2e-6
+    KEPT_BOUND = 1e-5
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5, 0.85])
+    def test_float32_within_bounds_of_float64(self, monkeypatch, alpha):
+        # two components of a sparse graph, 10 isolated nodes among them
+        n, k = 549, 20
+        rng = np.random.default_rng(24)
+        h = n // 2
+        edges = np.vstack([sparse_graph(rng, h, 3.0), h + sparse_graph(rng, n - h, 3.0)])
+        isolated = rng.choice(n, 10, replace=False)
+        edges = edges[~np.isin(edges, isolated).any(axis=1)]
+        a_norm = normalize_adjacency(edges, n)
+        got = ppr_closed_form(a_norm, alpha)
+        topk = build_diffusion(edges, n, alpha, k).toarray()
+        monkeypatch.setattr(structure_path, "F32_MIN_ALPHA", math.inf)
+        exact = ppr_closed_form(a_norm, alpha)
+        assert got.dtype == np.float32 and exact.dtype == np.float64
+        scale = exact.max()
+        assert np.abs(got - exact).max() <= self.ENTRY_BOUND * scale
+        kept = topk != 0   # small components and isolated nodes keep fewer than k
+        assert (np.abs(topk - exact)[kept] <= self.KEPT_BOUND * exact[kept]).all()
+        kth = -np.sort(-exact, axis=1)[:, k - 1:k]
+        assert (exact[kept] >= np.broadcast_to(kth, kept.shape)[kept]
+                - 2 * self.ENTRY_BOUND * scale).all()
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, np.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha {alpha} outside"):
+            ppr_closed_form(normalize_adjacency(PATH_EDGE, 2), alpha)
+
     def test_indefinite_system_raises(self):
         # off-diagonal weight 5 puts an eigenvalue of a_norm far above 1
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
@@ -179,7 +242,9 @@ class TestPPR:
         for alpha, k, message in ((0.0, 20, "alpha 0.0 outside"), (1.0, 20, "alpha 1.0 outside"),
                                   (np.nan, 20, "alpha nan outside"),
                                   (0.1, -1, "k -1 must be nonnegative"),
-                                  (0.1, np.nan, "k nan must be nonnegative")):
+                                  (0.1, np.nan, "k nan must be nonnegative"),
+                                  (0.1, 1.5, "k 1.5 must be an integer"),
+                                  (0.1, 2.0, "k 2.0 must be an integer")):
             with pytest.raises(ValueError, match=message):
                 build_diffusion(np.array([[0, 1]]), 2, alpha, k)
 
@@ -235,6 +300,16 @@ class TestKnnSparsify:
                 out = knn_sparsify(a, k)
                 ref = stable_argsort_topk(a, k)
                 np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+    def test_float32_selected_in_float32(self):
+        # no float64 copy; float32 -> float64 is exact and monotone, so the
+        # upcast selects the same entries, ties included
+        rng = np.random.default_rng(11)
+        a = rng.integers(0, 4, size=(20, 12)).astype(np.float32) * rng.random(12, np.float32)
+        for k in (1, 4, 11, 12):
+            out = knn_sparsify(a, k)
+            assert out.dtype == np.float32
+            np.testing.assert_array_equal(bits(out), bits(knn_sparsify(a.astype(np.float64), k)))
 
     @pytest.mark.parametrize("k", [1, 3, 5, 6, 7])
     def test_nan_raises_naming_its_row(self, k):
@@ -381,7 +456,11 @@ class TestBuildDiffusion:
         edges = sparse_graph(np.random.default_rng(21), n)
         topk = build_diffusion(edges, n, 0.15, k)
         dense = dense_ppr_reference(normalize_adjacency(edges, n).toarray(), 0.15)
-        expected = sp.csr_array(knn_sparsify(dense, k if k else n))
+        # n from objective.F32_ROWS on: solved and selected in float32, which
+        # selects what the exact float64 upcast would
+        assert dense.dtype == np.float32
+        expected = sp.csr_array(knn_sparsify(dense.astype(np.float64), k if k else n))
+        assert topk.dtype == np.float64
         for part in ("indptr", "indices"):
             np.testing.assert_array_equal(getattr(topk, part), getattr(expected, part))
             assert getattr(topk, part).dtype == getattr(expected, part).dtype
@@ -405,8 +484,9 @@ class TestBuildDiffusion:
         assert isinstance(topk, sp.csr_array) and topk.shape == (0, 0)
 
     def test_one_dense_array_live(self):
-        # n=2048: one n×n float64 array is 32 MiB, and the top-k's block
-        # temporaries stay a fraction of it; a second n×n array would fail this
+        # n=2048: the solve's one n×n float32 array is 16 MiB, and the top-k's
+        # block temporaries stay a fraction of it; an n×n float64 array (32 MiB),
+        # or a second float32 one beside them, would fail this
         n = 2048
         edges = sparse_graph(np.random.default_rng(23), n, degree=7.0)
         tracemalloc.start()
@@ -415,7 +495,7 @@ class TestBuildDiffusion:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n * n * 8
+        assert peak < n * n * 8
 
 
 class TestDumpStructure:

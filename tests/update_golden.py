@@ -10,7 +10,9 @@ pinned output to its sha256:
   and (0.6, 0.6), seeds 0 and 1) of tests/conftest.py's ``sbm_fixture``, n=100;
 - ``sbm256/<file>``: every output file of a 2-seed sweep of the n=256 graph
   that test_experiment.py's row-block threads test uses, the smallest whose
-  contrastive terms run their row blocks in float32 (objective.F32_ROWS);
+  contrastive terms run their row blocks in float32 and whose diffusion is
+  solved in float32 (objective.F32_ROWS; the default alpha 0.1 is above
+  structure_path.F32_MIN_ALPHA);
 - ``demo/<script>``: the stdout of demos 01-04.
 
 Each sweep runs with an empty working directory and the relative paths
