@@ -44,12 +44,6 @@ def normalize_adjacency(edges: np.ndarray, n: int) -> sp.csr_array:
     return symmetric_normalize(sp.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n)))
 
 
-def _check_alpha(alpha: float) -> None:
-    """The one range check of the teleport probability alpha: inside (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha {alpha} outside (0, 1)")
-
-
 @one_blas_thread()
 def ppr_closed_form(a_norm, alpha: float) -> np.ndarray:
     """Exact diffusion: alpha * (I - (1-alpha) * a_norm)^{-1}; a_norm dense or sparse.
@@ -68,7 +62,8 @@ def ppr_closed_form(a_norm, alpha: float) -> np.ndarray:
     raises ValueError.
     """
     from scipy.linalg import lapack  # imported on first use: it adds ~0.1 s to package import
-    _check_alpha(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha {alpha} outside (0, 1)")
     alpha = float(alpha)   # a numpy scalar would scale float32 rows in float64
     a = sp.coo_array(a_norm, dtype=np.float64)
     n = a.shape[0]
@@ -183,7 +178,6 @@ def build_diffusion(edges: np.ndarray, n: int, alpha: float, k: int) -> sp.csr_a
     dense n x n array is live, in ppr_closed_form's precision (float32 from
     objective.F32_ROWS nodes on, for alpha >= F32_MIN_ALPHA); the top k are
     selected in that precision, block by block, and stored in float64."""
-    _check_alpha(alpha)
     if not k >= 0:
         raise ValueError(f"k {k} must be nonnegative")
     if not isinstance(k, numbers.Integral):

@@ -139,8 +139,10 @@ def forced_splits():
 
 @contextlib.contextmanager
 def f32_from(rows: int):
-    """The contrastive terms run their row blocks in float32 from `rows` nodes
-    on: 0 forces float32 at every size, sys.maxsize float64 at every size."""
+    """The contrastive terms run their row blocks, and ppr_closed_form its
+    solve for alpha >= structure_path.F32_MIN_ALPHA, in float32 from `rows`
+    nodes on: 0 forces float32 at every size, sys.maxsize float64 at every
+    size, in both steps."""
     saved = objective.F32_ROWS
     objective.F32_ROWS = rows
     try:

@@ -1,6 +1,6 @@
 """Test accuracy with float32 arithmetic against float64.
 
-    PYTHONPATH=src python tests/precision_parity.py [all|solve]
+    PYTHONPATH=src python tests/precision_parity.py
 
 A script, not a test (pytest does not collect it).  From objective.F32_ROWS
 nodes on, two steps run in float32: the contrastive terms' row blocks, and
@@ -11,8 +11,8 @@ is fitted once as shipped and once per comparison with float64 forced:
 - ``solve``: F32_MIN_ALPHA out of reach, so only the solve runs in float64
   and the row blocks stay as shipped: the solve's precision alone.
 
-With no argument both comparisons run, against one shipped fit per cell.
-The downstream test accuracies are compared pair by pair.
+Both comparisons run against one shipped fit per cell.  The downstream
+test accuracies are compared pair by pair.
 
 Everything is fixed before the first run: recon-large's graph generator
 (perfbench/workloads.py) at 4 blocks of 250 nodes, n=1000, graph seed 0;
@@ -83,12 +83,7 @@ def gate(comparison: str, d: np.ndarray) -> bool:
     return ok
 
 
-def main(argv: list[str]) -> int:
-    comparisons = argv or list(FORCED)
-    unknown = sorted(set(comparisons) - set(FORCED))
-    if unknown:
-        print(f"unknown comparison {unknown[0]!r}; choose from {', '.join(FORCED)}")
-        return 2
+def main() -> int:
     ds = graph()
     print(f"n={ds.n}, {ds.num_edges} edges; F32_ROWS={objective.F32_ROWS}, "
           f"F32_MIN_ALPHA={structure_path.F32_MIN_ALPHA}; "
@@ -96,20 +91,20 @@ def main(argv: list[str]) -> int:
     passed = True
     for fr, er in RATE_PAIRS:
         print(f"\nrates ({fr}, {er}): test accuracy (best epoch), shipped then "
-              f"float64 by {', '.join(comparisons)}")
-        diffs = {c: [] for c in comparisons}
+              f"float64 by {', '.join(FORCED)}")
+        diffs = {c: [] for c in FORCED}
         for seed in SEEDS:
             ship = fit(ds, fr, er, seed)
             row = [f"{seed:5d}  {ship.test_accuracy:.4f} ({ship.best_epoch:3d})"]
-            for c in comparisons:
+            for c in FORCED:
                 f64 = fit(ds, fr, er, seed, FORCED[c])
                 diffs[c].append(ship.test_accuracy - f64.test_accuracy)
                 row.append(f"{f64.test_accuracy:.4f} ({f64.best_epoch:3d})")
             print("  ".join(row), flush=True)
-        for c in comparisons:
+        for c in FORCED:
             passed &= gate(c, np.asarray(diffs[c]))
     return 0 if passed else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -319,7 +319,9 @@ def test_working_set_stays_within_row_blocks(monkeypatch):
 # ---------------------------------------------------------------------------
 # the row blocks in float32, from objective.F32_ROWS nodes on.  f32_from(0)
 # forces float32 at any size and f32_from(sys.maxsize) float64, so each case
-# compares one block code at the two precisions.
+# compares one block code at the two precisions.  f32_from sets the diffusion
+# solve's precision too (alpha >= structure_path.F32_MIN_ALPHA); no case here
+# builds a diffusion.
 
 F32_LOSS_REL = 1e-7   # the loss's relative error
 F32_GRAD_REL = 1e-5   # each gradient's norm-wise relative error
