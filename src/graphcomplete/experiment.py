@@ -2,12 +2,12 @@
 
 A run is a grid of (missing-rate pair, seed) cells.  Each cell masks the
 dataset, trains the reconstruction pipeline and/or the zero-fill baseline,
-and reports split accuracies.  Cells are independent jobs; a bounded worker
-pool may execute them concurrently, but the collector hands each finished
-cell in sweep order to one writer, which builds all of the cell's files, and
-then lets the cell go, so outputs are byte-identical across reruns.  The
-whole sweep runs its BLAS calls on one thread (pool.one_blas_thread), so they
-are also byte-identical across OPENBLAS_NUM_THREADS settings.
+and reports split accuracies.  Cells are independent jobs: the compute pool's
+runner (pool._row_blocks) runs up to `workers` at once, within the CPU budget,
+and hands each in sweep order to one writer, which builds all of the cell's
+files and then lets the cell go, so outputs are byte-identical across reruns.
+The whole sweep runs its BLAS calls on one thread (pool.one_blas_thread), so
+they are also byte-identical across OPENBLAS_NUM_THREADS settings.
 
 ExperimentConfig is the one settings object: it declares every setting once,
 with its default, help text and range, and both training phases read its keys
@@ -25,7 +25,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 
@@ -35,7 +34,7 @@ from scipy import sparse as sp
 from .data import GraphDataset, MaskSpec, load_dataset, make_splits, apply_mask
 from .downstream import run_reconstruction, train_downstream, train_gcn_baseline
 from .fusion import attention_fuse
-from .pool import one_blas_thread
+from .pool import _row_blocks, one_blas_thread
 
 RECON_METHOD = "recon-gcn"
 BASELINE_METHOD = "zerofill-gcn"
@@ -101,7 +100,7 @@ class ExperimentConfig:
                                     "accuracy before stopping")
     dump_embeddings: bool = _help(False, "write per-cell embedding tsv files")
     dump_structure: bool = _help(False, "write per-cell sparsified diffusion edge lists")
-    workers: int = _help(1, "sweep cells run at once")
+    workers: int = _help(1, "at most N cells at once, within the usable CPUs")
 
     def __post_init__(self):
         for f in fields(self):
@@ -319,14 +318,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     accs: dict[tuple, list] = {}
     runs_path = os.path.join(cfg.out, "runs.csv")
 
-    with open(runs_path, "w", encoding="utf-8") as runs, \
-            ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+    with open(runs_path, "w", encoding="utf-8") as runs:
         runs.write(f"# config={cfg.digest()}\n")
         runs.write("feature_missing,edge_missing,seed,method,"
                    "test_accuracy,val_accuracy,train_accuracy,best_epoch\n")
         cells = cfg.cells()
-        # closed on the way out, so an error, in a cell or in its writer, cancels the queued cells
-        with closing(pool.map(lambda cell: _run_cell(ds, cfg, *cell[1:]), cells)) as finished:
+        # closed on the way out, so an error, in a cell or in its writer, starts no further cell
+        with closing(_row_blocks(lambda cell: _run_cell(ds, cfg, *cell[1:]), cells,
+                                 at_once=cfg.workers)) as finished:
             for tag, fr, er, seed in cells:
                 try:
                     recon, results = next(finished)

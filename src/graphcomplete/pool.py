@@ -11,12 +11,14 @@ build), nothing is set and the budget below is divided by the BLAS threads.
 The budget is the usable CPUs: the calling thread plus a pool of the rest.
 _row_blocks, the pool's one runner, maps over given items: the caller runs
 them with the pool threads no other call holds (never waiting for one), so
-concurrent --workers cells never queue behind each other's work, and each
-item writes only into arrays its caller allocated.  The threads share the
-items: each takes the next one nobody has taken, at most RUN_AHEAD past the
-next result the caller yields, and the caller yields the results in item
-order, so a consumer that adds them up adds in the serial order.  The
-contrastive terms' row blocks use it (objective.py), and so does
+no call queues behind another's work, and each item writes only into
+arrays its caller allocated.  The threads share the items: each takes the
+next one nobody has taken, at most RUN_AHEAD past the next result the caller
+yields, and the caller yields the results in item order, so a consumer that
+adds them up adds in the serial order.  The sweep runs its cells through it,
+at most --workers at once (experiment.py): a cell's own work takes only the
+pool threads the sweep left idle, so cells and their work never outnumber
+the budget.  So do the contrastive terms' row blocks (objective.py) and
 split_halves, which splits in two halves the work below above its size (one
 comparison, so small graphs pay nothing) and runs it whole when no pool
 thread is free:
@@ -101,54 +103,57 @@ _POOL = ThreadPoolExecutor(max(1, _BLOCK_THREADS - 1), "row-block")   # the call
 _IDLE = threading.Semaphore(_BLOCK_THREADS - 1)   # pool threads that no call holds
 
 
-def _row_blocks(fn, items, whole=None):
+def _row_blocks(fn, items, whole=None, at_once=None):
     """map(fn, items), yielded in order, the caller running the items with the
-    pool threads no call holds, or [fn(whole)] if whole is given and none is
+    pool threads no call holds, at most at_once items at once (default: as
+    many as the pool allows), or [fn(whole)] if whole is given and none is
     free.  The caller takes the first item; then it and each pool thread take
     the next item nobody has taken, none more than RUN_AHEAD items past the
     next one to be yielded, and the caller yields the results in item order
-    between its own items.  On an error, or when the consumer stops early, no
-    item starts, the running ones end, and the pool threads are given back
-    before the error surfaces or the generator closes."""
+    between its own items, keeping none once yielded.  An item's error starts
+    no further item and is raised at that item's turn, after every earlier
+    result; the running items end and the pool threads are given back before
+    it surfaces, or before the generator closes when the consumer stops early."""
     helpers = 0
-    while helpers < min(len(items), _BLOCK_THREADS) - 1 and _IDLE.acquire(blocking=False):
+    while helpers < min(len(items), at_once or len(items)) - 1 and _IDLE.acquire(blocking=False):
         helpers += 1
     if not helpers:
         yield from map(fn, items if whole is None else [whole])
         return
     cond = threading.Condition()
-    ready = {}       # finished, not yet yielded: index -> result
-    errors = []      # raised by a pool thread's item, for the caller to raise
+    done = {}        # finished, not yet yielded: index -> (result, None) or (None, error)
     taken = 1        # the next index nobody has taken; the caller has item 0
     yielded = 0      # the next index to be yielded
-    stop = False
+    stop = False     # at the first error, or when the consumer stops
 
     def claim():
         """The next index this thread may start now, or None.  Under cond."""
         nonlocal taken
-        if stop or errors or taken == len(items) or taken > yielded + RUN_AHEAD:
+        if stop or taken == len(items) or taken > yielded + RUN_AHEAD:
             return None
         taken += 1
         return taken - 1
 
+    def run(i):
+        """Item i's (result, None), or (None, its error), into done; an error stops new items."""
+        nonlocal stop
+        try:
+            outcome = fn(items[i]), None
+        except BaseException as e:
+            outcome = None, e
+        with cond:
+            done[i] = outcome
+            stop = stop or outcome[1] is not None
+            cond.notify_all()
+
     def helper():
-        i = out = None
         while True:
             with cond:
-                if i is not None:
-                    ready[i], out = out, None
-                    cond.notify_all()
                 while (i := claim()) is None:
-                    if stop or errors or taken == len(items):
+                    if stop or taken == len(items):
                         return
                     cond.wait()
-            try:
-                out = fn(items[i])
-            except BaseException as e:
-                with cond:
-                    errors.append(e)
-                    cond.notify_all()
-                return
+            run(i)
 
     futures = []
     try:
@@ -156,23 +161,19 @@ def _row_blocks(fn, items, whole=None):
         i = 0
         while yielded < len(items):
             if i is not None:
-                out = fn(items[i])
+                run(i)
             with cond:
-                if i is not None:
-                    ready[i] = out
-                while True:
-                    if errors:
-                        raise errors[0]
-                    if yielded in ready:
-                        out, i = ready.pop(yielded), None
-                        yielded += 1
-                        cond.notify_all()   # a pool thread may start one item further now
-                        break
-                    if (i := claim()) is not None:
-                        break
+                i = None
+                while yielded not in done and (i := claim()) is None:
                     cond.wait()
+                if i is None:
+                    (out, error), yielded = done.pop(yielded), yielded + 1
+                    cond.notify_all()   # a pool thread may start one item further now
+                    if error is not None:
+                        raise error
             if i is None:
                 yield out
+                out = None   # the consumer's now: let it go before the next item
     finally:
         with cond:
             stop = True

@@ -512,6 +512,37 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert 1 <= len(ran) <= 1 + cfg.workers
 
+    @pytest.mark.parametrize("failing, on_caller", [(1, False), (2, True)],
+                             ids=["pools_cell", "callers_cell"])
+    def test_failed_cell_is_raised_after_the_cells_before_it(self, dataset_dir, tmp_path,
+                                                             monkeypatch, failing, on_caller):
+        # at two workers the caller runs cell 0 and the pool thread cell 1;
+        # then either the pool thread's cell 1 fails, or the caller's cell 2
+        # fails while the pool thread's cell 1 still runs.  The error names
+        # the failed cell, and runs.csv holds the rows of every cell before it
+        real, threads = experiment._run_cell, {}
+        started = {seed: threading.Event() for seed in (0, 1, 2)}
+
+        def stub(ds, cfg, fr, er, seed):
+            threads[seed] = threading.current_thread()
+            started[seed].set()
+            if seed < 2 and (seed == 0 or on_caller):   # cell 1, then cell 2, has started
+                assert started[seed + 1].wait(10)
+            if seed == failing:
+                raise ValueError(f"cell {seed} fails")
+            return real(ds, cfg, fr, er, seed)
+
+        monkeypatch.setattr(experiment, "_run_cell", stub)
+        out = tmp_path / "out"
+        cfg = quick_config(dataset_dir, str(out), seeds=(0, 1, 2), workers=2)
+        with row_block_threads(2):
+            with pytest.raises(RuntimeError, match=f"seed={failing} failed: cell {failing} fails"):
+                run_experiment(cfg)
+        assert (threads[failing] is threading.main_thread()) == on_caller
+        _, _, rows = read_runs_csv(out / "runs.csv")
+        assert [(r["seed"], r["method"]) for r in rows] == [
+            (str(seed), method) for seed in range(failing) for method in cfg.methods()]
+
     def test_failed_write_stops_the_sweep(self, dataset_dir, tmp_path, monkeypatch):
         # an error in the writer cancels the queued cells as well: only the
         # written cell and those already running get computed.  The first

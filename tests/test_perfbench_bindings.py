@@ -9,6 +9,7 @@ import gc
 import importlib.util
 import inspect
 import pathlib
+import threading
 import weakref
 
 import numpy as np
@@ -18,7 +19,7 @@ import graphcomplete
 from graphcomplete import downstream, experiment, structure_path
 from graphcomplete.data import two_block_features
 
-from conftest import sbm_fixture
+from conftest import row_block_threads, sbm_fixture
 
 LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -76,7 +77,10 @@ def test_cell_timer_times_compute_only(tmp_path, monkeypatch, workers):
     # the benchmark's cell_s wraps experiment._run_cell: it must keep its
     # parameters, be called through the module attribute once per cell and
     # write nothing itself; and a written cell is let go, so no earlier
-    # cell's ReconState is alive while a later cell's files are written
+    # cell's ReconState is alive while a later cell's files are written, nor
+    # when the caller starts a cell after a write.  At two workers the pool
+    # thread's first cell waits for that, so the caller writes cell 0 and
+    # starts cell 2 while the pool thread's cell 1 still runs.
     assert list(inspect.signature(experiment._run_cell).parameters) == [
         "ds", "cfg", "fr", "er", "seed"]
     data, out = tmp_path / "data", tmp_path / "out"
@@ -89,8 +93,17 @@ def test_cell_timer_times_compute_only(tmp_path, monkeypatch, workers):
         dump_embeddings=True, dump_structure=True, workers=workers)
     run_cell, write_tsv = experiment._run_cell, experiment._write_tsv
     calls, states, written = [], {}, []
+    caller_after_write = threading.Event()
 
     def counted(ds, cfg, fr, er, seed):
+        if threading.current_thread() is threading.main_thread():
+            gc.collect()
+            alive = [earlier for earlier in written if states[earlier]() is not None]
+            assert not alive, f"{alive} still alive while the caller starts a cell"
+            if written:
+                caller_after_write.set()
+        else:
+            caller_after_write.wait(10)
         recon, results = run_cell(ds, cfg, fr, er, seed)
         tag = f"fr{fr:g}_er{er:g}_seed{seed}"
         calls.append(tag)
@@ -109,9 +122,11 @@ def test_cell_timer_times_compute_only(tmp_path, monkeypatch, workers):
 
     monkeypatch.setattr(experiment, "_run_cell", counted)
     monkeypatch.setattr(experiment, "_write_tsv", checked)
-    experiment.run_experiment(cfg)
+    with row_block_threads(2):
+        experiment.run_experiment(cfg)
     cells = [name for name, *_ in cfg.cells()]
     assert sorted(calls) == sorted(cells) and written == cells
+    assert caller_after_write.is_set()
 
 
 def test_first_classifier_tape_node_counts(monkeypatch):

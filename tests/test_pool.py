@@ -15,7 +15,7 @@ from scipy import sparse as sp
 
 import graphcomplete as gc
 import graphcomplete.autodiff as ad
-from graphcomplete import downstream, pool, structure_path
+from graphcomplete import downstream, experiment, objective, pool, structure_path
 from graphcomplete.experiment import ExperimentConfig, run_experiment
 from graphcomplete.nn import Optimizer, ParamStore
 
@@ -249,6 +249,22 @@ def test_runner_starts_no_item_past_the_bound(monkeypatch, ahead):
     pool._IDLE.release()
 
 
+def test_runner_at_once_one_runs_every_item_on_the_caller():
+    # the cap a --workers 1 sweep sets: the pool thread stays free for the items' own work
+    seen = []
+
+    def fn(i):
+        free = pool._IDLE.acquire(blocking=False)
+        if free:
+            pool._IDLE.release()
+        seen.append((threading.current_thread(), free))
+        return i
+
+    with row_block_threads(2):
+        assert list(pool._row_blocks(fn, list(range(8)), at_once=1)) == list(range(8))
+    assert seen == [(threading.current_thread(), True)] * 8
+
+
 @pytest.mark.parametrize("on_caller", [True, False], ids=["callers_item", "pools_item"])
 def test_runner_error_stops_new_items_and_gives_the_pool_thread_back(on_caller):
     # item 0 (the caller's) and item 1 (the pool thread's) each wait until the
@@ -455,14 +471,66 @@ def test_each_phase_runs_on_one_blas_thread(caller_counts, monkeypatch):
 
 
 def test_pin_holds_in_every_cell_at_two_workers(caller_counts, monkeypatch, tmp_path):
+    # the caller's cell waits until the pool thread has started the other, so
+    # one cell runs on each thread however they are scheduled
     seen = record_counts_in_operator(monkeypatch, caller_counts)
+    real, pool_started = experiment._run_cell, threading.Event()
+
+    def cell(*args):
+        if threading.current_thread() is threading.main_thread():
+            assert pool_started.wait(10), "the pool thread never started a cell"
+        else:
+            pool_started.set()
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "_run_cell", cell)
     gc.write_dataset(sbm_fixture(), str(tmp_path / "data"))
-    run_experiment(ExperimentConfig(dataset=str(tmp_path / "data"), out=str(tmp_path / "out"),
-                                    seeds=(0, 1), epochs=2, down_max_epochs=2, workers=2))
+    with row_block_threads(2):
+        run_experiment(ExperimentConfig(dataset=str(tmp_path / "data"), out=str(tmp_path / "out"),
+                                        seeds=(0, 1), epochs=2, down_max_epochs=2, workers=2))
     assert len(seen) == 2 * 3   # per cell: the reconstruction and two classifier fits
-    assert threading.main_thread() not in {thread for thread, _ in seen}
+    assert any(thread is not threading.main_thread() for thread, _ in seen)
     assert all(c == [1] * len(caller_counts) for _, c in seen)
     assert counts(caller_counts) == [2] * len(caller_counts)
+
+
+def test_cells_and_their_work_stay_within_the_budget(monkeypatch, tmp_path):
+    # --workers 4, more cells than the two threads of the budget, with every
+    # split and draw ahead forced on: the threads inside a cell, a runner's
+    # item or a borrowed task at any one moment never outnumber the budget
+    lock, depth, most = threading.Lock(), {}, []
+
+    def counted(fn):
+        def inside(*args):
+            me = threading.current_thread()
+            with lock:
+                depth[me] = depth.get(me, 0) + 1
+                most.append(len(depth))
+            try:
+                return fn(*args)
+            finally:
+                with lock:
+                    depth[me] -= 1
+                    if not depth[me]:
+                        del depth[me]
+        return inside
+
+    real_blocks, real_borrow = pool._row_blocks, pool.borrow
+
+    def runner(fn, *args, **kwargs):
+        return real_blocks(counted(fn), *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "_run_cell", counted(experiment._run_cell))
+    monkeypatch.setattr(pool, "_row_blocks", runner)
+    monkeypatch.setattr(objective, "_row_blocks", runner)
+    monkeypatch.setattr(pool, "borrow", lambda fn, *args: real_borrow(counted(fn), *args))
+    gc.write_dataset(sbm_fixture(), str(tmp_path / "data"))
+    with pool.one_blas_thread(), forced_splits():
+        assert experiment.main(["--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "out"),
+                                "--seeds", "0,1,2,3,4,5", "--epochs", "3",
+                                "--down-max-epochs", "5", "--workers", "4"]) == 0
+        budget = pool._BLOCK_THREADS
+    assert budget == 2 and most and max(most) <= budget
 
 
 def test_without_a_setter_nothing_is_set_and_the_budget_divides(caller_counts, monkeypatch):
