@@ -177,20 +177,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 class Operator:
     """A gradient-free propagation matrix M (dense or sparse) with its
     transpose Mt, built once here (CSR if M is sparse, so pool.sparse_matmul
-    can split the vjp's product by rows), and nnz, M's stored entries if
-    sparse, else 0, for pool.sparse_matmul's size decision.
+    can split the vjp's product by rows).
 
     A training phase wraps its matrix once and hands the Operator to every
-    layer it propagates through, so no epoch rebuilds Mᵀ for the vjp or
-    counts M's entries.
+    layer it propagates through, so no epoch rebuilds Mᵀ for the vjp.
     """
 
-    __slots__ = ("M", "Mt", "nnz")
+    __slots__ = ("M", "Mt")
 
     def __init__(self, M):
-        sparse = sp.issparse(M)
-        self.M, self.Mt = M, M.T.tocsr() if sparse else M.T
-        self.nnz = M.nnz if sparse else 0
+        self.M, self.Mt = M, M.T.tocsr() if sp.issparse(M) else M.T
 
 
 def layer(x: Tensor, W: Tensor, bias: Tensor | None = None, op: Operator | None = None,
@@ -213,7 +209,7 @@ def layer(x: Tensor, W: Tensor, bias: Tensor | None = None, op: Operator | None 
         raise ShapeError(f"layer: bias {bias.value.shape} vs {wv.shape}")
     out = pool.matmul(xv, wv)
     if op is not None:
-        out = pool.sparse_matmul(op.M, out, op.nnz)
+        out = pool.sparse_matmul(op.M, out)
     if bias is not None:
         out = out + bias.value
     if relu:
@@ -224,7 +220,7 @@ def layer(x: Tensor, W: Tensor, bias: Tensor | None = None, op: Operator | None 
     if relu:
         upstream.append(lambda g: g * (out > 0))
     if op is not None:
-        upstream.append(lambda g: pool.sparse_matmul(op.Mt, g, op.nnz))
+        upstream.append(lambda g: pool.sparse_matmul(op.Mt, g))
     parents = [(x, lambda d: pool.matmul(d, wv.T)), (W, lambda d: pool.matmul(xv.T, d))]
     if bias is not None:
         parents.append((bias, lambda d: d.sum(axis=0, keepdims=True)))

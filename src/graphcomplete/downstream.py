@@ -35,7 +35,7 @@ from .data import GraphDataset, Splits
 # decode_structure is unused here but stays bound: perfbench/layers.py wraps it
 from .feature_path import decode_structure, impute_features  # noqa: F401
 from .fusion import attention_fuse, init_fusion
-from .nn import MasksAhead, Optimizer, ParamStore, glorot, init_mlp2
+from .nn import Optimizer, ParamStore, glorot, init_mlp2, mask_at
 from .objective import structure_targets, total_contrastive_loss
 from .pool import one_blas_thread, sparse_matmul
 from .rng import (
@@ -181,14 +181,16 @@ def _split_labels(labels: np.ndarray, idx, num_classes: int, split: str):
 
 def cross_entropy_loss(logits: Tensor, labels: np.ndarray, idx: np.ndarray) -> Tensor:
     """Mean softmax cross-entropy over the idx nodes as one tape node with its exact
-    gradient, summed over an n×1 column weighted 1/|idx| on idx and 0 elsewhere."""
+    gradient, summed over an n×1 column weighted 1/|idx| per time a node is
+    listed in idx (so the mean counts a repeated node as often as evaluate
+    does) and 0 elsewhere."""
     z = logits.value
     n, c = z.shape
     idx, y = _split_labels(labels, idx, c, "train")
     m = z.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
     w = np.zeros((n, 1))
-    w[idx, 0] = 1.0 / idx.size
+    np.add.at(w[:, 0], idx, 1.0 / idx.size)
     picked = np.zeros((n, 1))
     picked[idx, 0] = z[idx, y]
     grad = w * np.exp(z - lse)
@@ -235,20 +237,24 @@ def _fit_downstream(x_view: np.ndarray, z_view: np.ndarray | None, a_norm,
     after a step and the next epoch's training forward share it on the tape.
     Without fusion X is a constant, so A·X is computed once per fit and the
     lower layer is ReLU((A·X)·W0), with no propagation forward or backward.
-    A dropout mask of at least pool.DRAW_AHEAD entries comes from a MasksAhead
-    stream, which draws each epoch's mask during the epoch before it on an idle
-    pool thread, the same bits as the sequential generator smaller masks use;
-    the last budgeted epoch starts no draw, and after an early stop or a raise
-    the draw in flight is cancelled or awaited.
+    A dropout mask of at least pool.DRAW_AHEAD entries is its epoch's item in
+    the pool's runner (pool._row_blocks, at most two items at once), so an
+    idle pool thread draws the masks of the epochs ahead, the same bits as the
+    sequential generator smaller masks use (nn.mask_at); no mask is drawn past
+    the last budgeted epoch, and after an early stop or a raise the draw in
+    flight is awaited and the thread given back.
     """
     n, d = x_view.shape
     use_fusion = z_view is not None
     op = Operator(a_norm)
     if not use_fusion:   # a constant input: propagated here, once
-        x_view = sparse_matmul(op.M, x_view, op.nnz)
+        x_view = sparse_matmul(op.M, x_view)
     init_rng = make_rng(seed, STREAM_DOWNSTREAM_INIT)
     if n * cfg.gcn_hidden >= pool.DRAW_AHEAD:
-        masks = MasksAhead(seed, STREAM_DOWNSTREAM_DROPOUT, cfg.down_max_epochs)
+        masks = contextlib.closing(pool._row_blocks(
+            partial(mask_at, seed, STREAM_DOWNSTREAM_DROPOUT, shape=(n, cfg.gcn_hidden),
+                    rate=cfg.down_dropout),
+            range(cfg.down_max_epochs), at_once=2))
     else:
         masks = contextlib.nullcontext(make_rng(seed, STREAM_DOWNSTREAM_DROPOUT))
 

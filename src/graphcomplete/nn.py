@@ -7,7 +7,8 @@ so every consumer sees one consistent set of values and gradients.
 
 from __future__ import annotations
 
-from concurrent.futures import wait
+import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -80,65 +81,22 @@ def dropout_mask(u: np.ndarray, rate: float) -> np.ndarray:
     return (u >= rate) / (1.0 - rate)
 
 
-class MasksAhead:
-    """The first `count` dropout masks of the (seed, stream) random stream, each
-    drawn one call ahead.
-
-    mask(shape, rate) returns the mask at the stream's next position, then,
-    unless it was the count-th, starts the next call's mask, of the same shape
-    and rate, on an idle pool thread (pool.borrow); with none idle, or if the
-    next call asks for another shape or rate, that call draws its mask itself.
-    So a user of count masks, a fit of count epochs, starts no draw it does
-    not use.  A mask is a pure function of (seed, stream, position)
-    (rng.random_at), so each one equals, bit for bit, the mask apply_dropout
-    draws at the same call from make_rng(seed, stream).  Leaving the with
-    block, after an early stop say, cancels the draw in flight or awaits it,
-    so no draw outlives its user.
-    """
-
-    def __init__(self, seed: int, stream: int, count: int):
-        self._key = (seed, stream)
-        self._left = count    # masks still to be returned
-        self._offset = 0      # uniforms the masks returned so far took
-        self._ahead = None    # (shape, rate, Future) of the next call's mask
-
-    def _draw(self, offset: int, shape: tuple, rate: float) -> np.ndarray:
-        return dropout_mask(random_at(*self._key, offset, shape), rate)
-
-    def mask(self, shape: tuple, rate: float) -> np.ndarray:
-        if self._ahead is not None and self._ahead[:2] == (shape, rate):
-            out = self._ahead[2].result()
-            self._ahead = None
-        else:
-            self.close()
-            out = self._draw(self._offset, shape, rate)
-        self._offset += out.size
-        self._left -= 1
-        future = pool.borrow(self._draw, self._offset, shape, rate) if self._left > 0 else None
-        if future is not None:
-            self._ahead = (shape, rate, future)
-        return out
-
-    def close(self) -> None:
-        """Cancel the draw in flight, or await it if it has started."""
-        if self._ahead is not None:
-            future, self._ahead = self._ahead[2], None
-            if not future.cancel():
-                wait([future])
-
-    def __enter__(self) -> MasksAhead:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+def mask_at(seed: int, stream: int, position: int, shape: tuple, rate: float) -> np.ndarray:
+    """Bit for bit the mask apply_dropout draws at its position-th call from
+    make_rng(seed, stream) when every call's mask has this shape, drawn
+    without the ones before it (rng.random_at), so on any thread, in any
+    order."""
+    return dropout_mask(random_at(seed, stream, position * math.prod(shape), shape), rate)
 
 
-def apply_dropout(h: Tensor, rate: float, rng: np.random.Generator | MasksAhead | None) -> Tensor:
+def apply_dropout(h: Tensor, rate: float,
+                  rng: np.random.Generator | Iterator[np.ndarray] | None) -> Tensor:
     """The one dropout rule: inverted dropout on the tape, zeroing each entry with
     probability rate and scaling the rest by 1/(1-rate).
 
     rate must lie in [0, 1); at rate 0, h is returned and nothing is drawn.
-    The mask comes from rng, a generator or a MasksAhead stream.
+    The mask is drawn from rng if it is a generator; else rng yields masks
+    made at this rate (mask_at) and the mask is its next one.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
@@ -146,9 +104,8 @@ def apply_dropout(h: Tensor, rate: float, rng: np.random.Generator | MasksAhead 
         return h
     if rng is None:
         raise ValueError(f"dropout rate {rate} requires a generator")
-    shape = h.value.shape
-    mask = (rng.mask(shape, rate) if isinstance(rng, MasksAhead)
-            else dropout_mask(rng.random(shape), rate))
+    mask = (dropout_mask(rng.random(h.value.shape), rate)
+            if isinstance(rng, np.random.Generator) else next(rng))
     return mul(h, constant(mask))
 
 
@@ -203,7 +160,7 @@ class Optimizer:
     checked finite before the parameter is rebound to it.  A parameter of more
     than pool.ADAM_SPLIT entries is updated in two row halves through
     pool.split_halves: the caller runs the first, and the second goes to
-    whichever of the caller and a borrowed idle pool thread reaches it first
+    whichever of the caller and an idle pool thread reaches it first
     (with no pool thread free, the update runs whole on the caller); the
     update is elementwise, so no bit changes.
     """

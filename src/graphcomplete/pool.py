@@ -18,20 +18,15 @@ yields, and the caller yields the results in item order, so a consumer that
 adds them up adds in the serial order.  The sweep runs its cells through it,
 at most --workers at once (experiment.py): a cell's own work takes only the
 pool threads the sweep left idle, so cells and their work never outnumber
-the budget.  So do the contrastive terms' row blocks (objective.py) and
-split_halves, which splits in two halves the work below above its size (one
-comparison, so small graphs pay nothing) and runs it whole when no pool
-thread is free:
+the budget.  So do the contrastive terms' row blocks (objective.py), the
+classifier's dropout masks of at least DRAW_AHEAD entries, one item per
+epoch, at most two at once (downstream.py), and split_halves, which splits
+in two halves the work below above its size (one comparison, so small graphs
+pay nothing) and runs it whole when no pool thread is free:
 
 - matmul: a dense product, split by output rows at a multiple of DENSE_ALIGN;
 - sparse_matmul: a CSR product, split by the matrix's rows;
 - the Adam update of a large parameter, split by rows (nn.Optimizer).
-
-borrow runs one task on a pool thread no call holds and gives the thread
-back when the task ends or is cancelled before it starts, so a caller holds
-it for that task alone: the classifier draws its large dropout masks one
-epoch ahead through it (nn.MasksAhead, from DRAW_AHEAD entries on, where
-that measured faster than drawing on the caller).
 
 No split and no draw ahead changes a bit: every output element keeps its
 operands and its reduction order, and a mask is a pure function of its
@@ -53,12 +48,14 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
+from scipy import sparse as sp
 
 # a product or update is split when its size exceeds these
 DENSE_SPLIT = 50_000_000   # multiply-adds of a dense product
 SPARSE_SPLIT = 4_000_000   # stored entries x columns of a sparse product
 ADAM_SPLIT = 1 << 18       # entries of a parameter, for its Adam update
-DRAW_AHEAD = 32_768        # a dropout mask of at least this many entries is drawn one call ahead
+DRAW_AHEAD = 32_768        # a dropout mask of at least this many entries is drawn
+                           # ahead, at most RUN_AHEAD masks past the next epoch's
 DENSE_ALIGN = 24           # a dense split falls on a multiple of this many rows
 RUN_AHEAD = 4              # _row_blocks starts no item more than this many past the next to yield
 
@@ -201,11 +198,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def sparse_matmul(m, x: np.ndarray, nnz: int) -> np.ndarray:
-    """m @ x as an ndarray, for m sparse with nnz stored entries or dense with
-    nnz 0; for m CSR above SPARSE_SPLIT stored entries x columns, m's rows
-    split in halves."""
-    if nnz * x.shape[1] <= SPARSE_SPLIT or m.format != "csr":
+def sparse_matmul(m, x: np.ndarray) -> np.ndarray:
+    """m @ x as an ndarray, for m sparse or dense; for m CSR above SPARSE_SPLIT
+    stored entries x columns, m's rows split in halves."""
+    if not sp.issparse(m) or m.format != "csr" or m.nnz * x.shape[1] <= SPARSE_SPLIT:
         return np.asarray(m @ x)
     rows = m.shape[0]
     out = np.empty((rows, x.shape[1]))
@@ -217,33 +213,6 @@ def sparse_matmul(m, x: np.ndarray, nnz: int) -> np.ndarray:
         return out
 
     return split_halves(part, rows)[-1]
-
-
-def borrow(fn, *args):
-    """fn(*args) on a pool thread no call holds, as a Future, or None if none
-    is free.  The thread is given back when fn ends, before the Future's
-    result is set, or when the Future is cancelled before fn starts; so a
-    caller holds it only while its one task runs."""
-    if not _IDLE.acquire(blocking=False):
-        return None
-
-    def task():
-        try:
-            return fn(*args)
-        finally:
-            _IDLE.release()
-
-    def cancelled(future):
-        if future.cancelled():
-            _IDLE.release()
-
-    try:
-        future = _POOL.submit(task)
-    except BaseException:
-        _IDLE.release()
-        raise
-    future.add_done_callback(cancelled)
-    return future
 
 
 _pin_lock = threading.Lock()

@@ -81,10 +81,10 @@ def relu(a: Tensor) -> Tensor:
 
 def propagate(op: Operator, x: Tensor) -> Tensor:
     """op.M @ x; the vjp multiplies by the Operator's prebuilt transpose."""
-    M, Mt, nnz, xv = op.M, op.Mt, op.nnz, x.value
+    M, Mt, xv = op.M, op.Mt, x.value
     if xv.ndim != 2 or M.shape[1] != xv.shape[0]:
         raise ShapeError(f"propagate: {M.shape} vs {xv.shape}")
-    return _node(pool.sparse_matmul(M, xv, nnz), [(x, lambda g: pool.sparse_matmul(Mt, g, nnz))])
+    return _node(pool.sparse_matmul(M, xv), [(x, lambda g: pool.sparse_matmul(Mt, g))])
 
 
 def tape_layer(x: Tensor, W: Tensor, bias=None, op=None, activate=False) -> Tensor:
@@ -134,7 +134,7 @@ def tape_cross_entropy(logits: Tensor, labels: np.ndarray, idx: np.ndarray,
     onehot = np.zeros((n, num_classes))
     onehot[idx, labels[idx]] = 1.0
     w = np.zeros((n, 1))
-    w[idx, 0] = 1.0 / idx.size
+    np.add.at(w[:, 0], idx, 1.0 / idx.size)
     picked = matmul(mul(logits, constant(onehot)), constant(np.ones((num_classes, 1))))
     per_node = add(row_logsumexp(logits), scale(picked, -1.0))
     return sum_all(mul(per_node, constant(w)))
@@ -322,7 +322,7 @@ def fit_downstream_two_forwards(x_view, z_view, a_norm, labels_trainval, num_cla
         init_fusion(store, d, cfg.attention_dim, init_rng)
     optim = Optimizer(store, cfg.down_lr, cfg.down_weight_decay)
 
-    ax = None if use_fusion else pool.sparse_matmul(op.M, x_view, op.nnz)
+    ax = None if use_fusion else pool.sparse_matmul(op.M, x_view)
 
     def forward(dropout=0.0, rng=None) -> Tensor:
         if use_fusion:

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import graphcomplete.autodiff as ad
+from graphcomplete import pool
 from graphcomplete.nn import ParamStore, apply_dropout
 
 from conftest import bits, gradcheck
@@ -452,19 +453,42 @@ def top_level_names(path: pathlib.Path) -> set:
                       for target in node.targets if isinstance(target, ast.Name)}
 
 
+def nodes_of_the_other_modules(module):
+    """Every syntax node of the package's modules other than module."""
+    own = pathlib.Path(module.__file__).resolve()
+    for path in own.parent.glob("*.py"):
+        if path != own:
+            yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def imported_from(module, node) -> set:
+    """The names node imports from module (`from .name import ...`), if it does."""
+    name = module.__name__.rpartition(".")[2]
+    if isinstance(node, ast.ImportFrom) and node.module in (name, module.__name__):
+        return {alias.name for alias in node.names}
+    return set()
+
+
 def test_every_public_autodiff_name_has_a_caller_in_the_package():
     # an op that loses its last caller in src/ moves to tests/oracles.py, and
     # leaves autodiff in the same change: each op has exactly one definition
-    package = pathlib.Path(ad.__file__).resolve().parent
     defined = top_level_names(pathlib.Path(ad.__file__))
-    imported = set()
-    for path in package.glob("*.py"):
-        if path.name == "autodiff.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and node.module in ("autodiff", "graphcomplete.autodiff"):
-                imported |= {alias.name for alias in node.names}
+    imported = set().union(*(imported_from(ad, node) for node in nodes_of_the_other_modules(ad)))
     public = {name for name in defined if not name.startswith("_")}
     assert public and public <= imported, sorted(public - imported)
     oracles = top_level_names(pathlib.Path(__file__).resolve().parent / "oracles.py")
     assert not oracles & defined, sorted(oracles & defined)
+
+
+def test_every_public_pool_function_has_a_caller_in_the_package():
+    # a pool function that loses its last caller in src/ leaves pool in the same
+    # change; a caller names it as pool.<name> or imports it from .pool
+    tree = ast.parse(pathlib.Path(pool.__file__).read_text(encoding="utf-8"))
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = set()
+    for node in nodes_of_the_other_modules(pool):
+        called |= imported_from(pool, node)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "pool":
+            called.add(node.attr)
+    assert public and public <= called, sorted(public - called)

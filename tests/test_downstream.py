@@ -182,6 +182,8 @@ def cross_entropy_cases():
         ("plus-minus-50", big, np.array([0, 1, 2, 0, 1, 2]), np.array([5, 1, 2, 3])),
         ("negative-zero", np.full((4, 3), -0.0), np.array([1, 0, 2, 1]), np.array([0, 2, 3])),
         ("underflowing-row", underflow, np.array([0, 3, 0, 1, 2]), np.array([2, 0, 4])),
+        ("repeated-train-node", rng.normal(size=(5, 3)), rng.integers(0, 3, 5),
+         np.array([3, 0, 3, 1])),
     ]
 
 
@@ -198,6 +200,13 @@ def test_fused_cross_entropy_matches_tape_bit_for_bit(name, logits, labels, idx)
     (loss_f, grad_f), (loss_t, grad_t) = results
     np.testing.assert_array_equal(loss_f, loss_t)
     np.testing.assert_array_equal(grad_f, grad_t)
+
+
+def test_cross_entropy_counts_a_repeated_train_node_each_time():
+    # the mean over [0, 0, 1] at zero logits is log 2, as evaluate counts node 0 twice
+    loss = cross_entropy_loss(ad.constant(np.zeros((3, 2))), np.array([0, 1, 1]),
+                              np.array([0, 0, 1]))
+    assert float(loss.value) == pytest.approx(math.log(2), rel=1e-15)
 
 
 @pytest.mark.parametrize("label, node", [(-1, 1), (3, 1), (7, 0)])
@@ -492,31 +501,40 @@ class TestDropoutDrawnAhead:
         self.assert_pool_thread_free()
         assert pool_draws
 
-    @pytest.mark.parametrize("epochs", [1, 4])
-    def test_a_fit_of_e_epochs_draws_e_masks(self, monkeypatch, epochs):
-        # every mask drawn on the caller or offered to the pool, by its stream
-        # offset: the last epoch offers none for an epoch that does not come
-        real_draw, real_borrow, offsets = nn.MasksAhead._draw, pool.borrow, []
-        caller = threading.current_thread()
-
-        def draw(masks, offset, shape, rate):
-            if threading.current_thread() is caller:
-                offsets.append(offset)
-            return real_draw(masks, offset, shape, rate)
-
-        def borrow(fn, *args):
-            if isinstance(getattr(fn, "__self__", None), nn.MasksAhead):
-                offsets.append(args[0])
-            return real_borrow(fn, *args)
-
-        monkeypatch.setattr(nn.MasksAhead, "_draw", draw)
-        monkeypatch.setattr(pool, "borrow", borrow)
-        with forced_splits():
-            result = self.fit(down_max_epochs=epochs, down_patience=epochs)
+    def test_free_while_the_error_is_held(self, pool_draws, monkeypatch):
+        # the kept traceback keeps the fit's frame and its mask stream alive:
+        # the thread comes back when the fit's with block ends, not when the
+        # stream is collected
+        monkeypatch.setattr(downstream, "cross_entropy_loss",
+                            lambda *args: ad.fused_scalar(np.nan, []))
+        with pytest.raises(FloatingPointError, match="epoch 0") as raised:
+            self.fit()
         self.assert_pool_thread_free()
-        size = 100 * quick_config().gcn_hidden   # sbm_fixture's n=100 nodes
-        assert len(result.metrics.loss_curve) == epochs
-        assert sorted(offsets) == [size * e for e in range(epochs)]
+        assert raised.value.__traceback__ is not None
+
+    @pytest.mark.parametrize("max_epochs, patience, unused", [
+        pytest.param(1, 1, 0, id="1"),
+        pytest.param(4, 4, 0, id="4"),
+        pytest.param(100, 1, pool.RUN_AHEAD + 1, id="early_stop"),
+    ])
+    def test_a_fit_of_e_epochs_draws_e_masks(self, monkeypatch, max_epochs, patience, unused):
+        # every mask drawn, on the caller or the pool thread, by its stream
+        # position: none past the last budgeted epoch, and after an early stop
+        # at most `unused` more than the epochs run, the runner's bound
+        real, positions = downstream.mask_at, []
+
+        def mask_at(seed, stream, position, **kwargs):
+            positions.append(position)
+            return real(seed, stream, position, **kwargs)
+
+        monkeypatch.setattr(downstream, "mask_at", mask_at)
+        with forced_splits():
+            result = self.fit(down_max_epochs=max_epochs, down_patience=patience)
+        self.assert_pool_thread_free()
+        epochs = len(result.metrics.loss_curve)
+        assert epochs < max_epochs if unused else epochs == max_epochs
+        assert sorted(positions) == list(range(len(positions)))
+        assert epochs <= len(positions) <= epochs + unused
 
 
 class TestBaselineLowerLayer:
@@ -537,7 +555,7 @@ class TestBaselineLowerLayer:
         x[:5] = 0.0
         upstream = rng.normal(size=(n, 16))
         op = ad.Operator(a_norm)
-        ax = pool.sparse_matmul(op.M, x, op.nnz)
+        ax = pool.sparse_matmul(op.M, x)
         out = []
         for lower_op, inputs in ((op, x), (None, ax)):
             store = gcn_store(12, 16, 3, seed=n)

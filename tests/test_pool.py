@@ -180,26 +180,6 @@ def test_split_runs_whole_without_a_free_pool_thread(threads):
     assert calls == [(slice(0, 10), threading.current_thread())]
 
 
-def test_borrow_gives_the_thread_back_before_the_result_and_on_a_cancel():
-    # a task's thread is free once its result is read; a task cancelled
-    # before it starts (queued behind work the semaphore does not count)
-    # gives its thread back at the cancel; with none free, nothing runs
-    with row_block_threads(2):
-        for i in range(20):
-            assert pool.borrow(lambda j: j + 1, i).result() == i + 1
-            assert pool._IDLE.acquire(blocking=False)
-            pool._IDLE.release()
-        gate = threading.Event()
-        blocker = pool._POOL.submit(gate.wait, 10)
-        queued = pool.borrow(lambda: None)
-        assert pool.borrow(lambda: None) is None
-        assert queued.cancel()
-        assert pool._IDLE.acquire(blocking=False)
-        pool._IDLE.release()
-        gate.set()
-        assert blocker.result()
-
-
 # ---------------------------------------------------------------------------
 # the runner: the caller and the pool thread take the next item nobody has
 # taken; Events fix which thread runs what, so no result depends on timing
@@ -496,8 +476,8 @@ def test_pin_holds_in_every_cell_at_two_workers(caller_counts, monkeypatch, tmp_
 
 def test_cells_and_their_work_stay_within_the_budget(monkeypatch, tmp_path):
     # --workers 4, more cells than the two threads of the budget, with every
-    # split and draw ahead forced on: the threads inside a cell, a runner's
-    # item or a borrowed task at any one moment never outnumber the budget
+    # split and draw ahead forced on: the threads inside a cell or a runner's
+    # item at any one moment never outnumber the budget
     lock, depth, most = threading.Lock(), {}, []
 
     def counted(fn):
@@ -515,7 +495,7 @@ def test_cells_and_their_work_stay_within_the_budget(monkeypatch, tmp_path):
                         del depth[me]
         return inside
 
-    real_blocks, real_borrow = pool._row_blocks, pool.borrow
+    real_blocks = pool._row_blocks
 
     def runner(fn, *args, **kwargs):
         return real_blocks(counted(fn), *args, **kwargs)
@@ -523,7 +503,6 @@ def test_cells_and_their_work_stay_within_the_budget(monkeypatch, tmp_path):
     monkeypatch.setattr(experiment, "_run_cell", counted(experiment._run_cell))
     monkeypatch.setattr(pool, "_row_blocks", runner)
     monkeypatch.setattr(objective, "_row_blocks", runner)
-    monkeypatch.setattr(pool, "borrow", lambda fn, *args: real_borrow(counted(fn), *args))
     gc.write_dataset(sbm_fixture(), str(tmp_path / "data"))
     with pool.one_blas_thread(), forced_splits():
         assert experiment.main(["--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "out"),
