@@ -45,7 +45,7 @@ print("\nobserved entries untouched:",
 # --- structure recovered without labels ---------------------------------------
 # The decoded soft adjacency should rate same-block pairs above cross-block
 # pairs even though the blocks were never revealed.
-decoded_adj = gc.decode_structure(state.imputed).value
+decoded_adj = gc.decode_structure(state.imputed)
 same = clean.labels[:, None] == clean.labels[None, :]
 off_diag = ~np.eye(clean.n, dtype=bool)
 print(f"\ndecoded affinity within blocks:  "

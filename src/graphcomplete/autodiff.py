@@ -157,21 +157,8 @@ def logistic(x: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = logistic(a.value)
-    return _node(out, [(a, lambda g: g * out * (1.0 - out))])
-
-
 # ---------------------------------------------------------------------------
 # matrix products
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-        raise ShapeError(f"matmul: {a.value.shape} vs {b.value.shape}")
-    av, bv = a.value, b.value
-    return _node(pool.matmul(av, bv), [(a, lambda g: pool.matmul(g, bv.T)),
-                                       (b, lambda g: pool.matmul(av.T, g))])
 
 
 class Operator:
@@ -225,10 +212,6 @@ def layer(x: Tensor, W: Tensor, bias: Tensor | None = None, op: Operator | None 
     if bias is not None:
         parents.append((bias, lambda d: d.sum(axis=0, keepdims=True)))
     return shared_node(out, upstream, parents)
-
-
-def transpose(a: Tensor) -> Tensor:
-    return _node(a.value.T, [(a, lambda g: g.T)])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ empty field (a leading, trailing or doubled tab) makes the line malformed:
 * ``labels.tsv``   -- optional, ``node<TAB>class`` lines
 * ``mask.tsv``     -- optional, same layout as features with 0/1 entries;
   absent means fully observed
-* ``meta.json``    -- ``{"nodes": n, "features": d, "classes": C}``
+* ``meta.json``    -- ``{"nodes": n, "features": d, "classes": C}``, integers
 """
 
 from __future__ import annotations
@@ -243,13 +243,21 @@ def load_dataset(path: str) -> GraphDataset:
     meta_path = os.path.join(path, "meta.json")
     if os.path.exists(meta_path):
         with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+            try:
+                meta = json.load(fh)
+            except ValueError as exc:   # malformed JSON or text
+                raise DatasetFormatError(f"{meta_path}: not valid JSON ({exc})") from None
+        if not isinstance(meta, dict):
+            raise DatasetFormatError(f"{meta_path}: not a JSON object")
+        for key in ("nodes", "features", "classes"):
+            if type(meta.get(key, 0)) is not int:   # 2, not "2", 2.0 or true
+                raise DatasetFormatError(f"{meta_path}: {key} {meta[key]!r} is not an integer")
         if meta.get("nodes") != n or meta.get("features") != d:
             raise DatasetFormatError(f"{meta_path}: counts disagree with files")
         if labels is not None and meta.get("classes", num_classes) < num_classes:
             raise DatasetFormatError(f"{meta_path}: class count below observed labels")
         if labels is not None:
-            num_classes = int(meta.get("classes", num_classes))
+            num_classes = meta.get("classes", num_classes)
 
     features = np.where(mask, features, 0.0)
     return GraphDataset(features, mask, edges, labels, num_classes).validate()

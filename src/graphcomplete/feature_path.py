@@ -1,16 +1,17 @@
 """Feature-reconstruction path.
 
 Missing attribute entries are filled by a two-layer MLP applied to the
-zero-filled feature rows; observed entries pass through untouched.  An
-inner-product decoder then turns the completed features into a dense
-soft adjacency, the structure view this path contributes.
+zero-filled feature rows; observed entries pass through untouched.  The
+completed features X give this path's structure view, sigmoid(X·Xᵀ): the
+structure term decodes it block by block, decode_structure whole as an array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, as_tensor, matmul, sigmoid, transpose, where_mask
+from . import pool
+from .autodiff import ShapeError, Tensor, as_tensor, logistic, where_mask
 from .nn import ParamStore, mlp2_forward
 
 
@@ -33,7 +34,9 @@ def impute_features(features: np.ndarray, feature_mask: np.ndarray,
     return where_mask(feature_mask, features, predicted)
 
 
-def decode_structure(completed) -> Tensor:
-    """Inner-product decoder: logistic of the feature Gram matrix."""
-    x = as_tensor(completed)
-    return sigmoid(matmul(x, transpose(x)))
+def decode_structure(completed) -> np.ndarray:
+    """Inner-product decoder: logistic(X·Xᵀ) of X (array or Tensor), no gradient."""
+    x = as_tensor(completed).value
+    if x.ndim != 2:
+        raise ShapeError(f"decode_structure: features of shape {x.shape}, not (n, d)")
+    return logistic(pool.matmul(x, x.T))

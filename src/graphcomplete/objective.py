@@ -56,6 +56,11 @@ F32_ROWS = 256   # from this many nodes (4 row blocks, as for the pool) these bl
                  # and so does structure_path's diffusion solve
 
 
+def _check_temperature(temperature: float) -> None:
+    if not temperature > 0:
+        raise ValueError(f"temperature {temperature} must be positive")
+
+
 def _block_dtype(n: int):
     return np.float32 if n >= F32_ROWS else np.float64
 
@@ -96,6 +101,7 @@ def _infonce_block(sim: np.ndarray, r0: int, temperature: float):
 
 def feature_contrastive_loss(completed, propagated, temperature: float) -> Tensor:
     """InfoNCE between completed feature rows and propagated representations."""
+    _check_temperature(temperature)
     x, p = as_tensor(completed).value, as_tensor(propagated).value
     if x.shape != p.shape:
         raise ShapeError(f"feature_contrastive_loss: {x.shape} vs {p.shape}")
@@ -126,6 +132,7 @@ def structure_contrastive_loss(completed, targets, temperature: float) -> Tensor
     a time.  targets is structure_targets(diffusion), built once per phase;
     its transpose is built once per call and shared by every row block.
     """
+    _check_temperature(temperature)
     x = as_tensor(completed).value
     if targets.shape != (len(x), len(x)):
         raise ShapeError(f"structure_contrastive_loss: {x.shape} vs targets {targets.shape}")
@@ -159,9 +166,7 @@ def structure_contrastive_loss(completed, targets, temperature: float) -> Tensor
 def total_contrastive_loss(completed, propagated, targets,
                            temperature: float) -> tuple[Tensor, Tensor, Tensor]:
     """Sum of the two terms, targets = structure_targets(diffusion); returns
-    (total, feature term, structure term)."""
-    if not temperature > 0:
-        raise ValueError(f"temperature {temperature} must be positive")
+    (total, feature term, structure term).  Each term checks the temperature."""
     l_f = feature_contrastive_loss(completed, propagated, temperature)
     l_s = structure_contrastive_loss(completed, targets, temperature)
     return add(l_f, l_s), l_f, l_s

@@ -105,6 +105,8 @@ def knn_sparsify(matrix: np.ndarray, k: int) -> np.ndarray:
     m = matrix.shape[1]
     if k < 1:
         raise ValueError(f"k {k} must be at least 1")
+    if not isinstance(k, numbers.Integral):   # build_diffusion's rule
+        raise ValueError(f"k {k} must be an integer")
     if k > m:
         warnings.warn(f"k={k} exceeds {m} columns; keeping all")
     # a row's k largest sit in its last k partitioned slots, NaNs (sorted last) among them

@@ -15,7 +15,7 @@ import numpy as np
 from graphcomplete import pool
 from graphcomplete.autodiff import (
     Operator, ShapeError, Tensor, _node, add, add_rowvec, as_tensor, backward, constant,
-    matmul, mul, unit_rows,
+    logistic, mul, unit_rows,
 )
 from graphcomplete.downstream import evaluate, gcn_forward
 from graphcomplete.fusion import init_fusion
@@ -70,6 +70,24 @@ def ppr_power_iteration(a_norm: np.ndarray, alpha: float,
 
 # ---------------------------------------------------------------------------
 # tape ops no pipeline calls
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b through pool.matmul, the product autodiff.layer fuses."""
+    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
+        raise ShapeError(f"matmul: {a.value.shape} vs {b.value.shape}")
+    av, bv = a.value, b.value
+    return _node(pool.matmul(av, bv), [(a, lambda g: pool.matmul(g, bv.T)),
+                                       (b, lambda g: pool.matmul(av.T, g))])
+
+
+def transpose(a: Tensor) -> Tensor:
+    return _node(a.value.T, [(a, lambda g: g.T)])
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = logistic(a.value)
+    return _node(out, [(a, lambda g: g * out * (1.0 - out))])
 
 
 def relu(a: Tensor) -> Tensor:
@@ -268,7 +286,6 @@ def serial_contrastive_terms(X, P, targets, temperature, block_rows):
     loss, dX)).  The blocks compute in float32 from objective.F32_ROWS nodes
     on, into float64 sums.  The package's terms must match these bit for bit
     however their blocks are scheduled."""
-    from graphcomplete.autodiff import logistic
     from graphcomplete.objective import _block_dtype, _infonce_block
     dtype = _block_dtype(len(X))
     u, u_vjp = unit_rows(X)

@@ -156,6 +156,23 @@ class TestLoadErrors:
         with pytest.raises(DatasetFormatError, match="disagree"):
             gc.load_dataset(str(tmp_path))
 
+    @pytest.mark.parametrize("meta, message", [
+        ('{"nodes": 2, "features": 2, "classes": "2"}', r"classes '2' is not an integer"),
+        ('{"nodes": 2, "features": 2, "classes": 2.7}', r"classes 2\.7 is not an integer"),
+        ('{"nodes": 2, "features": 2, "classes": true}', r"classes True is not an integer"),
+        ('{"nodes": 2.0, "features": 2, "classes": 2}', r"nodes 2\.0 is not an integer"),
+        ('[2, 2, 2]', r"not a JSON object"),
+        ('{"nodes": 2,', r"not valid JSON"),
+        ('{"nodes": 2, "features": 2, "classes": 1}', r"class count below observed labels"),
+    ], ids=["string_classes", "float_classes", "bool_classes", "float_nodes", "list",
+            "invalid_json", "too_few_classes"])
+    def test_malformed_meta_rejected(self, tmp_path, meta, message):
+        self.write_minimal(tmp_path)
+        (tmp_path / "labels.tsv").write_text("0\t0\n1\t1\n")
+        (tmp_path / "meta.json").write_text(meta)
+        with pytest.raises(DatasetFormatError, match=r"meta\.json: " + message):
+            gc.load_dataset(str(tmp_path))
+
 
 class TestValidate:
     def test_nonzero_masked_entry_rejected(self):

@@ -34,7 +34,7 @@ from conftest import (
     gradcheck,
     sbm_fixture,
 )
-from oracles import fit_downstream_two_forwards, propagate, relu, tape_cross_entropy
+from oracles import fit_downstream_two_forwards, matmul, propagate, relu, tape_cross_entropy
 
 
 def gcn_store(d, h, c, seed=0):
@@ -330,9 +330,9 @@ def per_call_structure_term(completed, diffusion, temperature):
 
 def per_call_ppnp(diffusion, x, store, dropout=0.0, rng=None):
     """The structure path's net with Mᵀ rebuilt on every propagate."""
-    h = relu(propagate(ad.Operator(diffusion), ad.matmul(x, store["ppnp.W0"])))
+    h = relu(propagate(ad.Operator(diffusion), matmul(x, store["ppnp.W0"])))
     h = apply_dropout(h, dropout, rng)
-    return propagate(ad.Operator(diffusion), ad.matmul(h, store["ppnp.W1"]))
+    return propagate(ad.Operator(diffusion), matmul(h, store["ppnp.W1"]))
 
 
 class TestReconstructionComposition:

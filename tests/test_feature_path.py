@@ -6,8 +6,8 @@ from graphcomplete.autodiff import ShapeError
 from graphcomplete.feature_path import decode_structure, impute_features
 from graphcomplete.nn import ParamStore, init_mlp2
 
-from conftest import gradcheck
-from oracles import sum_all
+from conftest import bits, forced_splits, gradcheck
+from oracles import matmul, sigmoid, sum_all, transpose
 
 SIGMOID_1 = 0.7310585786300049  # logistic(1), frozen reference value
 
@@ -95,7 +95,7 @@ class TestImpute:
         # otherwise sit exactly at it and break the central difference)
         store["imputer.b1"].value = 0.3 + np.abs(rng.normal(size=(1, 6)))
         gradcheck(lambda s: sum_all(
-            ad.sigmoid(impute_features(X, mask, s))), store)
+            sigmoid(impute_features(X, mask, s))), store)
 
     def test_mask_shape_checked(self):
         with pytest.raises(ShapeError):
@@ -111,24 +111,35 @@ class TestImpute:
 class TestDecode:
     def test_zero_features_give_half_everywhere(self):
         out = decode_structure(np.zeros((3, 2)))
-        np.testing.assert_array_equal(out.value, np.full((3, 3), 0.5))
+        np.testing.assert_array_equal(out, np.full((3, 3), 0.5))
 
     def test_unit_gram_entry(self):
         # rows e1 and 2*e2: diagonal gets sigmoid(1), sigmoid(4)
         X = np.array([[1.0, 0.0], [0.0, 2.0]])
-        out = decode_structure(X).value
+        out = decode_structure(X)
         assert out[0, 0] == pytest.approx(SIGMOID_1, rel=1e-15)
         assert out[0, 1] == 0.5 and out[1, 0] == 0.5
 
     def test_output_symmetric_and_bounded(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(8, 5))
-        out = decode_structure(X).value
+        out = decode_structure(X)
         np.testing.assert_array_equal(out, out.T)
         assert out.min() > 0.0 and out.max() < 1.0
 
-    def test_gradcheck(self):
-        rng = np.random.default_rng(11)
-        store = ParamStore()
-        store.add("x", rng.normal(size=(4, 3)))
-        gradcheck(lambda s: sum_all(decode_structure(s["x"])), store)
+    @pytest.mark.parametrize("n", [6, 50], ids=["unsplit", "split"])
+    def test_matches_the_tape_composition_bit_for_bit(self, n):
+        # an array, gradient-free, equal to the tape's sigmoid(X·Xᵀ); under
+        # forced splits the product takes the pool's split path (n=50 in two halves)
+        X = np.random.default_rng(11).normal(size=(n, 3))
+        x = ad.constant(X)
+        expected = bits(sigmoid(matmul(x, transpose(x))).value).tobytes()
+        outs = [decode_structure(X), decode_structure(ParamStore().add("x", X))]
+        with forced_splits():
+            outs += [decode_structure(X), decode_structure(x)]
+        for out in outs:
+            assert type(out) is np.ndarray and bits(out).tobytes() == expected
+
+    def test_features_must_be_a_matrix(self):
+        with pytest.raises(ShapeError, match="decode_structure"):
+            decode_structure(np.ones(4))

@@ -10,7 +10,7 @@ from graphcomplete.fusion import attention_fuse, init_fusion
 from graphcomplete.nn import ParamStore
 
 from conftest import bits, gradcheck
-from oracles import mul_colvec, sum_all, tape_attention_fuse
+from oracles import mul_colvec, sigmoid, sum_all, tape_attention_fuse
 
 SIGMOID_2 = 0.8807970779778823  # logistic(2), frozen reference value
 
@@ -143,7 +143,7 @@ class TestGradients:
         store = ParamStore()
         init_fusion(store, 3, 4, np.random.default_rng(14))
         out = attention_fuse(x, z, store)
-        ad.backward(sum_all(ad.sigmoid(out.fused)))
+        ad.backward(sum_all(sigmoid(out.fused)))
         for name, t in store.items():
             assert np.abs(t.grad).max() > 0.0, name
 
@@ -153,7 +153,7 @@ class TestGradients:
         store = ParamStore()
         init_fusion(store, 3, 3, np.random.default_rng(16))
         gradcheck(lambda s: sum_all(
-            ad.sigmoid(attention_fuse(x, z, s).fused)), store)
+            sigmoid(attention_fuse(x, z, s).fused)), store)
 
     def test_gradcheck_through_weights(self):
         rng = np.random.default_rng(17)
@@ -214,7 +214,7 @@ def test_fused_attention_matches_tape_bit_for_bit(name, x, z, overrides, W):
         else:
             out = attention_fuse(x, z, store)
             fused, weights = out.fused, out.weights
-        ad.backward(sum_all(ad.sigmoid(ad.matmul(fused, w))))
+        ad.backward(sum_all(sigmoid(ad.layer(fused, w))))
         results.append([bits(fused.value), bits(weights)]
                        + [bits(t.grad) for _, t in store.items()])
     for ours, tape in zip(*results):
@@ -228,7 +228,7 @@ def test_fused_attention_gradcheck(name, x, z, overrides, W):
     # at gate biases ±50 every gate rounds to ±1, so 1 - tanh² and every gradient
     # are exactly 0 and the differences read 0 too: those cases check only that
     w = ad.constant(W)
-    gradcheck(lambda s: sum_all(ad.sigmoid(ad.matmul(attention_fuse(x, z, s).fused, w))),
+    gradcheck(lambda s: sum_all(sigmoid(ad.layer(attention_fuse(x, z, s).fused, w))),
               case_store(x.shape[1], overrides))
 
 

@@ -26,7 +26,8 @@ from graphcomplete.objective import (
 
 from conftest import bits, f32_from, gradcheck, row_block_threads, sbm_fixture
 from oracles import (
-    cosine_matrix, row_logsumexp, row_normalize, scale, serial_contrastive_terms, sum_all,
+    cosine_matrix, matmul, row_logsumexp, row_normalize, scale, serial_contrastive_terms,
+    sigmoid, sum_all, transpose,
 )
 
 
@@ -42,9 +43,14 @@ def infonce_oracle(U, V, t):
 class TestConfig:
     def test_temperature_positive(self):
         rows = np.eye(3)
-        for temperature in (0.0, -0.5, np.nan):
-            with pytest.raises(ValueError, match=f"temperature {temperature} must be positive"):
-                total_contrastive_loss(rows, rows, structure_targets(rows), temperature)
+        targets = structure_targets(rows)
+        calls = (lambda t: total_contrastive_loss(rows, rows, targets, t),
+                 lambda t: feature_contrastive_loss(rows, rows, t),
+                 lambda t: structure_contrastive_loss(rows, targets, t))
+        for call in calls:
+            for temperature in (0.0, -0.5, np.nan):
+                with pytest.raises(ValueError, match=f"temperature {temperature} must be positive"):
+                    call(temperature)
 
 
 class TestFeatureTerm:
@@ -201,14 +207,14 @@ def tape_infonce(sim, t):
     through a mask product so only generic tape ops are involved."""
     s = scale(sim, 1.0 / t)
     n = s.shape[0]
-    diag = ad.matmul(ad.mul(s, ad.constant(np.eye(n))), ad.constant(np.ones((n, 1))))
+    diag = matmul(ad.mul(s, ad.constant(np.eye(n))), ad.constant(np.ones((n, 1))))
     return sum_all(ad.add(row_logsumexp(s), scale(diag, -1.0)))
 
 
 def tape_feature_term(U, V, t):
     u = row_normalize(U)
     v = row_normalize(V)
-    return tape_infonce(ad.matmul(u, ad.transpose(v)), t)
+    return tape_infonce(matmul(u, transpose(v)), t)
 
 
 def tape_structure_term(X, diffusion, t):
@@ -216,8 +222,8 @@ def tape_structure_term(X, diffusion, t):
     row-normalized diffusion: every n×n intermediate on the tape."""
     D = np.asarray(diffusion, dtype=np.float64)
     rows = D / np.maximum(np.linalg.norm(D, axis=1, keepdims=True), objective.NORM_EPS)
-    a = row_normalize(ad.sigmoid(ad.matmul(X, ad.transpose(X))))
-    return tape_infonce(ad.matmul(a, ad.transpose(ad.constant(rows))), t)
+    a = row_normalize(sigmoid(matmul(X, transpose(X))))
+    return tape_infonce(matmul(a, transpose(ad.constant(rows))), t)
 
 
 def loss_and_grads(build, arrays):

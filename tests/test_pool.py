@@ -70,7 +70,7 @@ def test_matmul_split_keeps_every_bit(submitted, a_shape, b_shape, halves):
     av, bv = rng.normal(size=a_shape), rng.normal(size=b_shape)
     g = rng.normal(size=(a_shape[0], b_shape[1]))
     store = ParamStore()
-    out = ad.matmul(store.add("a", av), store.add("b", bv))
+    out = ad.layer(store.add("a", av), store.add("b", bv))
     da, db = vjps(out, g)
     assert bits(out.value).tobytes() == bits(av @ bv).tobytes()
     assert bits(da).tobytes() == bits(g @ bv.T).tobytes()

@@ -20,7 +20,7 @@ from graphcomplete.structure_path import (
 )
 
 from conftest import bits, gradcheck
-from oracles import ppr_power_iteration, stable_argsort_topk, sum_all
+from oracles import ppr_power_iteration, sigmoid, stable_argsort_topk, sum_all
 
 PATH_EDGE = np.array([[0, 1]])  # 2-node path graph
 
@@ -279,6 +279,12 @@ class TestKnnSparsify:
         with pytest.raises(ValueError):
             knn_sparsify(np.ones((2, 2)), 0)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0])
+    def test_k_must_be_an_integer(self, k):
+        # the rule build_diffusion applies, not a TypeError from np.partition
+        with pytest.raises(ValueError, match=f"k {k} must be an integer"):
+            knn_sparsify(np.ones((2, 3)), k)
+
     def test_row_support_size(self):
         rng = np.random.default_rng(8)
         a = rng.random((10, 10))
@@ -424,7 +430,7 @@ class TestPPNP:
         X = rng.normal(size=(5, 3)) + 0.1
         store = self.ppnp_store((3, 4, 2), seed=18)
         gradcheck(lambda s: sum_all(
-            ad.sigmoid(ppnp_forward(ad.Operator(sp.csr_array(a)), X, s))), store)
+            sigmoid(ppnp_forward(ad.Operator(sp.csr_array(a)), X, s))), store)
 
 
 class TestBuildDiffusion:
