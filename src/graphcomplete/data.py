@@ -249,10 +249,13 @@ def load_dataset(path: str) -> GraphDataset:
                 raise DatasetFormatError(f"{meta_path}: not valid JSON ({exc})") from None
         if not isinstance(meta, dict):
             raise DatasetFormatError(f"{meta_path}: not a JSON object")
+        for key in ("nodes", "features"):
+            if key not in meta:
+                raise DatasetFormatError(f"{meta_path}: {key} missing")
         for key in ("nodes", "features", "classes"):
             if type(meta.get(key, 0)) is not int:   # 2, not "2", 2.0 or true
                 raise DatasetFormatError(f"{meta_path}: {key} {meta[key]!r} is not an integer")
-        if meta.get("nodes") != n or meta.get("features") != d:
+        if meta["nodes"] != n or meta["features"] != d:
             raise DatasetFormatError(f"{meta_path}: counts disagree with files")
         if labels is not None and meta.get("classes", num_classes) < num_classes:
             raise DatasetFormatError(f"{meta_path}: class count below observed labels")
@@ -383,9 +386,13 @@ def generate_sbm(
     """
     if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):
         raise ValueError("edge probabilities must lie in [0, 1]")
+    if not (0.0 <= noise_sd < math.inf):
+        raise ValueError(f"noise_sd {noise_sd!r} must be finite and non-negative")
     means = np.asarray(feat_means, dtype=np.float64)
     if means.shape[0] != blocks:
         raise ValueError(f"feat_means has {means.shape[0]} rows for {blocks} blocks")
+    if not np.all(np.isfinite(means)):
+        raise ValueError("feat_means must be finite")
     n = n_per_block * blocks
     labels = np.repeat(np.arange(blocks, dtype=np.int64), n_per_block)
 

@@ -175,3 +175,18 @@ def sbm_fixture(mean_scale: float = 0.05, seed: int = 0) -> gc.GraphDataset:
     """
     means = gc.data.two_block_features(16) * mean_scale
     return gc.generate_sbm(50, 2, 0.3, 0.02, means, 0.5, seed=seed)
+
+
+def sbm256_fixture() -> gc.GraphDataset:
+    """The 256-node two-block graph, the smallest whose contrastive terms run
+    their row blocks in float32 and whose diffusion is solved in float32
+    (objective.F32_ROWS); each term has 4 row blocks, enough for the pool."""
+    return gc.generate_sbm(128, 2, 0.05, 0.005, gc.data.two_block_features(8), 0.5, seed=1)
+
+
+# a short sweep of sbm256_fixture with small layers, all but --dataset,
+# --out and --workers
+SBM256_FLAGS = ["--seeds", "0,1", "--epochs", "4", "--k", "5", "--imputer-hidden", "8",
+                "--pe-hidden", "16", "--ppnp-hidden", "8", "--gcn-hidden", "8",
+                "--attention-dim", "4", "--down-max-epochs", "20",
+                "--dump-embeddings", "--dump-structure"]

@@ -15,94 +15,90 @@ Both comparisons run against one shipped fit per cell.  The downstream
 test accuracies are compared pair by pair.
 
 Everything is fixed before the first run: recon-large's graph generator
-(perfbench/workloads.py) at 4 blocks of 250 nodes, n=1000, graph seed 0;
-rate pairs (0.3, 0.3) and (0.6, 0.6), feature entries hidden; cell seeds
-11-20; the default config (200 reconstruction epochs, alpha 0.1, the default
-classifier).  Per rate pair it prints each cell's accuracies and best
-epochs, then per comparison the paired differences (shipped minus
-float64): their mean, the win/loss/tie counts, a 95% bootstrap interval of
-the mean (10,000 resamples, seed 0), and the gate: the interval holds 0 and
-|mean| <= 0.01.  The exit status is 0 when every gate passes.
+(perfbench/workloads.py, through tests/paired.py) at 4 blocks of 250 nodes,
+n=1000, graph seed 0; rate pairs (0.3, 0.3) and (0.6, 0.6), feature entries
+hidden; cell seeds 11-20; the default config (200 reconstruction epochs,
+alpha 0.1, the default classifier).  Per rate pair it prints each cell's
+accuracies and best epochs, then per comparison the paired differences
+(shipped minus float64): their mean, the win/loss/tie counts, a 95%
+bootstrap interval of the mean (10,000 resamples, seed 0), and the gate:
+the interval holds 0 and |mean| <= 0.01; and on the next line the two-sided
+sign test over the untied pairs.
+
+Then, per rate pair, the noise floor: the ``all`` fits against float64 fits
+of the same cells on the clean graph with every feature moved up by one ulp
+(np.nextafter) before masking.  Roundoff of that size alone moves each
+fit's best-epoch pick, so this split is what float32's would look like if
+it cost nothing.  It has no gate.  The exit status is 0 when every gate
+passes.
 """
 
 from __future__ import annotations
 
-import contextlib
+import dataclasses
 import math
-import pathlib
 import sys
-from unittest import mock
 
 import numpy as np
 
-import graphcomplete as gc
 from graphcomplete import objective, structure_path
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import MEAN_SCALE, NOISE_SD, WORKLOADS, block_means  # noqa: E402
+from paired import fit, graph, paired
 
 GRAPH_SEED = 0
 RATE_PAIRS = [(0.3, 0.3), (0.6, 0.6)]
 SEEDS = range(11, 21)
-RESAMPLES = 10_000
 GATE_MEAN = 0.01
 
-
-def graph() -> gc.GraphDataset:
-    """recon-large's generator with 250 nodes per block."""
-    w = WORKLOADS["recon-large"]
-    return gc.generate_sbm(250, w.blocks, w.p_in, w.p_out,
-                           block_means(w.blocks, w.d, MEAN_SCALE), NOISE_SD, seed=GRAPH_SEED)
+# comparison: the patches that put float32 out of reach for its float64 fits
+FORCED = {"all": ((objective, "F32_ROWS", math.inf),),
+          "solve": ((structure_path, "F32_MIN_ALPHA", math.inf),)}
 
 
-# comparison: the (module, name) set out of reach for its float64 fits
-FORCED = {"all": (objective, "F32_ROWS"), "solve": (structure_path, "F32_MIN_ALPHA")}
-
-
-def fit(ds, fr, er, seed, forced=None) -> gc.Metrics:
-    """One cell's reconstruction and classifier, as shipped or with the
-    (module, name) forced out of reach, so that it selects float64."""
-    masked = gc.apply_mask(ds, gc.MaskSpec(fr, er, "entry", seed))
-    splits = gc.make_splits(masked, seed=seed)
-    cfg = gc.ExperimentConfig()
-    with mock.patch.object(*forced, math.inf) if forced else contextlib.nullcontext():
-        recon = gc.run_reconstruction(masked, cfg, seed)
-    return gc.train_downstream(recon, masked.labels, masked.num_classes, splits, cfg,
-                               seed).metrics
-
-
-def gate(comparison: str, d: np.ndarray) -> bool:
-    """Print the paired differences' summary and gate; True when it passes."""
-    means = np.random.default_rng(0).choice(d, size=(RESAMPLES, len(d))).mean(axis=1)
-    lo, hi = np.percentile(means, [2.5, 97.5])
-    ok = lo <= 0.0 <= hi and abs(d.mean()) <= GATE_MEAN
-    print(f" {comparison}: paired difference shipped - f64: mean {d.mean():+.4f}, "
-          f"wins/losses/ties {(d > 0).sum()}/{(d < 0).sum()}/{(d == 0).sum()}, "
-          f"95% bootstrap interval [{lo:+.4f}, {hi:+.4f}]; "
-          f"gate (interval holds 0, |mean| <= {GATE_MEAN}): {'PASS' if ok else 'FAIL'}")
+def report(comparison: str, sides: str, d: list, gated: bool = True) -> bool:
+    """Print the paired differences' summary, the gate where gated, and the
+    sign test; True when the gate's rule holds."""
+    p = paired(d)
+    ok = p.lo <= 0.0 <= p.hi and abs(p.mean) <= GATE_MEAN
+    gate = (f"gate (interval holds 0, |mean| <= {GATE_MEAN}): {'PASS' if ok else 'FAIL'}"
+            if gated else "no gate")
+    print(f" {comparison}: paired difference {sides}: {p}; {gate}")
+    print(f"   sign test over the {p.wins + p.losses} untied pairs: two-sided p {p.sign_p:.4f}")
     return ok
 
 
+def cell(seed: int, *fits) -> str:
+    return "  ".join([f"{seed:5d}", *(f"{m.test_accuracy:.4f} ({m.best_epoch:3d})"
+                                      for m in fits)])
+
+
 def main() -> int:
-    ds = graph()
+    ds = graph("recon-large", per_block=250, seed=GRAPH_SEED)
+    moved = dataclasses.replace(ds, features=np.nextafter(ds.features, np.inf))
     print(f"n={ds.n}, {ds.num_edges} edges; F32_ROWS={objective.F32_ROWS}, "
           f"F32_MIN_ALPHA={structure_path.F32_MIN_ALPHA}; "
-          f"cells {list(SEEDS)[0]}-{list(SEEDS)[-1]} per rate pair")
+          f"cells {SEEDS[0]}-{SEEDS[-1]} per rate pair")
     passed = True
-    for fr, er in RATE_PAIRS:
-        print(f"\nrates ({fr}, {er}): test accuracy (best epoch), shipped then "
+    for rates in RATE_PAIRS:
+        print(f"\nrates {rates}: test accuracy (best epoch), shipped then "
               f"float64 by {', '.join(FORCED)}")
-        diffs = {c: [] for c in FORCED}
+        f64 = {c: [] for c in FORCED}
+        ship = []
         for seed in SEEDS:
-            ship = fit(ds, fr, er, seed)
-            row = [f"{seed:5d}  {ship.test_accuracy:.4f} ({ship.best_epoch:3d})"]
+            ship.append(fit(ds, rates, seed))
             for c in FORCED:
-                f64 = fit(ds, fr, er, seed, FORCED[c])
-                diffs[c].append(ship.test_accuracy - f64.test_accuracy)
-                row.append(f"{f64.test_accuracy:.4f} ({f64.best_epoch:3d})")
-            print("  ".join(row), flush=True)
+                f64[c].append(fit(ds, rates, seed, FORCED[c]))
+            print(cell(seed, ship[-1], *(f64[c][-1] for c in FORCED)), flush=True)
         for c in FORCED:
-            passed &= gate(c, np.asarray(diffs[c]))
+            passed &= report(c, "shipped - f64", [s.test_accuracy - f.test_accuracy
+                                                  for s, f in zip(ship, f64[c])])
+        print(f" noise floor at rates {rates}: float64 (the all fits above), then "
+              f"float64 with features moved by one ulp")
+        ulp = []
+        for seed, base in zip(SEEDS, f64["all"]):
+            ulp.append(fit(moved, rates, seed, FORCED["all"]))
+            print(cell(seed, base, ulp[-1]), flush=True)
+        report("ulp", "moved - f64", [u.test_accuracy - f.test_accuracy
+                                      for u, f in zip(ulp, f64["all"])], gated=False)
     return 0 if passed else 1
 
 

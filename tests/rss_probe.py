@@ -5,10 +5,11 @@ Run from the repository root (Linux only: it reads /proc/self/status):
 
     PYTHONPATH=src python tests/rss_probe.py --seed 3
 
-One cell runs in this process on a graph shaped like the benchmark's
-recon-large (four 500-node blocks, d=64, 30% of feature entries and edges
-missing, 3 reconstruction epochs, then a 40-epoch classifier and baseline),
-with BLAS on one thread as perfbench runs it.  After each phase it prints
+One cell runs in this process on the benchmark's recon-large graph and
+config, both read from perfbench/workloads.py through tests/paired.py (four
+500-node blocks, d=64, 30% of feature entries and edges missing, 3
+reconstruction epochs, then a 40-epoch classifier and baseline), with BLAS
+on one thread as perfbench runs it.  After each phase it prints
 VmRSS, the resident set then, and VmHWM, the peak so far, both in MB: the
 diffusion, each reconstruction epoch's forward, backward and Adam step, the
 classifier and the baseline.  It finds the phases by wrapping the functions
@@ -23,10 +24,8 @@ import sys
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
-import numpy as np  # noqa: E402
-
-import graphcomplete as gc  # noqa: E402
 from graphcomplete import downstream, experiment, nn  # noqa: E402
+from paired import WORKLOADS, graph  # noqa: E402
 
 
 def status_mb() -> tuple[float, float]:
@@ -65,13 +64,9 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=3, help="picks the graph and the cell seed")
     args = p.parse_args(argv)
 
-    means = np.zeros((4, 64))
-    for b in range(4):
-        means[b, 16 * b:16 * (b + 1)] = 0.05
-    ds = gc.generate_sbm(500, 4, 0.016, 0.0013, means, 0.5, seed=args.seed)
-    cfg = experiment.make_config(overrides=dict(
-        feature_missing=(0.3,), edge_missing=(0.3,), epochs=3, seeds=(args.seed,),
-        baseline="with", down_max_epochs=40, down_patience=40))
+    ds = graph("recon-large", seed=args.seed)
+    cfg = experiment.make_config(overrides=dict(WORKLOADS["recon-large"].config,
+                                                seeds=(args.seed,)))
 
     state = {"phase": "setup", "epoch": 0}
 
@@ -100,7 +95,8 @@ def main(argv=None) -> int:
     after(experiment, "run_reconstruction", enter("classifier"))
     after(experiment, "train_downstream", lambda: "classifier")
     after(experiment, "train_gcn_baseline", lambda: "baseline")
-    experiment._run_cell(ds, cfg, 0.3, 0.3, args.seed)
+    (fr, er), = cfg.rate_pairs()
+    experiment._run_cell(ds, cfg, fr, er, args.seed)
     return 0
 
 

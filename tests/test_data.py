@@ -164,8 +164,10 @@ class TestLoadErrors:
         ('[2, 2, 2]', r"not a JSON object"),
         ('{"nodes": 2,', r"not valid JSON"),
         ('{"nodes": 2, "features": 2, "classes": 1}', r"class count below observed labels"),
+        ('{"features": 2, "classes": 2}', r"nodes missing"),
+        ('{"nodes": 2, "classes": 2}', r"features missing"),
     ], ids=["string_classes", "float_classes", "bool_classes", "float_nodes", "list",
-            "invalid_json", "too_few_classes"])
+            "invalid_json", "too_few_classes", "no_nodes", "no_features"])
     def test_malformed_meta_rejected(self, tmp_path, meta, message):
         self.write_minimal(tmp_path)
         (tmp_path / "labels.tsv").write_text("0\t0\n1\t1\n")
@@ -333,6 +335,16 @@ class TestSBM:
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.edges, b.edges)
 
-    def test_bad_probability_rejected(self):
-        with pytest.raises(ValueError, match="probabilities"):
-            gc.generate_sbm(3, 2, 1.5, 0.0, two_block_features(2), 0.0)
+    @pytest.mark.parametrize("p_in, means, noise_sd, message", [
+        (1.5, two_block_features(2), 0.0, r"probabilities"),
+        (np.nan, two_block_features(2), 0.0, r"probabilities"),
+        (0.5, two_block_features(2), -0.1, r"noise_sd -0\.1 must be finite and non-negative"),
+        (0.5, two_block_features(2), np.nan, r"noise_sd nan must be"),
+        (0.5, two_block_features(2), np.inf, r"noise_sd inf must be"),
+        (0.5, np.array([[0.0, np.nan], [1.0, 0.0]]), 0.1, r"feat_means must be finite"),
+        (0.5, np.array([[0.0, 0.0], [-np.inf, 0.0]]), 0.1, r"feat_means must be finite"),
+    ], ids=["p_in", "nan_p_in", "negative_noise", "nan_noise", "inf_noise", "nan_means",
+            "inf_means"])
+    def test_bad_argument_rejected(self, p_in, means, noise_sd, message):
+        with pytest.raises(ValueError, match=message):
+            gc.generate_sbm(3, 2, p_in, 0.0, means, noise_sd)

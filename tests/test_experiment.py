@@ -23,7 +23,7 @@ from graphcomplete.experiment import (
     run_experiment,
 )
 
-from conftest import row_block_threads
+from conftest import SBM256_FLAGS, row_block_threads, sbm256_fixture
 from oracles import read_embeddings
 
 
@@ -407,14 +407,9 @@ class TestRunExperiment:
             assert pooled[name] == blob, name
 
     def test_row_block_threads_do_not_change_outputs(self, tmp_path):
-        # at n=256 each contrastive term has 4 row blocks, enough for the pool
         data = tmp_path / "sbm256"
-        gc.write_dataset(gc.generate_sbm(128, 2, 0.05, 0.005, two_block_features(8), 0.5,
-                                         seed=1), str(data))
-        flags = ["--dataset", str(data), "--seeds", "0,1", "--epochs", "4", "--k", "5",
-                 "--imputer-hidden", "8", "--pe-hidden", "16", "--ppnp-hidden", "8",
-                 "--gcn-hidden", "8", "--attention-dim", "4", "--down-max-epochs", "20",
-                 "--dump-embeddings", "--dump-structure"]
+        gc.write_dataset(sbm256_fixture(), str(data))
+        flags = [*SBM256_FLAGS, "--dataset", str(data)]
         trees = {}
         for threads, workers in ((1, 1), (2, 1), (2, 2), (1, 2)):
             root = tmp_path / f"threads{threads}_workers{workers}"

@@ -1,8 +1,8 @@
 """The scripts under tests/ that pytest does not collect still run.
 
 rss_probe.py runs one cell end to end; precision_parity.py, workers_gate.py
-and update_golden.py take minutes, so they are only imported, which checks
-every name they import from the package and from perfbench.
+and update_golden.py take minutes, so they are only imported with paired.py,
+which checks every name they import from the package and from perfbench.
 """
 
 import os
@@ -31,5 +31,5 @@ def test_rss_probe_runs_a_cell():
 
 
 def test_gate_scripts_import():
-    done = run(["-c", "import precision_parity, workers_gate, update_golden"])
+    done = run(["-c", "import paired, precision_parity, workers_gate, update_golden"])
     assert done.returncode == 0, done.stderr[-2000:]

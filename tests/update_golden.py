@@ -8,10 +8,11 @@ pinned output to its sha256:
 
 - ``sbm100/<file>``: every output file of a 2x2 sweep (rate pairs (0.3, 0.3)
   and (0.6, 0.6), seeds 0 and 1) of tests/conftest.py's ``sbm_fixture``, n=100;
-- ``sbm256/<file>``: every output file of a 2-seed sweep of the n=256 graph
-  that test_experiment.py's row-block threads test uses, the smallest whose
-  contrastive terms run their row blocks in float32 and whose diffusion is
-  solved in float32 (objective.F32_ROWS; the default alpha 0.1 is above
+- ``sbm256/<file>``: every output file of conftest.py's 2-seed sweep
+  ``SBM256_FLAGS`` of ``sbm256_fixture``, n=256, which test_experiment.py's
+  row-block threads test also runs: the smallest graph whose contrastive
+  terms run their row blocks in float32 and whose diffusion is solved in
+  float32 (objective.F32_ROWS; the default alpha 0.1 is above
   structure_path.F32_MIN_ALPHA);
 - ``demo/<script>``: the stdout of demos 01-04.
 
@@ -45,22 +46,16 @@ import numpy as np
 import scipy
 
 import graphcomplete as gc
-from graphcomplete.data import two_block_features
 from graphcomplete.experiment import main
 
-from conftest import sbm_fixture
+from conftest import SBM256_FLAGS, sbm256_fixture, sbm_fixture
 
 SWEEPS = {   # name: (the graph, the sweep's flags but --dataset, --out and --workers)
     "sbm100": (sbm_fixture,
                ["--feature-missing", "0.3,0.6", "--edge-missing", "0.3,0.6", "--seeds", "0,1",
                 "--epochs", "50", "--down-max-epochs", "100",
                 "--dump-embeddings", "--dump-structure"]),
-    "sbm256": (lambda: gc.generate_sbm(128, 2, 0.05, 0.005, two_block_features(8), 0.5,
-                                       seed=1),
-               ["--seeds", "0,1", "--epochs", "4", "--k", "5", "--imputer-hidden", "8",
-                "--pe-hidden", "16", "--ppnp-hidden", "8", "--gcn-hidden", "8",
-                "--attention-dim", "4", "--down-max-epochs", "20",
-                "--dump-embeddings", "--dump-structure"]),
+    "sbm256": (sbm256_fixture, SBM256_FLAGS),
 }
 
 

@@ -5,11 +5,11 @@
 A script, not a test (pytest does not collect it).  BEFORE and AFTER are the
 roots of two checkouts of this repository.  Each sweep runs as
 ``python -m graphcomplete --workers 2`` with the checkout's ``src`` on
-PYTHONPATH, on a dataset this checkout writes once:
+PYTHONPATH, on a dataset this checkout writes once from a workload's
+generator in perfbench/workloads.py (through tests/paired.py):
 
-- ``2-cell n=2000``: recon-large's generator (perfbench/workloads.py), graph
-  seed 0, cell seeds 0,1, ``--epochs 3 --down-max-epochs 40
-  --down-patience 40``;
+- ``2-cell n=2000``: recon-large's generator, graph seed 0, cell seeds 0,1,
+  ``--epochs 3 --down-max-epochs 40 --down-patience 40``;
 - ``8-cell n=100``: sweep-small's generator, graph seed 0, ``--feature-missing
   0.3,0.6 --edge-missing 0.3,0.6 --seeds 0,1,2,3 --down-max-epochs 150
   --down-patience 150``.
@@ -32,9 +32,7 @@ import tempfile
 import time
 
 import graphcomplete as gc
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import MEAN_SCALE, NOISE_SD, WORKLOADS, block_means  # noqa: E402
+from paired import graph
 
 PAIRS = 10
 GRAPH_SEED = 0
@@ -45,13 +43,6 @@ SWEEPS = {   # name: (workload whose generator writes the graph, flags)
                                      "--seeds", "0,1,2,3",
                                      "--down-max-epochs", "150", "--down-patience", "150"]),
 }
-
-
-def write_graph(workload: str, path: str) -> None:
-    w = WORKLOADS[workload]
-    gc.write_dataset(gc.generate_sbm(w.per_block, w.blocks, w.p_in, w.p_out,
-                                     block_means(w.blocks, w.d, MEAN_SCALE), NOISE_SD,
-                                     seed=GRAPH_SEED), path)
 
 
 def sweep(checkout: str, data: str, out: str, flags: list) -> tuple[float, bytes]:
@@ -72,7 +63,7 @@ def main(before: str, after: str) -> int:
     with tempfile.TemporaryDirectory() as work:
         for name, (workload, flags) in SWEEPS.items():
             data = os.path.join(work, workload)
-            write_graph(workload, data)
+            gc.write_dataset(graph(workload, seed=GRAPH_SEED), data)
             times = {before: [], after: []}
             print(f"{name} ({workload}'s generator), seconds: before, after")
             for pair in range(PAIRS):
